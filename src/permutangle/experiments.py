@@ -1,9 +1,13 @@
 """Reproduction campaigns: scatter datasets, perturbation sweeps, region checks.
 
 Sampling is data-parallel over sample indices: sample ``i`` of a campaign is
-a pure function of ``(seed, i)`` via its own random substream, work is split
-into fixed-size chunks, and results are reassembled in index order. Output
-is therefore byte-identical regardless of worker count or scheduling. The
+a pure function of ``(seed, i)`` via its own random substream. Work is split
+into fixed-size chunks; a chunk builds its samples one substream at a time,
+stacks them, and measures the whole chunk in one call of the stacked kernel
+:func:`permutangle.measures.measure_stack`. Results are reassembled in index
+order. The kernel gives each state the bits it gets alone, and
+:func:`build_record` is a batch of one of it, so output is byte-identical
+regardless of worker count, chunk size or scheduling. The
 ``PERMUTANGLE_THREADS`` environment variable caps the worker pool (default:
 hardware parallelism).
 """
@@ -22,15 +26,17 @@ import numpy as np
 
 from . import families
 from .errors import DimensionError, DomainError
-from .measures import MeasureRecord, concurrence, negativity, r12, three_tangle
+from .measures import MeasureRecord, measure_stack
 from .qstate import (
     DensityMatrix,
     PureState,
+    State,
     haar_random_pure,
     mix,
     perturb_pure,
     random_fixed_eigvecs,
     reduce,
+    reduce_pure_stack,
     substream,
 )
 
@@ -68,8 +74,10 @@ class ViolationReport:
     """Outcome of checking records against an analytic region.
 
     ``worst_margin`` is signed: the largest excess beyond the region over all
-    records (negative values mean everything sat strictly inside).
-    ``violations == 0`` iff ``worst_margin <= tolerance``.
+    records (negative values mean everything sat strictly inside). A record
+    with a non-finite measure has a NaN margin, which counts as a violation
+    and makes ``worst_margin`` NaN. ``violations == 0`` iff
+    ``worst_margin <= tolerance``.
     """
 
     region: str
@@ -94,22 +102,55 @@ class ViolationReport:
 # record construction
 
 
+#: One campaign sample: the state to measure, its (2, 2, 2) pure parent or
+#: None, and the family tag. The state is a two-qubit density matrix, or a
+#: pure state over (2, 2, d) whose (1, 2) reduction is measured; the chunk
+#: reduces those all at once.
+Sample = tuple[State, Optional[PureState], str]
+
+
 def build_record(
     rho: DensityMatrix, parent: Optional[PureState], family: str
 ) -> MeasureRecord:
-    """Measure a two-qubit state; tau only when a (2,2,2) pure parent exists."""
-    c12 = concurrence(rho)
-    tau = None
-    if parent is not None and parent.dims == (2, 2, 2):
-        tau = three_tangle(parent, c12=c12)
-    return MeasureRecord(
-        rank=rho.rank(),
-        c12=c12,
-        n12=negativity(rho),
-        r12=r12(rho),
-        tau=tau,
-        family=family,
-    )
+    """Measure a two-qubit state; tau only when a (2,2,2) pure parent exists.
+
+    A batch of one of the campaigns' stacked kernel, so it reproduces their
+    records bit for bit.
+    """
+    if parent is not None and parent.dims != (2, 2, 2):
+        parent = None
+    return _measure([(rho, parent, family)])[0]
+
+
+def _measure(samples: Sequence[Sample]) -> list[MeasureRecord]:
+    """Records of a chunk of samples from one :func:`measure_stack` call.
+
+    Every sample's state has the type and dims of the first, and either
+    every sample carries a (2, 2, 2) parent or none does.
+    """
+    first = samples[0][0]
+    pure = isinstance(first, PureState)
+    if first.dims[:2] != (2, 2) or (not pure and len(first.dims) != 2):
+        raise DimensionError(f"records are defined for two qubits, got dims {first.dims}")
+    for state, _, _ in samples:
+        if state.dims != first.dims or isinstance(state, PureState) != pure:
+            raise DimensionError(f"a chunk mixes states over {first.dims} and {state.dims}")
+    if pure:
+        amplitudes = np.stack([psi.amplitudes for psi, _, _ in samples])
+        rhos = reduce_pure_stack(amplitudes, first.dims, (1, 2))
+    else:
+        rhos = np.stack([rho.matrix for rho, _, _ in samples])
+    parents = None
+    if samples[0][1] is not None:
+        parents = np.stack([parent.amplitudes for _, parent, _ in samples])
+    m = measure_stack(rhos, parents)
+    taus = [None] * len(samples) if m.tau is None else m.tau
+    return [
+        MeasureRecord(rank=rank, c12=c12, n12=n12, r12=r12, tau=tau, family=family)
+        for rank, c12, n12, r12, tau, (_, _, family) in zip(
+            m.rank, m.c12, m.n12, m.r12, taus, samples
+        )
+    ]
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -120,15 +161,15 @@ def _worker_count(workers: Optional[int]) -> int:
 
 
 def _run_indexed(
-    sample_fn: Callable[[int], MeasureRecord], n: int, workers: Optional[int]
+    sample_fn: Callable[[int], Sample], n: int, workers: Optional[int]
 ) -> list[MeasureRecord]:
-    """Evaluate sample_fn(0..n-1) in fixed chunks; order-independent assembly."""
+    """Measure sample_fn(0..n-1) in fixed chunks; order-independent assembly."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     starts = range(0, n, CHUNK_SIZE)
 
     def chunk(start: int) -> list[MeasureRecord]:
-        return [sample_fn(i) for i in range(start, min(start + CHUNK_SIZE, n))]
+        return _measure([sample_fn(i) for i in range(start, min(start + CHUNK_SIZE, n))])
 
     count = _worker_count(workers)
     if count == 1 or n <= CHUNK_SIZE:
@@ -152,14 +193,12 @@ def scatter(
         raise DimensionError(f"unsupported scatter dims {dims}; supported: {SCATTER_DIMS}")
     family = "haar_" + "x".join(str(d) for d in dims)
 
-    def one(index: int) -> MeasureRecord:
+    def one(index: int) -> Sample:
         rng = substream(seed, index)
         psi = haar_random_pure(dims, rng)
         if len(dims) == 2:
-            return build_record(psi.density_matrix(), None, family)
-        rho = reduce(psi, (1, 2))
-        parent = psi if dims == (2, 2, 2) else None
-        return build_record(rho, parent, family)
+            return psi.density_matrix(), None, family
+        return psi, psi if dims == (2, 2, 2) else None, family
 
     return _run_indexed(one, n, workers)
 
@@ -169,28 +208,28 @@ _ANSATZ1_EIGVECS = np.column_stack(
 )
 
 
-def _perturbed_ansatz1(index: int, seed: int, eps: float) -> MeasureRecord:
+def _perturbed_ansatz1(index: int, seed: int, eps: float) -> Sample:
     rng = substream(seed, index)
     p = rng.uniform(0.0, 1.0)
     base = families.make_state("ansatz1", p=p)
     noise = random_fixed_eigvecs(_ANSATZ1_EIGVECS, rng, dims=(2, 2))
-    return build_record(mix(base, noise, eps), None, "ansatz1_fig4")
+    return mix(base, noise, eps), None, "ansatz1_fig4"
 
 
-def _perturbed_werner(index: int, seed: int, eps: float) -> MeasureRecord:
+def _perturbed_werner(index: int, seed: int, eps: float) -> Sample:
     rng = substream(seed, index)
     p = rng.uniform(0.0, 1.0)
     base = families.make_state("werner", p=p, bell="psi-")
     noise = reduce(haar_random_pure((2, 2, 4), rng), (1, 2))
-    return build_record(mix(base, noise, eps), None, "werner_fig5")
+    return mix(base, noise, eps), None, "werner_fig5"
 
 
-def _perturbed_mems1(index: int, seed: int, eps: float) -> MeasureRecord:
+def _perturbed_mems1(index: int, seed: int, eps: float) -> Sample:
     rng = substream(seed, index)
     c = rng.uniform(0.0, 1.0)
     psi = families.make_state("mems1_purification", c=c)
     phi = perturb_pure(psi, haar_random_pure((2, 2, 2), rng), eps)
-    return build_record(reduce(phi, (1, 2)), phi, "mems1_fig8")
+    return phi, phi, "mems1_fig8"
 
 
 _PERTURBATIONS = {
@@ -220,7 +259,7 @@ def perturbation_campaign(
     return _run_indexed(lambda i: fn(i, seed, epsilon), n, workers)
 
 
-def _separable_sample(index: int, seed: int) -> MeasureRecord:
+def _separable_sample(index: int, seed: int) -> Sample:
     rng = substream(seed, index)
     kind = index % 4
     if kind == 0:
@@ -231,7 +270,7 @@ def _separable_sample(index: int, seed: int) -> MeasureRecord:
             u = haar_random_pure((2,), rng).amplitudes
             v = haar_random_pure((2,), rng).amplitudes
             rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
-        return build_record(DensityMatrix((2, 2), rho), None, "product_mix")
+        return DensityMatrix((2, 2), rho), None, "product_mix"
     if kind == 1:
         def bloch():
             v = rng.standard_normal(3)
@@ -239,16 +278,16 @@ def _separable_sample(index: int, seed: int) -> MeasureRecord:
             return tuple(v * rng.uniform() ** (1.0 / 3.0))
 
         state = families.make_state("cq_state", p=rng.uniform(0.0, 1.0), a=bloch(), b=bloch())
-        return build_record(state, None, "cq_state")
+        return state, None, "cq_state"
     if kind == 2:
         state = families.make_state("werner", p=rng.uniform(0.0, 1.0 / 3.0))
-        return build_record(state, None, "werner_separable")
+        return state, None, "werner_separable"
     while True:
         p = rng.dirichlet(np.ones(4))
         if p.max() <= 0.5:
             break
     state = families.make_state("bell_diagonal", p1=p[0], p2=p[1], p3=p[2], p4=p[3])
-    return build_record(state, None, "bell_diagonal_separable")
+    return state, None, "bell_diagonal_separable"
 
 
 def separable_campaign(n: int, seed: int, workers: Optional[int] = None) -> list[MeasureRecord]:
@@ -362,14 +401,20 @@ def verify(
     for idx, rec in enumerate(records):
         if needs_tau and rec.tau is None:
             raise ValueError(f"region {region!r} needs the tau field, record {idx} lacks it")
-        margin = margin_fn(rec, tol)
+        # x - x is 0.0 exactly when x is finite: a record with a non-finite
+        # measure gets a NaN margin, which counts as a violation
+        spread = (rec.c12 - rec.c12) + (rec.n12 - rec.n12) + (rec.r12 - rec.r12)
+        if rec.tau is not None:
+            spread += rec.tau - rec.tau
+        margin = margin_fn(rec, tol) if spread == 0.0 else math.nan
         total += 1
-        worst = max(worst, margin)
-        if margin > tol:
+        if margin > worst or margin != margin:  # a NaN margin stays the worst
+            worst = margin
+        if not margin <= tol:
             offenders.append((idx, margin))
     if total == 0:
         raise ValueError("no records to verify")
-    offenders.sort(key=lambda pair: -pair[1])
+    offenders.sort(key=lambda pair: (not math.isnan(pair[1]), -pair[1]))
     return ViolationReport(
         region=region,
         tolerance=tol,
@@ -576,7 +621,7 @@ def figure_dataset(
     records: list[MeasureRecord] = []
     config: dict = {"figure": fig_id, "seed": seed, "curve_points": CURVE_POINTS}
     if fig.scatter is not None:
-        count = int(n) if n else fig.n
+        count = fig.n if n is None else int(n)
         mode = fig.scatter[0]
         if mode == "haar":
             records = scatter(fig.scatter[1], count, seed, workers=workers)

@@ -7,12 +7,18 @@ stated once, here, as module constants:
 * ``DET_TOL``        -- determinant agrees with cofactor expansion to
                         1e-12 * max(1, |det|)
 * ``HERMITICITY_TOL``-- max-entry Hermiticity defect accepted by
-                        :func:`eig_hermitian`
+                        :func:`eig_hermitian` (and by ``qstate``'s containers)
 * ``EIG_TRACE_TOL``  -- eigenvalue-sum vs trace conservation (Hermitian)
 * ``GENERAL_EIG_TOL``-- trace conservation and characteristic-polynomial
                         residual for general spectra
 * ``SVD_CROSS_TOL``  -- product-of-singular-values vs |det| and
                         Frobenius-norm conservation
+
+``determinant``, ``eig_hermitian`` and ``singular_values`` also take a
+``(k, M, N)`` stack (square for the first two) and apply every check to each
+matrix. numpy's linalg routines then run once over the stack ("linear
+algebra on several matrices at once") and give each matrix the bits it
+would get alone.
 
 All functions are pure and thread-safe.
 """
@@ -31,43 +37,60 @@ GENERAL_EIG_TOL = 1e-8
 SVD_CROSS_TOL = 1e-10
 
 
-def as_matrix(m, square: bool = False) -> np.ndarray:
+def as_matrix(m, square: bool = False, stack: bool = False) -> np.ndarray:
     """Validate and return ``m`` as a complex 2-D array.
 
     Rejects non-2-D input, dimensions above ``MAX_DIM``, non-finite entries,
-    and (if ``square``) rectangular shapes.
+    and (if ``square``) rectangular shapes. With ``stack``, a ``(k, M, N)``
+    stack of matrices is accepted as well, and each check applies to every
+    matrix in it.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
+    if a.ndim != 2 and not (stack and a.ndim == 3):
+        expected = "a 2-D array or a 3-D stack" if stack else "a 2-D array"
+        raise DimensionError(f"expected {expected}, got ndim={a.ndim}")
+    if a.size == 0:
         raise DimensionError("empty matrix")
+    rows, cols = a.shape[-2:]
     if rows > MAX_DIM or cols > MAX_DIM:
-        raise DimensionError(f"dimension {a.shape} exceeds supported maximum {MAX_DIM}")
+        raise DimensionError(f"dimension {(rows, cols)} exceeds supported maximum {MAX_DIM}")
     if square and rows != cols:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise DimensionError(f"expected a square matrix, got shape {(rows, cols)}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        raise ValueError(f"matrix contains non-finite entries{_where(finite)}")
     return a
 
 
-def determinant(m) -> complex:
-    """Determinant of a square matrix (LU with partial pivoting)."""
-    a = as_matrix(m, square=True)
-    return complex(np.linalg.det(a))
+def _where(ok: np.ndarray) -> str:
+    """Names the first failing matrix of a stack; empty for a single matrix."""
+    return "" if ok.ndim == 0 else f" (matrix {int(np.argmin(ok))} of the stack)"
+
+
+def determinant(m) -> complex | np.ndarray:
+    """Determinant of a square matrix (LU with partial pivoting).
+
+    A ``(k, M, M)`` stack gives a ``(k,)`` complex array.
+    """
+    a = as_matrix(m, square=True, stack=True)
+    det = np.linalg.det(a)
+    return det if a.ndim == 3 else complex(det)
 
 
 def eig_hermitian(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, ascending (``(k, M)`` for a stack).
 
     Raises :class:`HermiticityError` if max|m - m^dagger| exceeds
-    ``HERMITICITY_TOL``.
+    ``HERMITICITY_TOL`` for any matrix.
     """
-    a = as_matrix(m, square=True)
-    defect = np.max(np.abs(a - a.conj().T))
-    if defect > HERMITICITY_TOL:
-        raise HermiticityError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL}")
+    a = as_matrix(m, square=True, stack=True)
+    defects = np.abs(a - a.conj().swapaxes(-1, -2))
+    worst = float(defects.max())
+    if worst > HERMITICITY_TOL:
+        ok = defects.max(axis=(-2, -1)) <= HERMITICITY_TOL
+        raise HermiticityError(
+            f"Hermiticity defect {worst:.3e} exceeds {HERMITICITY_TOL}{_where(ok)}"
+        )
     return np.linalg.eigvalsh(a)
 
 
@@ -85,8 +108,11 @@ def eig_general(m) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values, descending and nonnegative. Any rectangular shape."""
-    a = as_matrix(m)
+    """Singular values, descending and nonnegative. Any rectangular shape.
+
+    A ``(k, M, N)`` stack gives one row of singular values per matrix.
+    """
+    a = as_matrix(m, stack=True)
     return np.linalg.svd(a, compute_uv=False)
 
 

@@ -10,7 +10,8 @@ rho's row index as i*d2 + alpha and column index as j*d2 + beta:
   shape (d1^2, d2^2).
 
 The "link" composition realign(pt2(rho)) is what every correlation quantity
-in this package is built from.
+in this package is built from. Both maps also take a ``(k, D, D)`` stack of
+plain matrices and map each one, so batched measures share these conventions.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
 def partial_transpose(rho, subsystem: int = 2, dims: Sequence[int] | None = None) -> np.ndarray:
     """Transpose one tensor factor of a bipartite matrix.
 
-    ``rho`` is a bipartite DensityMatrix, or a plain square array with the
-    (d1, d2) split passed explicitly (so the map composes with itself and
-    with realignment). Returns a plain array: on density matrices the result
-    is Hermitian and trace-one but generally not positive.
+    ``rho`` is a bipartite DensityMatrix, or a plain square array (or a
+    ``(k, D, D)`` stack of them) with the (d1, d2) split passed explicitly (so
+    the map composes with itself and with realignment). Returns a plain
+    array: on density matrices the result is Hermitian and trace-one but
+    generally not positive.
     """
     if isinstance(rho, DensityMatrix):
         d1, d2 = _bipartite_dims(rho)
@@ -46,28 +48,34 @@ def partial_transpose(rho, subsystem: int = 2, dims: Sequence[int] | None = None
     else:
         if dims is None or len(dims) != 2:
             raise DimensionError("plain-matrix input needs explicit bipartite dims")
-        d1, d2 = (int(d) for d in dims)
-        mat = np.asarray(rho, dtype=complex)
-        if mat.shape != (d1 * d2, d1 * d2):
-            raise DimensionError(f"matrix shape {mat.shape} does not match dims ({d1}, {d2})")
+        d1, d2 = map(int, dims)
+        mat = _square_over(rho, d1, d2)
     if subsystem not in (1, 2):
         raise DimensionError(f"subsystem must be 1 or 2, got {subsystem}")
-    t = mat.reshape(d1, d2, d1, d2)
-    axes = (0, 3, 2, 1) if subsystem == 2 else (2, 1, 0, 3)
-    return t.transpose(axes).reshape(d1 * d2, d1 * d2)
+    t = mat.reshape(mat.shape[:-2] + (d1, d2, d1, d2))
+    t = t.swapaxes(-3, -1) if subsystem == 2 else t.swapaxes(-4, -2)
+    return t.reshape(mat.shape)
 
 
 def realign(m: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Realignment permutation of a square matrix over a (d1, d2) split.
+    """Realignment permutation of a square matrix (or a stack) over a (d1, d2) split.
 
-    Output has shape (d1^2, d2^2); it is square iff d1 == d2, in which case
-    applying realign twice returns the input.
+    Output has shape (d1^2, d2^2) per matrix; it is square iff d1 == d2, in
+    which case applying realign twice returns the input.
     """
-    d1, d2 = (int(d) for d in dims)
+    d1, d2 = map(int, dims)
+    a = _square_over(m, d1, d2)
+    lead = a.shape[:-2]
+    t = a.reshape(lead + (d1, d2, d1, d2)).swapaxes(-3, -2)
+    return t.reshape(lead + (d1 * d1, d2 * d2))
+
+
+def _square_over(m, d1: int, d2: int) -> np.ndarray:
+    """``m`` as a complex (d1*d2)-square matrix, or a 3-D stack of them."""
     a = np.asarray(m, dtype=complex)
-    if a.shape != (d1 * d2, d1 * d2):
+    if a.ndim not in (2, 3) or a.shape[-2:] != (d1 * d2, d1 * d2):
         raise DimensionError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
-    return a.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    return a
 
 
 def reshape_vec(m: np.ndarray) -> np.ndarray:

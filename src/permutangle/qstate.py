@@ -26,9 +26,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateStateError, DimensionError, DomainError, HermiticityError
+from .matkernel import HERMITICITY_TOL
 
 NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 RANK_EPS = 1e-12
@@ -125,10 +125,7 @@ class DensityMatrix:
     def _spectral_pair(self) -> tuple[np.ndarray, np.ndarray]:
         pair = self._spectral
         if pair is None:
-            w, v = np.linalg.eigh(self.matrix)
-            if w[0] < -PSD_TOL:
-                raise ValueError(f"matrix has negative eigenvalue {w[0]:.3e} beyond -{PSD_TOL}")
-            pair = (w, v)
+            pair = eigh_psd(self.matrix)
             object.__setattr__(self, "_spectral", pair)
         return pair
 
@@ -142,8 +139,7 @@ class DensityMatrix:
 
     def spectral(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (descending, clamped at 0) and matching eigenvector columns."""
-        w, v = self._spectral_pair()
-        return np.maximum(w[::-1], 0.0), v[:, ::-1]
+        return descending(*self._spectral_pair())
 
     def rank(self, eps: float = RANK_EPS) -> int:
         """Numerical rank: eigenvalue count above ``eps``."""
@@ -151,6 +147,25 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.vdot(self.matrix, self.matrix)))
+
+
+def eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of a Hermitian matrix or
+    of each matrix in a ``(k, D, D)`` stack, certifying positivity.
+
+    Raises ``ValueError`` when an eigenvalue lies below ``-PSD_TOL``.
+    """
+    w, v = np.linalg.eigh(m)
+    lowest = float(w[..., 0].min())
+    if not lowest >= -PSD_TOL:
+        where = "" if w.ndim == 1 else f" (matrix {int(w[..., 0].argmin())} of the stack)"
+        raise ValueError(f"matrix has negative eigenvalue {lowest:.3e} beyond -{PSD_TOL}{where}")
+    return w, v
+
+
+def descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An :func:`eigh_psd` result reordered descending, eigenvalues clamped at 0."""
+    return np.maximum(w[..., ::-1], 0.0), v[..., ::-1]
 
 
 def _trusted_dm(dims: tuple[int, ...], matrix: np.ndarray) -> DensityMatrix:
@@ -207,16 +222,13 @@ def reduce(state: State, keep: Sequence[int]) -> DensityMatrix:
     """
     dims = state.dims
     positions = _keep_positions(dims, keep)
-    others = [p for p in range(len(dims)) if p not in positions]
     kept_dims = tuple(dims[p] for p in positions)
-    dk = math.prod(kept_dims)
     if isinstance(state, PureState):
-        t = state.amplitudes.reshape(dims)
-        t = np.transpose(t, positions + others)
-        m = t.reshape(dk, -1)
-        rho = m @ m.conj().T
+        rho = _pure_partial_trace(state.amplitudes, dims, positions)
     else:
         n = len(dims)
+        others = [p for p in range(n) if p not in positions]
+        dk = math.prod(kept_dims)
         t = state.matrix.reshape(dims + dims)
         perm = positions + others + [n + p for p in positions] + [n + p for p in others]
         t = np.transpose(t, perm)
@@ -224,6 +236,26 @@ def reduce(state: State, keep: Sequence[int]) -> DensityMatrix:
         t = t.reshape(dk, do, dk, do)
         rho = np.einsum("iaja->ij", t)
     return _trusted_dm(kept_dims, rho)
+
+
+def reduce_pure_stack(amplitudes: np.ndarray, dims, keep: Sequence[int]) -> np.ndarray:
+    """Partial traces of a ``(k, D)`` stack of pure amplitude vectors over ``dims``.
+
+    Returns the ``(k, dk, dk)`` stack of reduced matrices onto ``keep``; each
+    has the bits :func:`reduce` gives for that row alone.
+    """
+    dims = _check_dims(dims)
+    return _pure_partial_trace(np.asarray(amplitudes), dims, _keep_positions(dims, keep))
+
+
+def _pure_partial_trace(amplitudes: np.ndarray, dims: tuple[int, ...], positions: list[int]):
+    """M M^dagger, M the amplitudes regrouped as (kept, traced); leading axes stack states."""
+    lead = amplitudes.shape[:-1]
+    n = len(lead)
+    order = positions + [p for p in range(len(dims)) if p not in positions]
+    t = amplitudes.reshape(lead + dims).transpose(list(range(n)) + [n + p for p in order])
+    m = t.reshape(lead + (math.prod([dims[p] for p in positions]), -1))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def purify(rho: DensityMatrix) -> PureState:

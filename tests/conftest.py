@@ -65,3 +65,47 @@ def random_density_matrix(rng: np.random.Generator, rank: int) -> DensityMatrix:
 
 def haar_state(seed: int, dims=(2, 2, 2)):
     return haar_random_pure(dims, substream(seed, 0))
+
+
+def pure_partial_trace_by_index(amps: np.ndarray, dims, keep) -> np.ndarray:
+    """Reduced density matrix of a pure state by explicit sums over traced indices."""
+    dims = tuple(dims)
+    kept = [k - 1 for k in keep]
+    traced = [p for p in range(len(dims)) if p not in kept]
+    t = np.asarray(amps, dtype=complex).reshape(dims)
+    dk = int(np.prod([dims[p] for p in kept]))
+    out = np.zeros((dk, dk), dtype=complex)
+    for row in np.ndindex(*[dims[p] for p in kept]):
+        for col in np.ndindex(*[dims[p] for p in kept]):
+            total = 0.0 + 0.0j
+            for rest in np.ndindex(*[dims[p] for p in traced]):
+                a, b = [0] * len(dims), [0] * len(dims)
+                for pos, val in zip(kept, row):
+                    a[pos] = val
+                for pos, val in zip(kept, col):
+                    b[pos] = val
+                for pos, val in zip(traced, rest):
+                    a[pos] = b[pos] = val
+                total += t[tuple(a)] * np.conj(t[tuple(b)])
+            r = int(np.ravel_multi_index(row, [dims[p] for p in kept]))
+            c = int(np.ravel_multi_index(col, [dims[p] for p in kept]))
+            out[r, c] = total
+    return out
+
+
+def wootters_concurrence_truncated(m: np.ndarray, rank_eps: float = 1e-12) -> float:
+    """Two-qubit concurrence from the spectrum truncated at the numerical rank.
+
+    With rho = sum_i p_i |v_i><v_i| over the r eigenvalues above
+    ``rank_eps``, the spin-flip values are the singular values of the r x r
+    overlap sqrt(p_i p_j) <v_i| sigma_y x sigma_y |v_j*>, padded with zeros.
+    """
+    w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
+    w, v = np.maximum(w[::-1], 0.0), v[:, ::-1]
+    r = max(1, int(np.count_nonzero(w > rank_eps)))
+    sysy = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
+    vr = v[:, :r]
+    overlap = np.sqrt(np.outer(w[:r], w[:r])) * (vr.conj().T @ sysy @ vr.conj())
+    lam = np.zeros(4)
+    lam[:r] = np.linalg.svd(overlap, compute_uv=False)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])

@@ -152,6 +152,12 @@ class TestFigureCommand:
         code, _, _ = _run(capsys, "figure", "--id", "13", "--out", str(tmp_path))
         assert code == 2
 
+    def test_zero_samples_exit_2(self, capsys, tmp_path):
+        code, _, err = _run(capsys, "figure", "--id", "1", "--n", "0", "--out", str(tmp_path))
+        assert code == 2
+        assert "error" in err
+        assert not (tmp_path / "fig1_scatter.csv").exists()
+
 
 class TestUsage:
     def test_no_command(self, capsys):

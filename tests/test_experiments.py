@@ -225,3 +225,18 @@ class TestFigureDatasets:
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(DomainError):
             figure_dataset(12, tmp_path)
+
+
+class TestVerifyNonFinite:
+    def test_nan_margin_counts_as_violation(self):
+        recs = [_rec(r12=0.5, c12=0.3), _rec(r12=math.nan, c12=0.3), _rec(r12=0.4, c12=0.2)]
+        report = verify(recs, "cr_rank2")
+        assert report.violations == 1
+        assert report.offenders[0][0] == 1
+        assert math.isnan(report.worst_margin)
+
+    def test_nan_record_fails_cli_verify(self, tmp_path):
+        from permutangle.cli import run
+
+        path = write_records_csv([_rec(r12=0.5, c12=0.3), _rec(r12=math.nan)], tmp_path / "r.csv")
+        assert run(["verify", "--region", "cr_rank2", "--input", str(path)]) == 1

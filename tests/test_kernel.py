@@ -1,0 +1,308 @@
+"""The stacked measure kernel behind campaigns and the scalar measures.
+
+Pins the kernel three ways: campaign bytes do not depend on the chunk size,
+a state measured alone (``build_record`` and the scalar functions) gets the
+bits it gets inside a chunk, and every value agrees with the naive per-state
+oracles of ``conftest``. A bad matrix anywhere in a stack raises what the
+scalar call raises on it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import (
+    cofactor_determinant,
+    partial_transpose_by_index,
+    pure_partial_trace_by_index,
+    random_complex_matrix,
+    random_density_matrix,
+    realign_by_index,
+    wootters_concurrence_truncated,
+)
+from permutangle import (
+    DimensionError,
+    HermiticityError,
+    PureState,
+    build_record,
+    concurrence,
+    experiments,
+    haar_random_pure,
+    haar_random_unitary,
+    make_state,
+    negativity,
+    partial_transpose,
+    perturbation_campaign,
+    r12,
+    realign,
+    records_csv_bytes,
+    reduce,
+    scatter,
+    separable_campaign,
+    substream,
+    three_tangle,
+)
+from permutangle.matkernel import (
+    as_matrix,
+    determinant,
+    eig_general,
+    eig_hermitian,
+    singular_values,
+)
+from permutangle.measures import measure_stack
+from permutangle.qstate import PSD_TOL, RANK_EPS, _trusted_dm, reduce_pure_stack
+
+RNG = np.random.default_rng(20251018)
+EPSILON = 0.51
+CAMPAIGNS = (
+    [("scatter", dims) for dims in experiments.SCATTER_DIMS]
+    + [("perturb", kind) for kind in experiments.PERTURBATION_KINDS]
+    + [("separable", None)]
+)
+
+
+def _campaign(campaign, n, seed):
+    mode, arg = campaign
+    if mode == "scatter":
+        return scatter(arg, n, seed, workers=1)
+    if mode == "perturb":
+        return perturbation_campaign(arg, n, seed, epsilon=EPSILON, workers=1)
+    return separable_campaign(n, seed, workers=1)
+
+
+def _sample(campaign, seed, index):
+    """Sample ``index`` of a campaign as (two-qubit state, parent, family)."""
+    mode, arg = campaign
+    if mode == "scatter":
+        psi = haar_random_pure(arg, substream(seed, index))
+        family = "haar_" + "x".join(str(d) for d in arg)
+        if len(arg) == 2:
+            return psi.density_matrix(), None, family
+        return reduce(psi, (1, 2)), psi, family
+    if mode == "perturb":
+        state, parent, family = experiments._PERTURBATIONS[arg](index, seed, EPSILON)
+    else:
+        state, parent, family = experiments._separable_sample(index, seed)
+    if isinstance(state, PureState):
+        state = reduce(state, (1, 2))
+    return state, parent, family
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGNS, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_campaign_bytes_independent_of_chunk_size(campaign, monkeypatch):
+    out = {}
+    for size in (1, 7, 512):
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", size)
+        out[size] = records_csv_bytes(_campaign(campaign, 530, seed=21))
+    assert out[1] == out[7] == out[512]
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGNS, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_build_record_equals_campaign_record(campaign):
+    seed = 33
+    records = _campaign(campaign, 520, seed)
+    for index in (0, 1, 2, 3, 6, 7, 255, 510, 511, 512, 513, 519):
+        assert build_record(*_sample(campaign, seed, index)) == records[index]
+
+
+def _reference(rho: np.ndarray, parent=None) -> dict:
+    """Per-state values from the naive oracles alone."""
+    link = realign_by_index(partial_transpose_by_index(rho, 2, 2, 2), 2, 2)
+    det = abs(cofactor_determinant(link))
+    out = {
+        "rank": int(np.count_nonzero(np.linalg.eigvalsh(rho) > RANK_EPS)),
+        "c12": wootters_concurrence_truncated(rho),
+        "n12": max(0.0, -2.0 * np.linalg.eigvalsh(partial_transpose_by_index(rho, 2, 2, 2))[0]),
+        "det": det,
+        "r12": min(1.0, 2.0 * det**0.25),
+    }
+    if parent is not None:
+        rho1 = pure_partial_trace_by_index(parent, (2, 2, 2), (1,))
+        rho13 = pure_partial_trace_by_index(parent, (2, 2, 2), (1, 3))
+        c13 = wootters_concurrence_truncated(rho13)
+        out["tau"] = 4.0 * cofactor_determinant(rho1).real - out["c12"] ** 2 - c13**2
+    return out
+
+
+def _check_against_oracles(rhos, m, parents=None):
+    for i, rho in enumerate(rhos):
+        ref = _reference(rho, None if parents is None else parents[i])
+        assert m.rank[i] == ref["rank"]
+        assert abs(m.c12[i] - ref["c12"]) <= 1e-12
+        assert abs(m.n12[i] - ref["n12"]) <= 1e-12
+        # r12 = 2 |det|^(1/4) is quartically ill-conditioned at det = 0, so
+        # the determinant itself is compared; r12 too where the root is tame
+        assert abs((m.r12[i] / 2.0) ** 4 - ref["det"]) <= 1e-12
+        if ref["det"] > 1e-8:
+            assert abs(m.r12[i] - ref["r12"]) <= 1e-12
+        if parents is not None:
+            assert abs(m.tau[i] - ref["tau"]) <= 1e-12
+
+
+def test_kernel_matches_oracles_with_parents():
+    parents = [haar_random_pure((2, 2, 2), RNG).amplitudes for _ in range(24)]
+    ghz = np.zeros(8)
+    ghz[[0, 7]] = 1 / math.sqrt(2)
+    w_state = np.zeros(8)
+    w_state[[1, 2, 4]] = 1 / math.sqrt(3)
+    product = np.zeros(8)
+    product[0] = 1.0
+    parents += [ghz, w_state, product, make_state("m3ts", c12=0.6).amplitudes]
+    parents = np.array(parents, dtype=complex)
+    rhos = np.stack([reduce(PureState((2, 2, 2), p), (1, 2)).matrix for p in parents])
+    m = measure_stack(rhos, parents)
+    _check_against_oracles(rhos, m, parents)
+    assert m.tau[-4] == pytest.approx(1.0, abs=1e-12)  # GHZ
+    assert m.tau[-3] == pytest.approx(0.0, abs=1e-12)  # W
+
+
+def test_kernel_matches_oracles_across_ranks_and_families():
+    states = [random_density_matrix(RNG, rank).matrix for rank in (1, 2, 3, 4) for _ in range(6)]
+    states += [
+        make_state("werner", p=0.0).matrix,
+        make_state("werner", p=0.5).matrix,
+        make_state("bell_diagonal", p1=0.7, p2=0.1, p3=0.1, p4=0.1).matrix,
+        make_state("mems1", c=0.4).matrix,
+        make_state("ansatz1", p=0.3).matrix,
+    ]
+    rhos = np.stack(states)
+    m = measure_stack(rhos)
+    assert m.tau is None
+    _check_against_oracles(rhos, m)
+
+
+def test_scalar_measures_are_batches_of_one():
+    psis = [haar_random_pure((2, 2, 2), RNG) for _ in range(9)]
+    rhos = [reduce(psi, (1, 2)) for psi in psis]
+    m = measure_stack(np.stack([rho.matrix for rho in rhos]), np.stack([p.amplitudes for p in psis]))
+    for i, (psi, rho) in enumerate(zip(psis, rhos)):
+        assert concurrence(rho) == m.c12[i]
+        assert negativity(rho) == m.n12[i]
+        assert r12(rho) == m.r12[i]
+        assert rho.rank() == m.rank[i]
+        assert three_tangle(psi) == m.tau[i]
+        assert three_tangle(psi, c12=m.c12[i]) == m.tau[i]
+
+
+def test_stacked_reduction_equals_reduce():
+    for dims in ((2, 2, 2), (2, 2, 3), (2, 2, 4)):
+        psis = [haar_random_pure(dims, RNG) for _ in range(5)]
+        stacked = reduce_pure_stack(np.stack([p.amplitudes for p in psis]), dims, (1, 3))
+        for psi, rho in zip(psis, stacked):
+            assert np.array_equal(rho, reduce(psi, (1, 3)).matrix)
+
+
+# --------------------------------------------------------------------------
+# one bad matrix in a stack
+
+
+def _good_stack(k=6):
+    return np.stack([random_density_matrix(RNG, 1 + i % 4).matrix for i in range(k)])
+
+
+def _non_finite():
+    bad = random_density_matrix(RNG, 3).matrix.copy()
+    bad[1, 2] = np.nan
+    return bad
+
+
+def _negative_eigenvalue():
+    u = haar_random_unitary(4, RNG)
+    return u @ np.diag([0.5, 0.5 + 100 * PSD_TOL, 0.0, -100 * PSD_TOL]) @ u.conj().T
+
+
+def _beyond_clamp():
+    bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+    return 2.0 * np.outer(bell, bell).astype(complex)  # every measure reads 2
+
+
+def _non_hermitian():
+    bad = random_density_matrix(RNG, 4).matrix.copy()
+    bad[0, 1] += 1e-8j  # upper triangle only: eigh reads the lower one
+    return bad
+
+
+@pytest.mark.parametrize(
+    "make_bad, scalar, error",
+    [
+        (_non_finite, negativity, ValueError),
+        (_non_finite, r12, ValueError),
+        (_negative_eigenvalue, concurrence, ValueError),
+        (_beyond_clamp, r12, ValueError),
+        (_beyond_clamp, concurrence, ValueError),
+        (_non_hermitian, negativity, HermiticityError),
+    ],
+    ids=["non-finite-n12", "non-finite-r12", "negative-eigenvalue", "clamp-r12", "clamp-c12",
+         "non-hermitian"],
+)
+def test_bad_matrix_in_stack_raises_like_scalar_call(make_bad, scalar, error):
+    bad = make_bad()
+    with pytest.raises(Exception) as alone:
+        scalar(_trusted_dm((2, 2), bad))
+    with pytest.raises(Exception) as record:
+        build_record(_trusted_dm((2, 2), bad), None, "bad")
+    stack = _good_stack()
+    measure_stack(stack)
+    stack[3] = bad
+    with pytest.raises(Exception) as stacked:
+        measure_stack(stack)
+    assert alone.type is record.type is stacked.type
+    assert issubclass(stacked.type, error)
+
+
+def test_bad_parent_in_stack():
+    parents = np.stack([haar_random_pure((2, 2, 2), RNG).amplitudes for _ in range(4)])
+    rhos = reduce_pure_stack(parents, (2, 2, 2), (1, 2))
+    parents[2, 5] = np.inf
+    with pytest.raises(ValueError):
+        measure_stack(rhos, parents)
+    with pytest.raises(DimensionError):
+        measure_stack(rhos, parents[:3])
+    with pytest.raises(DimensionError):
+        measure_stack(np.ones((3, 9, 9)))
+
+
+# --------------------------------------------------------------------------
+# matkernel and permutation stacks
+
+
+def test_matkernel_stacks_match_single_calls():
+    square = np.stack([random_complex_matrix(RNG, 4, 4) for _ in range(7)])
+    hermitian = square + np.swapaxes(square.conj(), -1, -2)
+    rect = np.stack([random_complex_matrix(RNG, 3, 5) for _ in range(7)])
+    assert np.array_equal(determinant(square), [determinant(m) for m in square])
+    assert np.array_equal(eig_hermitian(hermitian), [eig_hermitian(m) for m in hermitian])
+    assert np.array_equal(singular_values(rect), [singular_values(m) for m in rect])
+
+
+def test_matkernel_checks_each_matrix_of_a_stack():
+    square = np.stack([random_complex_matrix(RNG, 3, 3) for _ in range(4)])
+    bad = square.copy()
+    bad[1, 0, 2] = np.inf
+    with pytest.raises(ValueError, match="matrix 1 of the stack"):
+        determinant(bad)
+    hermitian = square + np.swapaxes(square.conj(), -1, -2)
+    hermitian[2, 0, 1] += 1e-6
+    with pytest.raises(HermiticityError, match="matrix 2 of the stack"):
+        eig_hermitian(hermitian)
+    with pytest.raises(DimensionError):
+        determinant(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        singular_values(np.ones((2, 17, 3)))
+    with pytest.raises(DimensionError):
+        as_matrix(np.ones((2, 2, 3, 3)), stack=True)
+    with pytest.raises(DimensionError):
+        eig_general(np.ones((2, 3, 3)))
+
+
+def test_stacked_permutations_match_single_matrices():
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        d = dims[0] * dims[1]
+        stack = np.stack([random_complex_matrix(RNG, d, d) for _ in range(3)])
+        for sub in (1, 2):
+            pts = partial_transpose(stack, sub, dims=dims)
+            for m, pt in zip(stack, pts):
+                assert np.array_equal(pt, partial_transpose_by_index(m, *dims, subsystem=sub))
+        for m, re in zip(stack, realign(stack, dims)):
+            assert np.array_equal(re, realign_by_index(m, *dims))
