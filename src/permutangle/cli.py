@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import experiments, families
 from .errors import DomainError
+from .experiments import format_float
 
 _PARAM_HELP = (
     "comma-separated k=v pairs, e.g. p=0.5 or a=0.3,b=0.2,... ; complex values "
@@ -67,10 +68,6 @@ def _emit(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _cmd_measure(args) -> int:
     params = _parse_params(args.params or "")
     closed = families.closed_form_measures(args.family, **params)
@@ -88,10 +85,10 @@ def _cmd_measure(args) -> int:
     else:
         lines = ["quantity,closed_form,numeric,abs_diff"]
         for key in keys:
-            c = _fmt(closed[key]) if key in closed else ""
-            n = _fmt(numeric[key]) if key in numeric else ""
-            d = _fmt(abs(closed[key] - numeric[key])) if key in closed and key in numeric else ""
-            lines.append(f"{key},{c},{n},{d}")
+            c = format_float(closed.get(key))
+            n = format_float(numeric.get(key))
+            d = abs(closed[key] - numeric[key]) if key in closed and key in numeric else None
+            lines.append(f"{key},{c},{n},{format_float(d)}")
         _emit(("\n".join(lines) + "\n").encode(), args.out)
     return 0
 
@@ -104,32 +101,24 @@ def _emit_records(records, args) -> None:
 
 
 def _cmd_sample(args) -> int:
-    records = experiments.scatter(_parse_dims(args.dims), args.n, args.seed, workers=args.workers)
+    records = experiments.scatter(_parse_dims(args.dims), args.n, args.seed)
     _emit_records(records, args)
     return 0
 
 
 def _cmd_curve(args) -> int:
-    xs = families.curve_grid(args.id, args.points)
-    rows = families.boundary_curve(args.id, xs)
-    header = "r12,c12" if args.id.startswith("cr_") else "r12,n12"
-    lines = [header] + [f"{_fmt(x)},{_fmt(y)}" for x, y in rows]
-    _emit(("\n".join(lines) + "\n").encode(), args.out)
+    _emit(experiments.curve_csv_bytes(args.id, args.points), args.out)
     return 0
 
 
 def _cmd_perturb(args) -> int:
-    records = experiments.perturbation_campaign(
-        args.kind, args.n, args.seed, epsilon=args.eps, workers=args.workers
-    )
+    records = experiments.perturbation_campaign(args.kind, args.n, args.seed, epsilon=args.eps)
     _emit_records(records, args)
     return 0
 
 
 def _cmd_figure(args) -> int:
-    written = experiments.figure_dataset(
-        args.id, args.out, n=args.n, seed=args.seed, workers=args.workers
-    )
+    written = experiments.figure_dataset(args.id, args.out, n=args.n, seed=args.seed)
     for name in sorted(written):
         sys.stdout.write(f"{name}: {written[name]}\n")
     return 0
@@ -165,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default: csv)")
     p.add_argument("--out", default=None, help="write to this file instead of stdout")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: PERMUTANGLE_THREADS or hardware)")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("curve", help="analytic boundary curve")
@@ -185,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default: csv)")
     p.add_argument("--out", default=None, help="write to this file instead of stdout")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: PERMUTANGLE_THREADS or hardware)")
     p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("figure", help="dataset bundle for one figure")
@@ -196,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="scatter sample count (default: per-figure standard size)")
     p.add_argument("--seed", type=int, default=0, help="campaign seed (default: 0)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: PERMUTANGLE_THREADS or hardware)")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("verify", help="check a records CSV against a region")

@@ -1,23 +1,18 @@
 """Reproduction campaigns: scatter datasets, perturbation sweeps, region checks.
 
-Sampling is data-parallel over sample indices: sample ``i`` of a campaign is
-a pure function of ``(seed, i)`` via its own random substream. Work is split
-into fixed-size chunks; a chunk builds its samples one substream at a time,
-stacks them, and measures the whole chunk in one call of the stacked kernel
-:func:`permutangle.measures.measure_stack`. Results are reassembled in index
-order. The kernel gives each state the bits it gets alone, and
-:func:`build_record` is a batch of one of it, so output is byte-identical
-regardless of worker count, chunk size or scheduling. The
-``PERMUTANGLE_THREADS`` environment variable caps the worker pool (default:
-hardware parallelism).
+Sample ``i`` of a campaign is a pure function of ``(seed, i)`` via its own
+random substream. Campaigns run in chunks of ``CHUNK_SIZE`` samples, in index
+order; a chunk builds its samples one substream at a time, stacks them, and
+measures the whole chunk in one call of the stacked kernel
+:func:`permutangle.measures.measure_stack`. The kernel gives each state the
+bits it gets alone, and :func:`build_record` is a batch of one of it, so
+output is byte-identical regardless of chunk size.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -26,7 +21,7 @@ import numpy as np
 
 from . import families
 from .errors import DimensionError, DomainError
-from .measures import MeasureRecord, measure_stack
+from .measures import WITNESS_THRESHOLD, MeasureRecord, measure_stack
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -153,36 +148,17 @@ def _measure(samples: Sequence[Sample]) -> list[MeasureRecord]:
     ]
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is None:
-        env = os.environ.get("PERMUTANGLE_THREADS")
-        workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, int(workers))
-
-
-def _run_indexed(
-    sample_fn: Callable[[int], Sample], n: int, workers: Optional[int]
-) -> list[MeasureRecord]:
-    """Measure sample_fn(0..n-1) in fixed chunks; order-independent assembly."""
+def _run_indexed(sample_fn: Callable[[int], Sample], n: int) -> list[MeasureRecord]:
+    """Measure sample_fn(0..n-1) in chunks of ``CHUNK_SIZE``, in index order."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    starts = range(0, n, CHUNK_SIZE)
-
-    def chunk(start: int) -> list[MeasureRecord]:
-        return _measure([sample_fn(i) for i in range(start, min(start + CHUNK_SIZE, n))])
-
-    count = _worker_count(workers)
-    if count == 1 or n <= CHUNK_SIZE:
-        parts = [chunk(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            parts = list(pool.map(chunk, starts))
-    return [rec for part in parts for rec in part]
+    records: list[MeasureRecord] = []
+    for start in range(0, n, CHUNK_SIZE):
+        records += _measure([sample_fn(i) for i in range(start, min(start + CHUNK_SIZE, n))])
+    return records
 
 
-def scatter(
-    dims: Sequence[int], n: int, seed: int, workers: Optional[int] = None
-) -> list[MeasureRecord]:
+def scatter(dims: Sequence[int], n: int, seed: int) -> list[MeasureRecord]:
     """Haar-random states reduced to qubits (1, 2), measured one record each.
 
     dims (2, 2) samples two-qubit pure states directly (rank-1 records);
@@ -200,7 +176,7 @@ def scatter(
             return psi.density_matrix(), None, family
         return psi, psi if dims == (2, 2, 2) else None, family
 
-    return _run_indexed(one, n, workers)
+    return _run_indexed(one, n)
 
 
 _ANSATZ1_EIGVECS = np.column_stack(
@@ -240,7 +216,7 @@ _PERTURBATIONS = {
 
 
 def perturbation_campaign(
-    kind: str, n: int, seed: int, epsilon: float = 0.51, workers: Optional[int] = None
+    kind: str, n: int, seed: int, epsilon: float = 0.51
 ) -> list[MeasureRecord]:
     """Randomly perturbed boundary-family states, one record per sample.
 
@@ -256,7 +232,7 @@ def perturbation_campaign(
     if epsilon < 0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     fn = _PERTURBATIONS[kind]
-    return _run_indexed(lambda i: fn(i, seed, epsilon), n, workers)
+    return _run_indexed(lambda i: fn(i, seed, epsilon), n)
 
 
 def _separable_sample(index: int, seed: int) -> Sample:
@@ -272,13 +248,8 @@ def _separable_sample(index: int, seed: int) -> Sample:
             rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
         return DensityMatrix((2, 2), rho), None, "product_mix"
     if kind == 1:
-        def bloch():
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            return tuple(v * rng.uniform() ** (1.0 / 3.0))
-
-        state = families.make_state("cq_state", p=rng.uniform(0.0, 1.0), a=bloch(), b=bloch())
-        return state, None, "cq_state"
+        params = families.sample_params("cq_state", rng)
+        return families.make_state("cq_state", **params), None, "cq_state"
     if kind == 2:
         state = families.make_state("werner", p=rng.uniform(0.0, 1.0 / 3.0))
         return state, None, "werner_separable"
@@ -290,14 +261,14 @@ def _separable_sample(index: int, seed: int) -> Sample:
     return state, None, "bell_diagonal_separable"
 
 
-def separable_campaign(n: int, seed: int, workers: Optional[int] = None) -> list[MeasureRecord]:
+def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
     """Constructed-separable states for the witness check.
 
     Cycles through product mixtures with at most 3 terms, classical-quantum
     states, separable Werner states (p <= 1/3), and Bell-diagonal states with
     spectrum inside [0, 1/2].
     """
-    return _run_indexed(lambda i: _separable_sample(i, seed), n, workers)
+    return _run_indexed(lambda i: _separable_sample(i, seed), n)
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +290,7 @@ def _m_cr_rank2_lower(rec: MeasureRecord, tol: float) -> float:
 def _m_cr_rank3(rec: MeasureRecord, tol: float) -> float:
     if rec.c12 > tol:
         return max(rec.c12 - rec.r12, rec.r12 - families.cr_rank3_r_bound(rec.c12))
-    return rec.r12 - families._KNEE
+    return rec.r12 - WITNESS_THRESHOLD
 
 
 def _m_cr_rank4(rec: MeasureRecord, tol: float) -> float:
@@ -341,7 +312,7 @@ def _m_nr_rank2_lower(rec: MeasureRecord, tol: float) -> float:
 def _m_nr_rank3(rec: MeasureRecord, tol: float) -> float:
     if rec.n12 > tol:
         return max(rec.n12 - rec.r12, rec.r12 - families.nr_rank3_r_bound(rec.n12))
-    return rec.r12 - families._KNEE
+    return rec.r12 - WITNESS_THRESHOLD
 
 
 def _m_nr_rank4(rec: MeasureRecord, tol: float) -> float:
@@ -349,7 +320,7 @@ def _m_nr_rank4(rec: MeasureRecord, tol: float) -> float:
 
 
 def _m_witness(rec: MeasureRecord, tol: float) -> float:
-    return rec.r12 - families._KNEE
+    return rec.r12 - WITNESS_THRESHOLD
 
 
 def _m_rc_tau(rec: MeasureRecord, tol: float) -> float:
@@ -429,7 +400,8 @@ def verify(
 # serialization (17 significant digits so datasets round-trip exactly)
 
 
-def _fmt(value: Optional[float]) -> str:
+def format_float(value: Optional[float]) -> str:
+    """17 significant digits, so a float round-trips exactly; None -> ''."""
     if value is None:
         return ""
     return format(float(value), ".17g")
@@ -439,8 +411,8 @@ def records_csv_bytes(records: Iterable[MeasureRecord]) -> bytes:
     lines = [_CSV_HEADER]
     for idx, rec in enumerate(records):
         lines.append(
-            f"{idx},{rec.rank},{_fmt(rec.c12)},{_fmt(rec.n12)},{_fmt(rec.r12)},"
-            f"{_fmt(rec.tau)},{rec.family}"
+            f"{idx},{rec.rank},{format_float(rec.c12)},{format_float(rec.n12)},"
+            f"{format_float(rec.r12)},{format_float(rec.tau)},{rec.family}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -452,7 +424,11 @@ def write_records_csv(records: Iterable[MeasureRecord], path) -> Path:
 
 
 def read_records_csv(source) -> list[MeasureRecord]:
-    """Parse a records CSV produced by :func:`write_records_csv`."""
+    """Parse a records CSV produced by :func:`write_records_csv`.
+
+    The index column must run 0..n-1 in order, so that :func:`verify`'s
+    offender indices are the stored ones.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -461,8 +437,10 @@ def read_records_csv(source) -> list[MeasureRecord]:
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"bad records CSV header: {lines[0] if lines else '<empty>'!r}")
     records = []
-    for ln in lines[1:]:
-        _, rank, c12, n12, r12_s, tau, family = ln.split(",")
+    for position, ln in enumerate(lines[1:]):
+        index, rank, c12, n12, r12_s, tau, family = ln.split(",")
+        if int(index) != position:
+            raise ValueError(f"record {position} has index {index}; expected 0..n-1 in order")
         records.append(
             MeasureRecord(
                 rank=int(rank),
@@ -493,6 +471,13 @@ def records_to_json(records: Iterable[MeasureRecord]) -> str:
 
 
 def records_from_json(text: str) -> list[MeasureRecord]:
+    """Parse :func:`records_to_json` output; indices must run 0..n-1 in order."""
+    rows = json.loads(text)
+    for position, row in enumerate(rows):
+        if row.get("index") != position:
+            raise ValueError(
+                f"record {position} has index {row.get('index')}; expected 0..n-1 in order"
+            )
     return [
         MeasureRecord(
             rank=row["rank"],
@@ -502,7 +487,7 @@ def records_from_json(text: str) -> list[MeasureRecord]:
             tau=row["tau"],
             family=row["family"],
         )
-        for row in json.loads(text)
+        for row in rows
     ]
 
 
@@ -585,7 +570,8 @@ _FIGURES: dict[int, _FigureSpec] = {
 }
 
 
-def _curve_csv_bytes(tag: str, points: int) -> bytes:
+def curve_csv_bytes(tag: str, points: int) -> bytes:
+    """A boundary curve (or the m3ts tau curve) on ``points`` grid points as CSV."""
     if tag == "m3ts_tau":
         xs = np.linspace(0.0, 1.0, points)
         rows = [(x, 1.0 - x * x) for x in xs]
@@ -594,17 +580,11 @@ def _curve_csv_bytes(tag: str, points: int) -> bytes:
         xs = families.curve_grid(tag, points)
         rows = families.boundary_curve(tag, xs)
         header = "r12,c12" if tag.startswith("cr_") else "r12,n12"
-    lines = [header] + [f"{_fmt(x)},{_fmt(y)}" for x, y in rows]
+    lines = [header] + [f"{format_float(x)},{format_float(y)}" for x, y in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def figure_dataset(
-    fig_id: int,
-    out_dir,
-    n: Optional[int] = None,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> dict[str, Path]:
+def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0) -> dict[str, Path]:
     """Write the scatter, curve, and metadata files for one figure.
 
     Layout: ``fig<k>_scatter.csv`` (when the figure has a scatter),
@@ -624,17 +604,16 @@ def figure_dataset(
         count = fig.n if n is None else int(n)
         mode = fig.scatter[0]
         if mode == "haar":
-            records = scatter(fig.scatter[1], count, seed, workers=workers)
+            records = scatter(fig.scatter[1], count, seed)
             config.update(CampaignConfig("scatter", count, seed, dims=fig.scatter[1]).to_dict())
         elif mode == "haar_pair":
-            records = scatter(fig.scatter[1], count, seed, workers=workers) + scatter(
-                fig.scatter[2], count, seed + 1, workers=workers
-            )
+            records = scatter(fig.scatter[1], count, seed)
+            records += scatter(fig.scatter[2], count, seed + 1)
             config.update({"kind": "scatter_pair", "n": count, "seed": seed,
                            "dims": [list(fig.scatter[1]), list(fig.scatter[2])]})
         else:
             kind = fig.scatter[1]
-            records = perturbation_campaign(kind, count, seed, fig.epsilon, workers=workers)
+            records = perturbation_campaign(kind, count, seed, fig.epsilon)
             config.update(
                 CampaignConfig(kind, count, seed, epsilon=fig.epsilon).to_dict()
             )
@@ -645,7 +624,7 @@ def figure_dataset(
 
     for tag in fig.curves + fig.special_curves:
         path = out_dir / f"fig{fig_id}_curve_{tag}.csv"
-        path.write_bytes(_curve_csv_bytes(tag, CURVE_POINTS))
+        path.write_bytes(curve_csv_bytes(tag, CURVE_POINTS))
         written[f"curve_{tag}"] = path
 
     reports = []

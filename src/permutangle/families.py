@@ -531,9 +531,6 @@ CURVE_TAGS = (
     "nr_rank4",
 )
 
-_KNEE = WITNESS_THRESHOLD  # (1/3)^(3/4): where the rank-3/4 bounds leave zero
-
-
 def cr_rank3_r_bound(c: float) -> float:
     """Largest r12 of a rank-3 state at concurrence c > 0."""
     return c**0.25 * math.sqrt((1.0 + c) / 2.0)
@@ -571,13 +568,13 @@ def _invert_increasing(f: Callable[[float], float], y: float) -> float:
 
 
 def _cr_rank3(x: float) -> float:
-    if x <= _KNEE:
+    if x <= WITNESS_THRESHOLD:
         return 0.0
     return _invert_increasing(cr_rank3_r_bound, x)
 
 
 def _nr_rank3(x: float) -> float:
-    if x <= _KNEE:
+    if x <= WITNESS_THRESHOLD:
         return 0.0
     return _invert_increasing(nr_rank3_r_bound, x)
 
@@ -590,11 +587,11 @@ _CURVES: dict[str, tuple[Callable[[float], float], tuple[float, float]]] = {
     "cr_rank2_upper": (lambda x: x, (0.0, 1.0)),
     "cr_rank2_lower": (lambda x: x * x, (0.0, 1.0)),
     "cr_rank3": (_cr_rank3, (0.0, 1.0)),
-    "cr_rank4": (_rank4_curve, (_KNEE, 1.0)),
+    "cr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0)),
     "nr_rank2_upper": (lambda x: x, (0.0, 1.0)),
     "nr_rank2_lower": (nr_rank2_n_lower, (0.0, 1.0)),
     "nr_rank3": (_nr_rank3, (0.0, 1.0)),
-    "nr_rank4": (_rank4_curve, (_KNEE, 1.0)),
+    "nr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0)),
 }
 
 
@@ -632,7 +629,14 @@ def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float
 
 
 # --------------------------------------------------------------------------
-# in-domain parameter sampling (used by tests and the acceptance suite)
+# in-domain parameter sampling (tests, the acceptance suite, separable campaigns)
+
+
+def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
+    """A Bloch vector drawn uniformly from the unit ball."""
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return tuple(v * rng.uniform() ** (1.0 / 3.0))
 
 
 def sample_params(family: str, rng: np.random.Generator) -> dict:
@@ -672,10 +676,5 @@ def sample_params(family: str, rng: np.random.Generator) -> dict:
         alpha, beta, _ = rng.dirichlet(np.ones(3))
         return {"alpha": alpha, "beta": beta}
     if family == "cq_state":
-        def bloch():
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            return tuple(v * rng.uniform() ** (1.0 / 3.0))
-
-        return {"p": rng.uniform(0.0, 1.0), "a": bloch(), "b": bloch()}
+        return {"p": rng.uniform(0.0, 1.0), "a": _random_bloch(rng), "b": _random_bloch(rng)}
     raise DomainError(f"unknown family {family!r}")

@@ -29,6 +29,7 @@ from permutangle import (
     WITNESS_THRESHOLD,
     closed_form_measures,
     concurrence,
+    experiments,
     haar_random_pure,
     haar_random_unitary,
     link_product,
@@ -344,18 +345,20 @@ def test_criterion_9_local_unitary_invariance():
     assert worst_spec <= 1e-8
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(monkeypatch):
     identical = True
     for build in (
-        lambda w: scatter((2, 2, 3), 1500, seed=3000, workers=w),
-        lambda w: perturbation_campaign("werner_fig5", 1200, seed=3001, epsilon=0.51, workers=w),
-        lambda w: separable_campaign(1200, seed=3002, workers=w),
+        lambda: scatter((2, 2, 3), 1500, seed=3000),
+        lambda: perturbation_campaign("werner_fig5", 1200, seed=3001, epsilon=0.51),
+        lambda: separable_campaign(1200, seed=3002),
     ):
-        baseline = records_csv_bytes(build(1))
-        identical &= baseline == records_csv_bytes(build(1))  # rerun
-        for workers in (2, 8):
-            identical &= records_csv_bytes(build(workers)) == baseline
-    _report(10, identical, "campaign bytes identical across reruns and 1/2/8 workers")
+        baseline = records_csv_bytes(build())
+        identical &= baseline == records_csv_bytes(build())  # rerun
+        for size in (1, 7, 512):
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", size)
+            identical &= records_csv_bytes(build()) == baseline
+        monkeypatch.undo()
+    _report(10, identical, "campaign bytes identical across reruns and chunk sizes 1/7/512")
     assert identical
 
 

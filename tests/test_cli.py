@@ -94,6 +94,12 @@ class TestCurveCommand:
         assert code == 0
         assert len(out.strip().split("\n")) == 513
 
+    def test_same_bytes_as_figure_curve(self, capsys, tmp_path):
+        path = tmp_path / "cr_rank3.csv"
+        assert _run(capsys, "curve", "--id", "cr_rank3", "--out", str(path))[0] == 0
+        assert _run(capsys, "figure", "--id", "6", "--out", str(tmp_path / "fig"))[0] == 0
+        assert path.read_bytes() == (tmp_path / "fig" / "fig6_curve_cr_rank3.csv").read_bytes()
+
     def test_unknown_curve_exit_2(self, capsys):
         code, _, _ = _run(capsys, "curve", "--id", "bogus")
         assert code == 2
@@ -132,6 +138,17 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["violations"] > 0
 
+    def test_out_of_order_indices_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "recs.csv"
+        _run(capsys, "sample", "--dims", "2,2,2", "--n", "3", "--seed", "5", "--out", str(path))
+        lines = path.read_text().splitlines()
+        for k, index in enumerate((5, 3, 3)):
+            lines[k + 1] = f"{index}," + lines[k + 1].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = _run(capsys, "verify", "--region", "prop1", "--input", str(path))
+        assert code == 2
+        assert "index" in err
+
     def test_missing_input_exit_2(self, capsys):
         code, _, _ = _run(capsys, "verify", "--region", "cr_rank2", "--input", "/no/such.csv")
         assert code == 2
@@ -165,3 +182,7 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert _run(capsys, "sample", "--frobnicate", "1")[0] == 2
+
+    def test_workers_flag_is_gone(self, capsys):
+        argv = ("sample", "--dims", "2,2,2", "--n", "10", "--seed", "1", "--workers", "2")
+        assert _run(capsys, *argv)[0] == 2

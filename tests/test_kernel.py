@@ -65,10 +65,10 @@ CAMPAIGNS = (
 def _campaign(campaign, n, seed):
     mode, arg = campaign
     if mode == "scatter":
-        return scatter(arg, n, seed, workers=1)
+        return scatter(arg, n, seed)
     if mode == "perturb":
-        return perturbation_campaign(arg, n, seed, epsilon=EPSILON, workers=1)
-    return separable_campaign(n, seed, workers=1)
+        return perturbation_campaign(arg, n, seed, epsilon=EPSILON)
+    return separable_campaign(n, seed)
 
 
 def _sample(campaign, seed, index):
