@@ -10,7 +10,6 @@ Monte-Carlo campaigns with region verification.
 
 from .errors import DegenerateStateError, DimensionError, DomainError, HermiticityError
 from .experiments import (
-    CampaignConfig,
     MeasureRecord,
     PERTURBATION_KINDS,
     REGION_TAGS,

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import families
 from .errors import DimensionError, DomainError
-from .measures import WITNESS_THRESHOLD, MeasureRecord, measure_stack
+from .measures import WITNESS_THRESHOLD, measure_stack
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -42,26 +43,21 @@ IDENTITY_TOL = 1e-8
 SCATTER_DIMS = ((2, 2), (2, 2, 2), (2, 2, 3), (2, 2, 4))
 PERTURBATION_KINDS = ("ansatz1_fig4", "werner_fig5", "mems1_fig8")
 
-_CSV_HEADER = "index,rank,c12,n12,r12,tau,family"
-
 
 @dataclass(frozen=True)
-class CampaignConfig:
-    """What was run; serialized into figure metadata."""
+class MeasureRecord:
+    """The measures of one campaign sample, as stored in records CSV/JSON.
 
-    kind: str
-    n: int
-    seed: int
-    dims: Optional[tuple[int, ...]] = None
-    epsilon: Optional[float] = None
+    ``tau`` is present only when the record descends from a three-qubit pure
+    parent; otherwise it is None (an empty CSV field, a JSON null).
+    """
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "n": self.n, "seed": self.seed}
-        if self.dims is not None:
-            out["dims"] = list(self.dims)
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        return out
+    rank: int
+    c12: float
+    n12: float
+    r12: float
+    tau: Optional[float]
+    family: str
 
 
 @dataclass(frozen=True)
@@ -83,14 +79,7 @@ class ViolationReport:
     offenders: tuple[tuple[int, float], ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "tolerance": self.tolerance,
-            "total": self.total,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "offenders": [list(o) for o in self.offenders],
-        }
+        return {**asdict(self), "offenders": [list(o) for o in self.offenders]}
 
 
 # --------------------------------------------------------------------------
@@ -407,14 +396,72 @@ def format_float(value: Optional[float]) -> str:
     return format(float(value), ".17g")
 
 
+def _of_type(*types: type) -> Callable:
+    """A check that a JSON value has one of ``types`` (a bool is no int here)."""
+
+    def check(value):
+        if type(value) not in types:
+            raise ValueError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+        return value
+
+    return check
+
+
+#: A stored column's annotation -> (its CSV text, its parser from CSV text,
+#: the check of its JSON value).
+_KINDS = {
+    "int": (str, int, _of_type(int)),
+    "float": (format_float, float, _of_type(int, float)),
+    "Optional[float]": (format_float, lambda text: float(text) if text else None,
+                        _of_type(int, float, type(None))),
+    "str": (str, str, _of_type(str)),
+}
+#: The stored columns in file order: the record's position, then its fields.
+_FIELDS = ("index",) + tuple(f.name for f in fields(MeasureRecord))
+_CSV_HEADER = ",".join(_FIELDS)
+_TO_TEXT, _FROM_TEXT, _FROM_JSON = zip(
+    _KINDS["int"], *(_KINDS[f.type] for f in fields(MeasureRecord))
+)
+_values = operator.attrgetter(*_FIELDS[1:])
+
+
+def _parse_column(name: str, parse: Callable, column: Sequence) -> list:
+    """``parse`` applied down a column; on a failure a second pass finds the record."""
+    try:
+        return list(map(parse, column))
+    except ValueError:
+        for position, value in enumerate(column):
+            try:
+                parse(value)
+            except ValueError as exc:
+                raise ValueError(f"record {position}: {name}: {exc}") from None
+        raise
+
+
+def _records(rows: Sequence[Sequence], parsers: Sequence[Callable]) -> list[MeasureRecord]:
+    """Records from rows of column values in file order, parsed a column at a time.
+
+    Every row must hold every field, every field must parse and the index must
+    run 0..n-1 in order (so :func:`verify`'s offender indices are the stored
+    ones); otherwise ``ValueError`` names a bad record. Ranges are for :func:`verify`.
+    """
+    for position, row in enumerate(rows):
+        if len(row) != len(_FIELDS):
+            raise ValueError(f"record {position} has {len(row)} fields; expected {_CSV_HEADER}")
+    if not rows:
+        return []
+    index, *columns = map(_parse_column, _FIELDS, parsers, zip(*rows))
+    bad = [p for p, i in enumerate(index) if i != p]
+    if bad:
+        raise ValueError(f"record {bad[0]} has index {index[bad[0]]}; expected 0..n-1 in order")
+    return list(map(MeasureRecord, *columns))
+
+
 def records_csv_bytes(records: Iterable[MeasureRecord]) -> bytes:
-    lines = [_CSV_HEADER]
-    for idx, rec in enumerate(records):
-        lines.append(
-            f"{idx},{rec.rank},{format_float(rec.c12)},{format_float(rec.n12)},"
-            f"{format_float(rec.r12)},{format_float(rec.tau)},{rec.family}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    rows = list(map(_values, records))
+    columns = [range(len(rows)), *zip(*rows)]
+    texts = [map(to_text, column) for to_text, column in zip(_TO_TEXT, columns)]
+    return ("\n".join([_CSV_HEADER, *map(",".join, zip(*texts))]) + "\n").encode("utf-8")
 
 
 def write_records_csv(records: Iterable[MeasureRecord], path) -> Path:
@@ -426,8 +473,7 @@ def write_records_csv(records: Iterable[MeasureRecord], path) -> Path:
 def read_records_csv(source) -> list[MeasureRecord]:
     """Parse a records CSV produced by :func:`write_records_csv`.
 
-    The index column must run 0..n-1 in order, so that :func:`verify`'s
-    offender indices are the stored ones.
+    The index column must run 0..n-1 in order; see :func:`_records`.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -436,59 +482,27 @@ def read_records_csv(source) -> list[MeasureRecord]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"bad records CSV header: {lines[0] if lines else '<empty>'!r}")
-    records = []
-    for position, ln in enumerate(lines[1:]):
-        index, rank, c12, n12, r12_s, tau, family = ln.split(",")
-        if int(index) != position:
-            raise ValueError(f"record {position} has index {index}; expected 0..n-1 in order")
-        records.append(
-            MeasureRecord(
-                rank=int(rank),
-                c12=float(c12),
-                n12=float(n12),
-                r12=float(r12_s),
-                tau=float(tau) if tau else None,
-                family=family,
-            )
-        )
-    return records
+    return _records([ln.split(",") for ln in lines[1:]], _FROM_TEXT)
 
 
 def records_to_json(records: Iterable[MeasureRecord]) -> str:
-    payload = [
-        {
-            "index": idx,
-            "rank": rec.rank,
-            "c12": rec.c12,
-            "n12": rec.n12,
-            "r12": rec.r12,
-            "tau": rec.tau,
-            "family": rec.family,
-        }
-        for idx, rec in enumerate(records)
-    ]
+    payload = [dict(zip(_FIELDS, (idx,) + _values(rec))) for idx, rec in enumerate(records)]
     return json.dumps(payload, indent=2)
 
 
 def records_from_json(text: str) -> list[MeasureRecord]:
     """Parse :func:`records_to_json` output; indices must run 0..n-1 in order."""
-    rows = json.loads(text)
+    try:
+        rows = json.loads(text)
+    except RecursionError:
+        raise ValueError("records JSON is nested too deeply") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"records JSON must be a list of records, got {type(rows).__name__}")
+    keys = set(_FIELDS)
     for position, row in enumerate(rows):
-        if row.get("index") != position:
-            raise ValueError(
-                f"record {position} has index {row.get('index')}; expected 0..n-1 in order"
-            )
-    return [
-        MeasureRecord(
-            rank=row["rank"],
-            c12=row["c12"],
-            n12=row["n12"],
-            r12=row["r12"],
-            tau=row["tau"],
-            family=row["family"],
-        )
-        for row in rows
-    ]
+        if not isinstance(row, dict) or row.keys() != keys:
+            raise ValueError(f"record {position} must be an object with the fields {_CSV_HEADER}")
+    return _records(list(map(operator.itemgetter(*_FIELDS), rows)), _FROM_JSON)
 
 
 # --------------------------------------------------------------------------
@@ -602,22 +616,20 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
     config: dict = {"figure": fig_id, "seed": seed, "curve_points": CURVE_POINTS}
     if fig.scatter is not None:
         count = fig.n if n is None else int(n)
+        config["n"] = count
         mode = fig.scatter[0]
         if mode == "haar":
             records = scatter(fig.scatter[1], count, seed)
-            config.update(CampaignConfig("scatter", count, seed, dims=fig.scatter[1]).to_dict())
+            config.update(kind="scatter", dims=list(fig.scatter[1]))
         elif mode == "haar_pair":
             records = scatter(fig.scatter[1], count, seed)
             records += scatter(fig.scatter[2], count, seed + 1)
-            config.update({"kind": "scatter_pair", "n": count, "seed": seed,
-                           "dims": [list(fig.scatter[1]), list(fig.scatter[2])]})
+            config.update(kind="scatter_pair", dims=[list(fig.scatter[1]), list(fig.scatter[2])])
         else:
             kind = fig.scatter[1]
             records = perturbation_campaign(kind, count, seed, fig.epsilon)
-            config.update(
-                CampaignConfig(kind, count, seed, epsilon=fig.epsilon).to_dict()
-            )
-            config["base_parameter"] = "uniform over the family domain, per sample"
+            config.update(kind=kind, epsilon=fig.epsilon,
+                          base_parameter="uniform over the family domain, per sample")
         path = out_dir / f"fig{fig_id}_scatter.csv"
         path.write_bytes(records_csv_bytes(records))
         written["scatter"] = path

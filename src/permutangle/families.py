@@ -5,13 +5,16 @@ Every constructor returns a validated :class:`PureState` or
 vector entrywise. ``closed_form_measures`` returns the analytically known
 values for that family as a dict keyed by measure name; keys vary per family
 (cross-pair values like ``c13`` exist only for three-qubit families).
+Each family is one entry of a registry holding its builder, closed form,
+in-domain sampler and parameter names; ``FAMILY_TAGS`` lists it in order.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -30,22 +33,6 @@ BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / _SQ2
 BELL_PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / _SQ2
 BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / _SQ2
 BELL_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2
-
-FAMILY_TAGS = (
-    "bell_diagonal",
-    "werner",
-    "mems1",
-    "mems2",
-    "x_state",
-    "w_class",
-    "canonical3",
-    "m3ts",
-    "m3ts_general",
-    "ansatz1",
-    "ansatz2",
-    "mems1_purification",
-    "cq_state",
-)
 
 
 @dataclass(frozen=True)
@@ -89,15 +76,34 @@ class CanonicalParams:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag plus its named parameters."""
+    """A family tag plus its named parameters.
+
+    Every key must be a parameter of the family and every number finite,
+    including each element of a Bloch vector and both parts of a complex
+    value; otherwise :class:`DomainError` names the key.
+    """
 
     family: str
     params: Mapping[str, Union[float, complex]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILY_TAGS:
-            raise DomainError(f"unknown family {self.family!r}; known: {FAMILY_TAGS}")
+        names = _family(self.family).params
         object.__setattr__(self, "params", dict(self.params))
+        for key, value in self.params.items():
+            if key not in names:
+                raise DomainError(f"{self.family!r} has no parameter {key!r}; known: {names}")
+            if not _finite(value):
+                raise DomainError(f"parameter {key}={value!r} is not finite")
+
+
+def _finite(value) -> bool:
+    """False for a NaN or infinite number, also inside a vector or a complex value."""
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+    except TypeError:  # a Bloch vector, or a name such as "psi-" that the builder judges
+        return not isinstance(value, (tuple, list, np.ndarray)) or all(map(_finite, value))
 
 
 def _as_spec(spec_or_family, params) -> FamilySpec:
@@ -123,8 +129,12 @@ def _bell_mixture(weights: Sequence[float]) -> np.ndarray:
     return rho
 
 
+_BELL_WEIGHTS = ("p1", "p2", "p3", "p4")
+_CANONICAL = ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4", "theta")
+
+
 def _bell_diagonal_weights(params) -> tuple[float, float, float, float]:
-    ps = tuple(float(params[k]) for k in ("p1", "p2", "p3", "p4"))
+    ps = tuple(float(params[k]) for k in _BELL_WEIGHTS)
     if any(p < -1e-12 for p in ps):
         raise DomainError(f"Bell-diagonal weights must be nonnegative, got {ps}")
     if abs(sum(ps) - 1.0) > PARAM_SUM_TOL:
@@ -190,14 +200,7 @@ def _canonical_from_params(params, forced: Mapping[str, float] | None = None) ->
     values = dict(params)
     if forced:
         values.update(forced)
-    return CanonicalParams(
-        float(values.get("lambda0", 0.0)),
-        float(values.get("lambda1", 0.0)),
-        float(values.get("lambda2", 0.0)),
-        float(values.get("lambda3", 0.0)),
-        float(values.get("lambda4", 0.0)),
-        float(values.get("theta", 0.0)),
-    )
+    return CanonicalParams(*(float(values.get(name, 0.0)) for name in _CANONICAL))
 
 
 def _make_canonical3(params) -> PureState:
@@ -288,37 +291,6 @@ def _make_cq_state(params) -> DensityMatrix:
     rho[:2, :2] = p * rho_a
     rho[2:, 2:] = (1.0 - p) * rho_b
     return _trusted_dm((2, 2), rho)
-
-
-_BUILDERS: dict[str, Callable] = {
-    "bell_diagonal": _make_bell_diagonal,
-    "werner": _make_werner,
-    "mems1": _make_mems1,
-    "mems2": _make_mems2,
-    "x_state": _make_x_state,
-    "w_class": _make_w_class,
-    "canonical3": _make_canonical3,
-    "m3ts": _make_m3ts,
-    "m3ts_general": _make_m3ts_general,
-    "ansatz1": _make_ansatz1,
-    "ansatz2": _make_ansatz2,
-    "mems1_purification": _make_mems1_purification,
-    "cq_state": _make_cq_state,
-}
-
-
-def make_state(spec_or_family, **params) -> Union[DensityMatrix, PureState]:
-    """Construct the state of a named family.
-
-    Accepts either a :class:`FamilySpec` or a family tag plus keyword
-    parameters. Out-of-domain parameters raise :class:`DomainError` naming
-    the violated constraint.
-    """
-    spec = _as_spec(spec_or_family, params)
-    try:
-        return _BUILDERS[spec.family](spec.params)
-    except KeyError as missing:
-        raise DomainError(f"family {spec.family!r} is missing parameter {missing}") from None
 
 
 # --------------------------------------------------------------------------
@@ -449,21 +421,112 @@ def _closed_cq_state(params) -> dict:
     return {"r12": 0.0}
 
 
-_CLOSED_FORMS: dict[str, Callable] = {
-    "bell_diagonal": _closed_bell_diagonal,
-    "werner": _closed_werner,
-    "mems1": _closed_mems1,
-    "mems2": _closed_mems2,
-    "x_state": _closed_x_state,
-    "w_class": _closed_w_class,
-    "canonical3": _closed_canonical,
-    "m3ts": _closed_m3ts,
-    "m3ts_general": _closed_m3ts_general,
-    "ansatz1": _closed_ansatz1,
-    "ansatz2": _closed_ansatz2,
-    "mems1_purification": _closed_mems1_purification,
-    "cq_state": _closed_cq_state,
+# --------------------------------------------------------------------------
+# the family registry, with in-domain parameter samplers (tests, the acceptance
+# suite, separable campaigns)
+
+
+def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]:
+    return lambda rng: {key: rng.uniform(0.0, hi)}
+
+
+def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
+    """A Bloch vector drawn uniformly from the unit ball."""
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return tuple(v * rng.uniform() ** (1.0 / 3.0))
+
+
+def _sample_x_state(rng: np.random.Generator) -> dict:
+    a, b, c, d = rng.dirichlet(np.ones(4))
+    w = rng.uniform(0.0, 1.0) * math.sqrt(a * d) * np.exp(2j * np.pi * rng.uniform())
+    z = rng.uniform(0.0, 1.0) * math.sqrt(b * c) * np.exp(2j * np.pi * rng.uniform())
+    return {"a": a, "b": b, "c": c, "d": d, "w": w, "z": z}
+
+
+def _sample_canonical(rng: np.random.Generator, k: int) -> dict:
+    """k normalized amplitudes lambda0..lambda{k-1} and a phase."""
+    lam = np.abs(rng.standard_normal(k))
+    lam /= np.linalg.norm(lam)
+    out = {name: float(v) for name, v in zip(_CANONICAL, lam)}
+    out["theta"] = rng.uniform(0.0, np.pi)
+    return out
+
+
+def _sample_m3ts_general(rng: np.random.Generator) -> dict:
+    while True:
+        c12, c13 = rng.uniform(0.0, 1.0, size=2)
+        if c12 * c12 + c13 * c13 <= 1.0:
+            return {"c12": c12, "c13": c13}
+
+
+class _Family(NamedTuple):
+    build: Callable[[Mapping], Union[DensityMatrix, PureState]]
+    closed_form: Callable[[Mapping], dict]
+    sample: Callable[[np.random.Generator], dict]
+    params: tuple[str, ...]
+
+
+#: FAMILY_TAGS is this order, and criterion 1 seeds each family by its position;
+#: a sampler's draw order fixes the datasets (cq_state's p, a, b feed the
+#: separable campaign).
+_FAMILIES: dict[str, _Family] = {
+    "bell_diagonal": _Family(
+        _make_bell_diagonal, _closed_bell_diagonal,
+        lambda rng: dict(zip(_BELL_WEIGHTS, rng.dirichlet(np.ones(4)))), _BELL_WEIGHTS),
+    "werner": _Family(_make_werner, _closed_werner, _uniform("p"), ("p", "bell")),
+    "mems1": _Family(_make_mems1, _closed_mems1, _uniform("c"), ("c",)),
+    "mems2": _Family(_make_mems2, _closed_mems2, _uniform("c", 2.0 / 3.0), ("c",)),
+    "x_state": _Family(
+        _make_x_state, _closed_x_state, _sample_x_state, ("a", "b", "c", "d", "w", "z")),
+    "w_class": _Family(
+        _make_w_class, _closed_w_class, lambda rng: _sample_canonical(rng, 4), _CANONICAL),
+    "canonical3": _Family(
+        _make_canonical3, _closed_canonical, lambda rng: _sample_canonical(rng, 5), _CANONICAL),
+    "m3ts": _Family(_make_m3ts, _closed_m3ts, _uniform("c12"), ("c12",)),
+    "m3ts_general": _Family(
+        _make_m3ts_general, _closed_m3ts_general, _sample_m3ts_general, ("c12", "c13")),
+    "ansatz1": _Family(_make_ansatz1, _closed_ansatz1, _uniform("p"), ("p",)),
+    "ansatz2": _Family(
+        _make_ansatz2, _closed_ansatz2,
+        lambda rng: dict(zip(("alpha", "beta"), rng.dirichlet(np.ones(3)))), ("alpha", "beta")),
+    "mems1_purification": _Family(
+        _make_mems1_purification, _closed_mems1_purification, _uniform("c"), ("c",)),
+    "cq_state": _Family(
+        _make_cq_state, _closed_cq_state,
+        lambda rng: {"p": rng.uniform(0.0, 1.0), "a": _random_bloch(rng), "b": _random_bloch(rng)},
+        ("p", "a", "b")),
 }
+
+FAMILY_TAGS = tuple(_FAMILIES)
+
+
+def _family(tag: str) -> _Family:
+    if tag not in _FAMILIES:
+        raise DomainError(f"unknown family {tag!r}; known: {FAMILY_TAGS}")
+    return _FAMILIES[tag]
+
+
+def _evaluate(role: str, spec_or_family, params):
+    """The family's builder or closed form ("build" / "closed_form") at its parameters."""
+    spec = _as_spec(spec_or_family, params)
+    fn = getattr(_FAMILIES[spec.family], role)
+    try:
+        return fn(spec.params)
+    except KeyError as missing:
+        raise DomainError(f"family {spec.family!r} is missing parameter {missing}") from None
+    except TypeError as wrong:  # e.g. a Bloch vector where a number belongs
+        raise DomainError(f"{spec.family!r} got a parameter of the wrong kind: {wrong}") from None
+
+
+def make_state(spec_or_family, **params) -> Union[DensityMatrix, PureState]:
+    """Construct the state of a named family.
+
+    Accepts either a :class:`FamilySpec` or a family tag plus keyword
+    parameters. Out-of-domain parameters raise :class:`DomainError` naming
+    the violated constraint.
+    """
+    return _evaluate("build", spec_or_family, params)
 
 
 def closed_form_measures(spec_or_family, **params) -> dict[str, float]:
@@ -472,11 +535,12 @@ def closed_form_measures(spec_or_family, **params) -> dict[str, float]:
     Keys are a subset of {c12, n12, r12, tau, c13, r13, c23, r23}; only
     values with a closed form for that family are present.
     """
-    spec = _as_spec(spec_or_family, params)
-    try:
-        return _CLOSED_FORMS[spec.family](spec.params)
-    except KeyError as missing:
-        raise DomainError(f"family {spec.family!r} is missing parameter {missing}") from None
+    return _evaluate("closed_form", spec_or_family, params)
+
+
+def sample_params(family: str, rng: np.random.Generator) -> dict:
+    """Draw uniformly random in-domain parameters for a family."""
+    return _family(family).sample(rng)
 
 
 def numeric_measures(spec_or_family, **params) -> dict[str, float]:
@@ -520,16 +584,6 @@ def numeric_measures(spec_or_family, **params) -> dict[str, float]:
 # --------------------------------------------------------------------------
 # boundary curves
 
-CURVE_TAGS = (
-    "cr_rank2_upper",
-    "cr_rank2_lower",
-    "cr_rank3",
-    "cr_rank4",
-    "nr_rank2_upper",
-    "nr_rank2_lower",
-    "nr_rank3",
-    "nr_rank4",
-)
 
 def cr_rank3_r_bound(c: float) -> float:
     """Largest r12 of a rank-3 state at concurrence c > 0."""
@@ -594,6 +648,8 @@ _CURVES: dict[str, tuple[Callable[[float], float], tuple[float, float]]] = {
     "nr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0)),
 }
 
+CURVE_TAGS = tuple(_CURVES)
+
 
 def curve_domain(curve: str) -> tuple[float, float]:
     """Abscissa domain of a boundary curve."""
@@ -616,9 +672,8 @@ def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float
     Abscissae are the r12 values; ordinates are c12 or n12 depending on the
     curve family. Out-of-domain abscissae raise :class:`DomainError`.
     """
-    fn, (lo, hi) = _CURVES[curve] if curve in _CURVES else (None, (0, 0))
-    if fn is None:
-        raise DomainError(f"unknown curve {curve!r}; known: {CURVE_TAGS}")
+    lo, hi = curve_domain(curve)
+    fn = _CURVES[curve][0]
     out = []
     for x in grid:
         x = float(x)
@@ -626,55 +681,3 @@ def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float
             raise DomainError(f"abscissa {x} outside domain [{lo}, {hi}] of {curve}")
         out.append((x, fn(min(hi, max(lo, x)))))
     return out
-
-
-# --------------------------------------------------------------------------
-# in-domain parameter sampling (tests, the acceptance suite, separable campaigns)
-
-
-def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
-    """A Bloch vector drawn uniformly from the unit ball."""
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    return tuple(v * rng.uniform() ** (1.0 / 3.0))
-
-
-def sample_params(family: str, rng: np.random.Generator) -> dict:
-    """Draw uniformly random in-domain parameters for a family."""
-    if family == "bell_diagonal":
-        p = rng.dirichlet(np.ones(4))
-        return {"p1": p[0], "p2": p[1], "p3": p[2], "p4": p[3]}
-    if family == "werner":
-        return {"p": rng.uniform(0.0, 1.0)}
-    if family in ("mems1", "mems1_purification"):
-        return {"c": rng.uniform(0.0, 1.0)}
-    if family == "mems2":
-        return {"c": rng.uniform(0.0, 2.0 / 3.0)}
-    if family == "x_state":
-        a, b, c, d = rng.dirichlet(np.ones(4))
-        w = rng.uniform(0.0, 1.0) * math.sqrt(a * d) * np.exp(2j * np.pi * rng.uniform())
-        z = rng.uniform(0.0, 1.0) * math.sqrt(b * c) * np.exp(2j * np.pi * rng.uniform())
-        return {"a": a, "b": b, "c": c, "d": d, "w": w, "z": z}
-    if family in ("canonical3", "w_class"):
-        k = 5 if family == "canonical3" else 4
-        lam = np.abs(rng.standard_normal(k))
-        lam /= np.linalg.norm(lam)
-        names = ["lambda0", "lambda1", "lambda2", "lambda3", "lambda4"][:k]
-        out = {name: float(v) for name, v in zip(names, lam)}
-        out["theta"] = rng.uniform(0.0, np.pi)
-        return out
-    if family == "m3ts":
-        return {"c12": rng.uniform(0.0, 1.0)}
-    if family == "m3ts_general":
-        while True:
-            c12, c13 = rng.uniform(0.0, 1.0, size=2)
-            if c12 * c12 + c13 * c13 <= 1.0:
-                return {"c12": c12, "c13": c13}
-    if family == "ansatz1":
-        return {"p": rng.uniform(0.0, 1.0)}
-    if family == "ansatz2":
-        alpha, beta, _ = rng.dirichlet(np.ones(3))
-        return {"alpha": alpha, "beta": beta}
-    if family == "cq_state":
-        return {"p": rng.uniform(0.0, 1.0), "a": _random_bloch(rng), "b": _random_bloch(rng)}
-    raise DomainError(f"unknown family {family!r}")

@@ -22,7 +22,6 @@ chunk of any size gets identical values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -66,22 +65,6 @@ def _require_two_qubits(rho: DensityMatrix, what: str) -> DensityMatrix:
     if rho.dims != (2, 2):
         raise DimensionError(f"{what} is defined for two qubits, got dims {rho.dims}")
     return rho
-
-
-@dataclass(frozen=True)
-class MeasureRecord:
-    """Per-state measure tuple emitted by experiments.
-
-    ``tau`` is present only when the record descends from a three-qubit pure
-    parent; otherwise it is None (serialized as an empty CSV field).
-    """
-
-    rank: int
-    c12: float
-    n12: float
-    r12: float
-    tau: Optional[float]
-    family: str
 
 
 class StackMeasures(NamedTuple):

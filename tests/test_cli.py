@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permutangle import records_from_json
+from permutangle import FAMILY_TAGS, records_from_json, sample_params, substream
 from permutangle.cli import run
 from permutangle.measures import WITNESS_THRESHOLD
 
@@ -44,6 +50,76 @@ class TestMeasureCommand:
         code, _, err = _run(capsys, "measure", "--family", "werner", "--params", "p=1.7")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("bell_diagonal", "p1=nan,p2=0.5,p3=0.5,p4=0", "p1=nan is not finite"),
+            ("ansatz2", "alpha=0.2,beta=nan", "beta=nan is not finite"),
+            ("canonical3", "lambda0=nan,lambda3=1", "lambda0=nan is not finite"),
+            ("cq_state", "p=0.5,a=nan:0:0", "a=.* is not finite"),
+            ("werner", "p=0.5,bel=psi-", "no parameter 'bel'"),
+            ("werner", "p=0:0:1", "wrong kind"),
+        ],
+    )
+    def test_invalid_params_name_the_key_and_exit_2(self, capsys, family, params, message):
+        code, out, err = _run(capsys, "measure", "--family", family, "--params", params)
+        assert code == 2 and out == ""
+        assert re.search(message, err), err
+
+
+def _cli_text(value) -> str:
+    if isinstance(value, tuple):
+        return ":".join(repr(float(v)) for v in value)
+    if isinstance(value, complex):
+        return str(complex(value)).strip("()")
+    return repr(float(value))
+
+
+#: Parameter names of several families, plus near misses.
+_PARAM_KEYS = ("p1", "p", "bell", "c", "a", "b", "w", "lambda0", "lambda4", "theta", "c12",
+               "c13", "alpha", "beta", "bel", "lambda5", "")
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-2, 10**30).map(str),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(_cli_text),
+)
+_VALUE_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.lists(st.floats(-1.0, 1.0).map(repr) | _NUMBER_TEXT, min_size=1, max_size=4).map(":".join),
+    st.sampled_from(["phi+", "psi-", "nan", "-inf", "1e400", "x", ""]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _measure_argv(draw):
+    """A family and its --params text: in-domain values from ``sample_params``
+    with up to three pairs replaced, added or dropped, or arbitrary text."""
+    family = draw(st.sampled_from(FAMILY_TAGS))
+    if draw(st.integers(0, 9)) == 0:
+        return family, draw(st.text(max_size=20))
+    params = sample_params(family, substream(draw(st.integers(0, 2**32 - 1)), 0))
+    pairs = [(key, _cli_text(value)) for key, value in params.items()]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(pairs)))
+        pair = (draw(st.sampled_from(_PARAM_KEYS + tuple(params))), draw(_VALUE_TEXT))
+        pairs[at:at + draw(st.integers(0, 1))] = [pair] if draw(st.booleans()) else []
+    return family, ",".join(f"{key}={value}" for key, value in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_measure_argv())
+def test_measure_params_fuzz(argv):
+    """Any --params text exits 0 with finite values, or exits 2."""
+    family, text = argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["measure", "--family", family, "--params", text])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        for line in out.getvalue().strip().split("\n")[1:]:
+            assert all(math.isfinite(float(v)) for v in line.split(",")[1:] if v), line
 
 
 class TestSampleCommand:

@@ -1,7 +1,10 @@
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutangle import (
     DimensionError,
@@ -187,6 +190,111 @@ class TestSerialization:
         path = write_records_csv([_rec(r12=0.5), _rec(r12=1.5)], tmp_path / "r.csv")
         report = verify(read_records_csv(path), "prop1")
         assert report.violations == 1 and report.offenders[0][0] == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"index": 0}]',
+            "[1]",
+            '{"a": 1}',
+            '[{"index": 0, "rank": "2", "c12": "x", "n12": 0.1, "r12": 0.5, "tau": null,'
+            ' "family": "f"}]',
+            '[{"index": 0, "rank": true, "c12": 0.3, "n12": 0.1, "r12": 0.5, "tau": null,'
+            ' "family": "f"}]',
+            '[{"index": 0, "rank": 2, "c12": 0.3, "n12": 0.1, "r12": 0.5, "tau": null,'
+            ' "family": "f", "extra": 1}]',
+            "[" * 100_000,
+        ],
+        ids=["index_only", "number_row", "object", "string_fields", "bool_rank", "extra_field",
+             "deep_nesting"],
+    )
+    def test_json_reader_rejects_malformed_rows(self, text):
+        with pytest.raises(ValueError, match="record|list|nested"):
+            records_from_json(text)
+
+    @pytest.mark.parametrize(
+        "row", ["1,2,0.3,0.5,,test", "1,x,0.3,0.3,0.5,,test", "1,2,0.3,abc,0.5,,test",
+                "1,2,0.3,0.3,0.5,0.1,test,extra"],
+    )
+    def test_csv_reader_names_the_malformed_record(self, row):
+        text = records_csv_bytes([_rec()]).decode() + row + "\n"
+        with pytest.raises(ValueError, match="record 1"):
+            read_records_csv(io.StringIO(text))
+
+    def test_tau_is_none_only_when_empty_or_null(self):
+        recs = [_rec(tau=0.0), _rec(tau=None)]
+        for back in (read_records_csv(io.StringIO(records_csv_bytes(recs).decode())),
+                     records_from_json(records_to_json(recs))):
+            assert back[0].tau == 0.0 and back[1].tau is None
+
+
+_FAMILY_TEXT = st.text(st.characters(exclude_characters=",", exclude_categories=("Cs",)),
+                       max_size=5)
+_FLOAT_TEXT = st.floats().map(repr) | st.sampled_from(["nan", "-inf", "1e400", "0.50", " 3"])
+#: Cells that fit each column after the index, and cells that may not.
+_GOOD_CELLS = (st.integers(0, 4).map(str), _FLOAT_TEXT, _FLOAT_TEXT, _FLOAT_TEXT,
+               st.just("") | _FLOAT_TEXT, _FAMILY_TEXT)
+_ANY_CELL = st.sampled_from(["", "1_0", "2.5", "x", "True"]) | _FAMILY_TEXT
+
+
+@st.composite
+def _csv_text(draw):
+    """A header (usually the right one) and rows whose cells usually fit their column."""
+    header = draw(st.sampled_from(["index,rank,c12,n12,r12,tau,family"] * 3 + ["index,rank", ""]))
+    lines = [header]
+    for position in range(draw(st.integers(0, 4))):
+        cells = [str(position) if draw(st.integers(0, 9)) else draw(_ANY_CELL)]
+        cells += [draw(good if draw(st.integers(0, 19)) else _ANY_CELL) for good in _GOOD_CELLS]
+        if not draw(st.integers(0, 19)):
+            cells = cells[:-1] if draw(st.booleans()) else cells + [draw(_ANY_CELL)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+_JSON_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-2, 5), st.floats(),
+                        st.text(max_size=4))
+
+
+@st.composite
+def _json_text(draw):
+    """A list of rows holding (usually) the record fields with values of any
+    JSON type, or any JSON value at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return json.dumps(draw(st.recursive(_JSON_VALUE, st.lists, max_leaves=5)))
+    rows = []
+    for position in range(draw(st.integers(0, 3))):
+        row = {"index": position if draw(st.booleans()) else draw(_JSON_VALUE)}
+        for name, good in (("rank", st.integers(0, 4)), ("c12", st.floats()), ("n12", st.floats()),
+                           ("r12", st.floats()), ("tau", st.none() | st.floats()),
+                           ("family", st.text(max_size=4))):
+            if draw(st.integers(0, 9)):
+                row[name] = draw(good if draw(st.integers(0, 4)) else _JSON_VALUE)
+        rows.append(row)
+    return json.dumps(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_csv_text())
+def test_csv_reader_fuzz(text):
+    """Generated CSV text gives records that re-serialize to the same bytes, or a ValueError."""
+    try:
+        records = read_records_csv(io.StringIO(text))
+    except ValueError:
+        return
+    data = records_csv_bytes(records)
+    assert records_csv_bytes(read_records_csv(io.StringIO(data.decode()))) == data
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_json_text())
+def test_json_reader_fuzz(text):
+    """Generated JSON text gives records that re-serialize to the same text, or a ValueError."""
+    try:
+        records = records_from_json(text)
+    except ValueError:
+        return
+    data = records_to_json(records)
+    assert records_to_json(records_from_json(data)) == data
 
 
 class TestFigureDatasets:

@@ -128,6 +128,8 @@ class TestConstructors:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             make_state("squeezed", x=1)
+        with pytest.raises(DomainError, match="unknown family"):
+            sample_params("squeezed", substream(0, 0))
 
 
 class TestDomainValidation:
@@ -153,6 +155,28 @@ class TestDomainValidation:
         with pytest.raises(DomainError, match="missing"):
             make_state("werner")
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("bell_diagonal", dict(p1=math.nan, p2=0.5, p3=0.5, p4=0.0), "p1=nan is not finite"),
+            ("ansatz2", dict(alpha=0.2, beta=math.nan), "beta=nan is not finite"),
+            ("canonical3", dict(lambda0=math.nan, lambda3=1.0), "lambda0=nan is not finite"),
+            ("cq_state", dict(p=0.5, a=(math.nan, 0.0, 0.0)), "a=.* is not finite"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w=complex(0.0, math.inf)),
+             "w=.* is not finite"),
+            ("werner", dict(p=math.inf), "p=inf is not finite"),
+            ("werner", dict(p=0.5, bel="psi-"), "no parameter 'bel'"),
+            ("canonical3", dict(lambda0=1.0, lambda5=0.0), "no parameter 'lambda5'"),
+            ("werner", dict(p=(0.0, 0.0, 1.0)), "wrong kind"),
+            ("x_state", dict(a=0.25j, b=0.25, c=0.25, d=0.25), "wrong kind"),
+        ],
+    )
+    def test_parameters_checked_as_a_whole(self, family, params, message):
+        with pytest.raises(DomainError, match=message):
+            make_state(family, **params)
+        with pytest.raises(DomainError, match=message):
+            closed_form_measures(family, **params)
+
     def test_canonical_params_validation(self):
         with pytest.raises(DomainError):
             CanonicalParams(1.0, 1.0, 0.0, 0.0, 0.0)
@@ -166,7 +190,7 @@ class TestClosedFormAgreement:
     @pytest.mark.parametrize("family", FAMILY_TAGS)
     def test_numeric_matches_closed_form(self, family):
         for i in range(60):
-            params = sample_params(family, substream(hash(family) % 2**32, i))
+            params = sample_params(family, substream(FAMILY_TAGS.index(family), i))
             closed = closed_form_measures(family, **params)
             numeric = numeric_measures(family, **params)
             for key, value in closed.items():
