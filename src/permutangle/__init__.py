@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .families import (
     CURVE_TAGS,
-    CanonicalParams,
     FAMILY_TAGS,
     FamilySpec,
     boundary_curve,
@@ -40,16 +39,12 @@ from .families import (
 )
 from .measures import (
     WITNESS_THRESHOLD,
-    ccnr_norm,
     concurrence,
-    linear_entropy,
     negativity,
     pure_concurrence,
     r12,
     r12_via_singular_values,
-    tau_from_r_c,
     three_tangle,
-    witness_r12,
 )
 from .permutations import (
     link_product,
@@ -57,7 +52,6 @@ from .permutations import (
     partial_transpose,
     path_invariant_spectrum,
     realign,
-    reshape_vec,
 )
 from .qstate import (
     DensityMatrix,
@@ -65,7 +59,6 @@ from .qstate import (
     haar_random_pure,
     haar_random_unitary,
     mix,
-    mixture_with_fixed_eigvecs,
     perturb_pure,
     purify,
     random_fixed_eigvecs,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -423,6 +424,18 @@ _TO_TEXT, _FROM_TEXT, _FROM_JSON = zip(
     _KINDS["int"], *(_KINDS[f.type] for f in fields(MeasureRecord))
 )
 _values = operator.attrgetter(*_FIELDS[1:])
+_FAMILY_TAG = re.compile("[A-Za-z0-9_]+")
+
+
+def _check_families(column: Sequence[str]) -> None:
+    """Family tags are of ``[A-Za-z0-9_]+``, so a CSV field needs no quoting.
+
+    Each distinct tag is matched once; ``ValueError`` names the first bad record.
+    """
+    bad = [tag for tag in set(column) if not _FAMILY_TAG.fullmatch(tag)]
+    if bad:
+        position = min(map(column.index, bad))
+        raise ValueError(f"record {position}: family {column[position]!r} is not of [A-Za-z0-9_]+")
 
 
 def _parse_column(name: str, parse: Callable, column: Sequence) -> list:
@@ -451,6 +464,7 @@ def _records(rows: Sequence[Sequence], parsers: Sequence[Callable]) -> list[Meas
     if not rows:
         return []
     index, *columns = map(_parse_column, _FIELDS, parsers, zip(*rows))
+    _check_families(columns[-1])
     bad = [p for p, i in enumerate(index) if i != p]
     if bad:
         raise ValueError(f"record {bad[0]} has index {index[bad[0]]}; expected 0..n-1 in order")
@@ -460,6 +474,7 @@ def _records(rows: Sequence[Sequence], parsers: Sequence[Callable]) -> list[Meas
 def records_csv_bytes(records: Iterable[MeasureRecord]) -> bytes:
     rows = list(map(_values, records))
     columns = [range(len(rows)), *zip(*rows)]
+    _check_families(columns[-1])
     texts = [map(to_text, column) for to_text, column in zip(_TO_TEXT, columns)]
     return ("\n".join([_CSV_HEADER, *map(",".join, zip(*texts))]) + "\n").encode("utf-8")
 
@@ -487,6 +502,7 @@ def read_records_csv(source) -> list[MeasureRecord]:
 
 def records_to_json(records: Iterable[MeasureRecord]) -> str:
     payload = [dict(zip(_FIELDS, (idx,) + _values(rec))) for idx, rec in enumerate(records)]
+    _check_families([row["family"] for row in payload])
     return json.dumps(payload, indent=2)
 
 

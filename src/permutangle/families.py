@@ -5,8 +5,11 @@ Every constructor returns a validated :class:`PureState` or
 vector entrywise. ``closed_form_measures`` returns the analytically known
 values for that family as a dict keyed by measure name; keys vary per family
 (cross-pair values like ``c13`` exist only for three-qubit families).
-Each family is one entry of a registry holding its builder, closed form,
-in-domain sampler and parameter names; ``FAMILY_TAGS`` lists it in order.
+Each family is one entry of a registry holding its domain, builder, closed
+form, in-domain sampler and parameter names; ``FAMILY_TAGS`` lists it in
+order. The domain alone reads the parameter mapping: it checks it, fills in
+defaults and hands the builder and the closed form the same values, so both
+reject the same parameters.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .measures import WITNESS_THRESHOLD, concurrence, negativity, r12, three_tangle
-from .qstate import DensityMatrix, PureState, purify, reduce
+from .errors import DomainError
+from .measures import WITNESS_THRESHOLD, _residual_tangle, measure_stack, three_tangle
+from .qstate import DensityMatrix, PureState, purify, reduce_pure_stack
 from .qstate import _trusted_dm, _trusted_pure
 
 PARAM_SUM_TOL = 1e-9
@@ -33,45 +36,6 @@ BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / _SQ2
 BELL_PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / _SQ2
 BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / _SQ2
 BELL_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2
-
-
-@dataclass(frozen=True)
-class CanonicalParams:
-    """Five amplitudes and one phase of the three-qubit normal form.
-
-    lambda0 |000> + lambda1 e^{i theta} |100> + lambda2 |101>
-    + lambda3 |110> + lambda4 |111>, with sum(lambda_i^2) = 1.
-    """
-
-    lambda0: float
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    lambda4: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        lams = self.lambdas
-        if any(l < 0.0 or l > 1.0 for l in lams):
-            raise DomainError(f"canonical amplitudes must lie in [0, 1], got {lams}")
-        norm2 = sum(l * l for l in lams)
-        if abs(norm2 - 1.0) > CANONICAL_NORM_TOL:
-            raise DomainError(f"canonical amplitudes must satisfy sum lambda^2 = 1, got {norm2!r}")
-        if not 0.0 <= self.theta <= math.pi + 1e-12:
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
-
-    @property
-    def lambdas(self) -> tuple[float, ...]:
-        return (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
-
-    def state(self) -> PureState:
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = self.lambda0
-        amps[4] = self.lambda1 * np.exp(1j * self.theta)
-        amps[5] = self.lambda2
-        amps[6] = self.lambda3
-        amps[7] = self.lambda4
-        return _trusted_pure((2, 2, 2), amps / np.linalg.norm(amps))
 
 
 @dataclass(frozen=True)
@@ -102,7 +66,7 @@ def _finite(value) -> bool:
         return cmath.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
-    except TypeError:  # a Bloch vector, or a name such as "psi-" that the builder judges
+    except TypeError:  # a Bloch vector, or a name such as "psi-" that the domain judges
         return not isinstance(value, (tuple, list, np.ndarray)) or all(map(_finite, value))
 
 
@@ -114,6 +78,10 @@ def _as_spec(spec_or_family, params) -> FamilySpec:
     return FamilySpec(str(spec_or_family), params)
 
 
+# --------------------------------------------------------------------------
+# domains and builders
+
+
 def _unit_interval(params, key, hi=1.0) -> float:
     value = float(params[key])
     if not -1e-12 <= value <= hi + 1e-12:
@@ -121,19 +89,17 @@ def _unit_interval(params, key, hi=1.0) -> float:
     return min(hi, max(0.0, value))
 
 
-def _bell_mixture(weights: Sequence[float]) -> np.ndarray:
-    vecs = (BELL_PHI_PLUS, BELL_PSI_PLUS, BELL_PSI_MINUS, BELL_PHI_MINUS)
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, v in zip(weights, vecs):
-        rho += w * np.outer(v, v)
-    return rho
+def _interval(key: str, hi: float = 1.0) -> Callable[[Mapping], tuple[float]]:
+    """The domain of a family with one parameter in [0, hi]."""
+    return lambda params: (_unit_interval(params, key, hi),)
 
 
 _BELL_WEIGHTS = ("p1", "p2", "p3", "p4")
 _CANONICAL = ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4", "theta")
+_WERNER_FIDUCIALS = {"phi+": BELL_PHI_PLUS, "psi-": BELL_PSI_MINUS}
 
 
-def _bell_diagonal_weights(params) -> tuple[float, float, float, float]:
+def _bell_diagonal_domain(params) -> tuple[float, float, float, float]:
     ps = tuple(float(params[k]) for k in _BELL_WEIGHTS)
     if any(p < -1e-12 for p in ps):
         raise DomainError(f"Bell-diagonal weights must be nonnegative, got {ps}")
@@ -142,43 +108,15 @@ def _bell_diagonal_weights(params) -> tuple[float, float, float, float]:
     return tuple(max(0.0, p) for p in ps)
 
 
-def _make_bell_diagonal(params) -> DensityMatrix:
-    return _trusted_dm((2, 2), _bell_mixture(_bell_diagonal_weights(params)))
-
-
-def _make_werner(params) -> DensityMatrix:
+def _werner_domain(params) -> tuple[float, np.ndarray]:
     p = _unit_interval(params, "p")
     bell = str(params.get("bell", "phi+"))
-    if bell == "phi+":
-        vec = BELL_PHI_PLUS
-    elif bell == "psi-":
-        vec = BELL_PSI_MINUS
-    else:
+    if bell not in _WERNER_FIDUCIALS:
         raise DomainError(f"werner fiducial must be 'phi+' or 'psi-', got {bell!r}")
-    rho = (1.0 - p) * np.eye(4) / 4.0 + p * np.outer(vec, vec)
-    return _trusted_dm((2, 2), rho.astype(complex))
+    return p, _WERNER_FIDUCIALS[bell]
 
 
-def _make_mems1(params) -> DensityMatrix:
-    # Accepted on all of [0, 1]; it is maximally entangled at fixed linear
-    # entropy only for c >= 2/3, but the same matrix stays a valid rank-2
-    # boundary state below that.
-    c = _unit_interval(params, "c")
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = c / 2.0
-    rho[1, 1] = 1.0 - c
-    return _trusted_dm((2, 2), rho)
-
-
-def _make_mems2(params) -> DensityMatrix:
-    c = _unit_interval(params, "c", hi=2.0 / 3.0)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[1, 1] = rho[3, 3] = 1.0 / 3.0
-    rho[0, 3] = rho[3, 0] = c / 2.0
-    return _trusted_dm((2, 2), rho)
-
-
-def _make_x_state(params) -> DensityMatrix:
+def _x_state_domain(params) -> tuple:
     a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
     w, z = complex(params.get("w", 0.0)), complex(params.get("z", 0.0))
     if min(a, b, c, d) < -1e-12:
@@ -189,59 +127,40 @@ def _make_x_state(params) -> DensityMatrix:
         raise DomainError("x_state positivity requires sqrt(a*d) >= |w|")
     if abs(z) > math.sqrt(max(b, 0.0) * max(c, 0.0)) + 1e-9:
         raise DomainError("x_state positivity requires sqrt(b*c) >= |z|")
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
-    rho[0, 3], rho[3, 0] = w, np.conj(w)
-    rho[1, 2], rho[2, 1] = z, np.conj(z)
-    return DensityMatrix((2, 2), rho)
+    return a, b, c, d, w, z
 
 
-def _canonical_from_params(params, forced: Mapping[str, float] | None = None) -> CanonicalParams:
-    values = dict(params)
-    if forced:
-        values.update(forced)
-    return CanonicalParams(*(float(values.get(name, 0.0)) for name in _CANONICAL))
+def _canonical_domain(params) -> tuple[float, ...]:
+    """lambda0..lambda4 and theta of the three-qubit normal form
+    lambda0 |000> + lambda1 e^{i theta} |100> + lambda2 |101> + lambda3 |110>
+    + lambda4 |111>, with sum(lambda_i^2) = 1; an omitted value is 0."""
+    values = tuple(float(params.get(name, 0.0)) for name in _CANONICAL)
+    lams, theta = values[:5], values[5]
+    if any(l < 0.0 or l > 1.0 for l in lams):
+        raise DomainError(f"canonical amplitudes must lie in [0, 1], got {lams}")
+    norm2 = sum(l * l for l in lams)
+    if abs(norm2 - 1.0) > CANONICAL_NORM_TOL:
+        raise DomainError(f"canonical amplitudes must satisfy sum lambda^2 = 1, got {norm2!r}")
+    if not 0.0 <= theta <= math.pi + 1e-12:
+        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    return values
 
 
-def _make_canonical3(params) -> PureState:
-    return _canonical_from_params(params).state()
-
-
-def _make_w_class(params) -> PureState:
+def _w_class_domain(params) -> tuple[float, ...]:
     if abs(float(params.get("lambda4", 0.0))) > 1e-12:
         raise DomainError("w_class states have lambda4 = 0")
-    return _canonical_from_params(params, forced={"lambda4": 0.0}).state()
+    return _canonical_domain({**params, "lambda4": 0.0})
 
 
-def _make_m3ts(params) -> PureState:
-    c12 = _unit_interval(params, "c12")
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = 1.0 / _SQ2
-    amps[6] = c12 / _SQ2
-    amps[7] = math.sqrt(max(0.0, 1.0 - c12 * c12)) / _SQ2
-    return PureState((2, 2, 2), amps)
-
-
-def _make_m3ts_general(params) -> PureState:
+def _m3ts_general_domain(params) -> tuple[float, float]:
     c12 = _unit_interval(params, "c12")
     c13 = _unit_interval(params, "c13")
-    rest = 1.0 - c12 * c12 - c13 * c13
-    if rest < -1e-12:
+    if 1.0 - c12 * c12 - c13 * c13 < -1e-12:
         raise DomainError(f"m3ts_general requires c12^2 + c13^2 <= 1, got {c12**2 + c13**2!r}")
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = 1.0 / _SQ2
-    amps[5] = c13 / _SQ2
-    amps[6] = c12 / _SQ2
-    amps[7] = math.sqrt(max(0.0, rest)) / _SQ2
-    return PureState((2, 2, 2), amps)
+    return c12, c13
 
 
-def _make_ansatz1(params) -> DensityMatrix:
-    p = _unit_interval(params, "p")
-    return _trusted_dm((2, 2), _bell_mixture((p, (1.0 - p) / 2.0, (1.0 - p) / 2.0, 0.0)))
-
-
-def _ansatz2_weights(params) -> tuple[float, float, float]:
+def _ansatz2_domain(params) -> tuple[float, float, float]:
     alpha = float(params["alpha"])
     if "beta" in params:
         beta = float(params["beta"])
@@ -258,24 +177,6 @@ def _ansatz2_weights(params) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
-def _make_ansatz2(params) -> DensityMatrix:
-    alpha, beta, gamma = _ansatz2_weights(params)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = alpha
-    rho += beta * np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS)
-    rho += gamma * np.outer(BELL_PHI_MINUS, BELL_PHI_MINUS)
-    return _trusted_dm((2, 2), rho)
-
-
-def _make_mems1_purification(params) -> PureState:
-    c = _unit_interval(params, "c")
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = math.sqrt(c / 2.0)
-    amps[5] = math.sqrt(1.0 - c)
-    amps[6] = math.sqrt(c / 2.0)
-    return PureState((2, 2, 2), amps)
-
-
 def _bloch_qubit(vec: Sequence[float]) -> np.ndarray:
     x, y, z = (float(v) for v in vec)
     if x * x + y * y + z * z > 1.0 + 1e-9:
@@ -283,10 +184,105 @@ def _bloch_qubit(vec: Sequence[float]) -> np.ndarray:
     return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
-def _make_cq_state(params) -> DensityMatrix:
+def _cq_state_domain(params) -> tuple[float, np.ndarray, np.ndarray]:
+    """p and the two qubit states that the Bloch vectors a and b describe."""
     p = _unit_interval(params, "p")
     rho_a = _bloch_qubit(params.get("a", (0.0, 0.0, 1.0)))
     rho_b = _bloch_qubit(params.get("b", (0.0, 0.0, -1.0)))
+    return p, rho_a, rho_b
+
+
+def _bell_mixture(weights: Sequence[float]) -> np.ndarray:
+    vecs = (BELL_PHI_PLUS, BELL_PSI_PLUS, BELL_PSI_MINUS, BELL_PHI_MINUS)
+    rho = np.zeros((4, 4), dtype=complex)
+    for w, v in zip(weights, vecs):
+        rho += w * np.outer(v, v)
+    return rho
+
+
+def _make_bell_diagonal(*weights: float) -> DensityMatrix:
+    return _trusted_dm((2, 2), _bell_mixture(weights))
+
+
+def _make_werner(p: float, vec: np.ndarray) -> DensityMatrix:
+    rho = (1.0 - p) * np.eye(4) / 4.0 + p * np.outer(vec, vec)
+    return _trusted_dm((2, 2), rho.astype(complex))
+
+
+def _make_mems1(c: float) -> DensityMatrix:
+    # Accepted on all of [0, 1]; it is maximally entangled at fixed linear
+    # entropy only for c >= 2/3, but the same matrix stays a valid rank-2
+    # boundary state below that.
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = c / 2.0
+    rho[1, 1] = 1.0 - c
+    return _trusted_dm((2, 2), rho)
+
+
+def _make_mems2(c: float) -> DensityMatrix:
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = rho[1, 1] = rho[3, 3] = 1.0 / 3.0
+    rho[0, 3] = rho[3, 0] = c / 2.0
+    return _trusted_dm((2, 2), rho)
+
+
+def _make_x_state(a: float, b: float, c: float, d: float, w: complex, z: complex) -> DensityMatrix:
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
+    rho[0, 3], rho[3, 0] = w, np.conj(w)
+    rho[1, 2], rho[2, 1] = z, np.conj(z)
+    return DensityMatrix((2, 2), rho)
+
+
+def _make_canonical(l0, l1, l2, l3, l4, theta) -> PureState:
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = l0
+    amps[4] = l1 * np.exp(1j * theta)
+    amps[5] = l2
+    amps[6] = l3
+    amps[7] = l4
+    return _trusted_pure((2, 2, 2), amps / np.linalg.norm(amps))
+
+
+def _make_m3ts(c12: float) -> PureState:
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = 1.0 / _SQ2
+    amps[6] = c12 / _SQ2
+    amps[7] = math.sqrt(max(0.0, 1.0 - c12 * c12)) / _SQ2
+    return PureState((2, 2, 2), amps)
+
+
+def _make_m3ts_general(c12: float, c13: float) -> PureState:
+    rest = 1.0 - c12 * c12 - c13 * c13
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = 1.0 / _SQ2
+    amps[5] = c13 / _SQ2
+    amps[6] = c12 / _SQ2
+    amps[7] = math.sqrt(max(0.0, rest)) / _SQ2
+    return PureState((2, 2, 2), amps)
+
+
+def _make_ansatz1(p: float) -> DensityMatrix:
+    return _trusted_dm((2, 2), _bell_mixture((p, (1.0 - p) / 2.0, (1.0 - p) / 2.0, 0.0)))
+
+
+def _make_ansatz2(alpha: float, beta: float, gamma: float) -> DensityMatrix:
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1, 1] = alpha
+    rho += beta * np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS)
+    rho += gamma * np.outer(BELL_PHI_MINUS, BELL_PHI_MINUS)
+    return _trusted_dm((2, 2), rho)
+
+
+def _make_mems1_purification(c: float) -> PureState:
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = math.sqrt(c / 2.0)
+    amps[5] = math.sqrt(1.0 - c)
+    amps[6] = math.sqrt(c / 2.0)
+    return PureState((2, 2, 2), amps)
+
+
+def _make_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> DensityMatrix:
     rho = np.zeros((4, 4), dtype=complex)
     rho[:2, :2] = p * rho_a
     rho[2:, 2:] = (1.0 - p) * rho_b
@@ -297,33 +293,27 @@ def _make_cq_state(params) -> DensityMatrix:
 # closed forms
 
 
-def _closed_bell_diagonal(params) -> dict:
-    p1, p2, p3, p4 = _bell_diagonal_weights(params)
+def _closed_bell_diagonal(p1: float, p2: float, p3: float, p4: float) -> dict:
     c = max(0.0, 2.0 * max(p1, p2, p3, p4) - 1.0)
     r = abs(8.0 * (p2 + p3 - 0.5) * (p2 + p4 - 0.5) * (p3 + p4 - 0.5)) ** 0.25
     return {"c12": c, "n12": c, "r12": r}
 
 
-def _closed_werner(params) -> dict:
-    p = _unit_interval(params, "p")
+def _closed_werner(p: float, vec: np.ndarray) -> dict:
     c = max(0.0, (3.0 * p - 1.0) / 2.0)
     return {"c12": c, "n12": c, "r12": p**0.75}
 
 
-def _closed_mems1(params) -> dict:
-    c = _unit_interval(params, "c")
+def _closed_mems1(c: float) -> dict:
     n = math.sqrt((1.0 - c) ** 2 + c * c) - (1.0 - c)
     return {"c12": c, "r12": c, "n12": n, "tau": 0.0}
 
 
-def _closed_mems2(params) -> dict:
-    c = _unit_interval(params, "c", hi=2.0 / 3.0)
+def _closed_mems2(c: float) -> dict:
     return {"c12": c, "r12": math.sqrt(2.0 * c / 3.0)}
 
 
-def _closed_x_state(params) -> dict:
-    a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
-    w, z = complex(params.get("w", 0.0)), complex(params.get("z", 0.0))
+def _closed_x_state(a: float, b: float, c: float, d: float, w: complex, z: complex) -> dict:
     conc = 2.0 * max(
         0.0,
         abs(z) - math.sqrt(max(0.0, a * d)),
@@ -333,9 +323,7 @@ def _closed_x_state(params) -> dict:
     return {"c12": conc, "r12": r}
 
 
-def _closed_canonical(params) -> dict:
-    cp = _canonical_from_params(params)
-    l0, _, _, l3, l4 = cp.lambdas
+def _closed_canonical(l0: float, l1: float, l2: float, l3: float, l4: float, theta: float) -> dict:
     return {
         "c12": 2.0 * l0 * l3,
         "r12": 2.0 * l0 * math.sqrt(l3) * (l3**2 + l4**2) ** 0.25,
@@ -343,9 +331,7 @@ def _closed_canonical(params) -> dict:
     }
 
 
-def _closed_w_class(params) -> dict:
-    cp = _canonical_from_params(params, forced={"lambda4": 0.0})
-    l0, _, l2, l3, _ = cp.lambdas
+def _closed_w_class(l0: float, l1: float, l2: float, l3: float, l4: float, theta: float) -> dict:
     return {
         "c12": 2.0 * l0 * l3,
         "r12": 2.0 * l0 * l3,
@@ -357,8 +343,7 @@ def _closed_w_class(params) -> dict:
     }
 
 
-def _closed_m3ts(params) -> dict:
-    c12 = _unit_interval(params, "c12")
+def _closed_m3ts(c12: float) -> dict:
     return {
         "c12": c12,
         "r12": math.sqrt(c12),
@@ -371,11 +356,7 @@ def _closed_m3ts(params) -> dict:
     }
 
 
-def _closed_m3ts_general(params) -> dict:
-    c12 = _unit_interval(params, "c12")
-    c13 = _unit_interval(params, "c13")
-    if c12 * c12 + c13 * c13 > 1.0 + 1e-12:
-        raise DomainError("m3ts_general requires c12^2 + c13^2 <= 1")
+def _closed_m3ts_general(c12: float, c13: float) -> dict:
     r12_val = math.sqrt(c12) * (1.0 - c13 * c13) ** 0.25
     r13_val = math.sqrt(c13) * (1.0 - c12 * c12) ** 0.25
     return {
@@ -389,21 +370,18 @@ def _closed_m3ts_general(params) -> dict:
     }
 
 
-def _closed_ansatz1(params) -> dict:
-    p = _unit_interval(params, "p")
+def _closed_ansatz1(p: float) -> dict:
     c = max(0.0, 2.0 * p - 1.0)
     return {"c12": c, "n12": c, "r12": math.sqrt(p) * abs(2.0 * p - 1.0) ** 0.25}
 
 
-def _closed_ansatz2(params) -> dict:
-    alpha, beta, gamma = _ansatz2_weights(params)
+def _closed_ansatz2(alpha: float, beta: float, gamma: float) -> dict:
     r = math.sqrt(abs(beta**2 - gamma**2))
     n = math.sqrt(alpha**2 + (beta - gamma) ** 2) - alpha
     return {"r12": r, "n12": n}
 
 
-def _closed_mems1_purification(params) -> dict:
-    c = _unit_interval(params, "c")
+def _closed_mems1_purification(c: float) -> dict:
     cross = math.sqrt(2.0 * c * (1.0 - c))
     return {
         "c12": c,
@@ -417,7 +395,7 @@ def _closed_mems1_purification(params) -> dict:
     }
 
 
-def _closed_cq_state(params) -> dict:
+def _closed_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> dict:
     return {"r12": 0.0}
 
 
@@ -461,8 +439,11 @@ def _sample_m3ts_general(rng: np.random.Generator) -> dict:
 
 
 class _Family(NamedTuple):
-    build: Callable[[Mapping], Union[DensityMatrix, PureState]]
-    closed_form: Callable[[Mapping], dict]
+    #: The parameter mapping -> the checked values that ``build`` and
+    #: ``closed_form`` take as positional arguments; raises DomainError.
+    domain: Callable[[Mapping], tuple]
+    build: Callable[..., Union[DensityMatrix, PureState]]
+    closed_form: Callable[..., dict]
     sample: Callable[[np.random.Generator], dict]
     params: tuple[str, ...]
 
@@ -472,28 +453,35 @@ class _Family(NamedTuple):
 #: separable campaign).
 _FAMILIES: dict[str, _Family] = {
     "bell_diagonal": _Family(
-        _make_bell_diagonal, _closed_bell_diagonal,
+        _bell_diagonal_domain, _make_bell_diagonal, _closed_bell_diagonal,
         lambda rng: dict(zip(_BELL_WEIGHTS, rng.dirichlet(np.ones(4)))), _BELL_WEIGHTS),
-    "werner": _Family(_make_werner, _closed_werner, _uniform("p"), ("p", "bell")),
-    "mems1": _Family(_make_mems1, _closed_mems1, _uniform("c"), ("c",)),
-    "mems2": _Family(_make_mems2, _closed_mems2, _uniform("c", 2.0 / 3.0), ("c",)),
+    "werner": _Family(
+        _werner_domain, _make_werner, _closed_werner, _uniform("p"), ("p", "bell")),
+    "mems1": _Family(_interval("c"), _make_mems1, _closed_mems1, _uniform("c"), ("c",)),
+    "mems2": _Family(
+        _interval("c", 2.0 / 3.0), _make_mems2, _closed_mems2, _uniform("c", 2.0 / 3.0), ("c",)),
     "x_state": _Family(
-        _make_x_state, _closed_x_state, _sample_x_state, ("a", "b", "c", "d", "w", "z")),
+        _x_state_domain, _make_x_state, _closed_x_state, _sample_x_state,
+        ("a", "b", "c", "d", "w", "z")),
     "w_class": _Family(
-        _make_w_class, _closed_w_class, lambda rng: _sample_canonical(rng, 4), _CANONICAL),
+        _w_class_domain, _make_canonical, _closed_w_class, lambda rng: _sample_canonical(rng, 4),
+        _CANONICAL),
     "canonical3": _Family(
-        _make_canonical3, _closed_canonical, lambda rng: _sample_canonical(rng, 5), _CANONICAL),
-    "m3ts": _Family(_make_m3ts, _closed_m3ts, _uniform("c12"), ("c12",)),
+        _canonical_domain, _make_canonical, _closed_canonical,
+        lambda rng: _sample_canonical(rng, 5), _CANONICAL),
+    "m3ts": _Family(_interval("c12"), _make_m3ts, _closed_m3ts, _uniform("c12"), ("c12",)),
     "m3ts_general": _Family(
-        _make_m3ts_general, _closed_m3ts_general, _sample_m3ts_general, ("c12", "c13")),
-    "ansatz1": _Family(_make_ansatz1, _closed_ansatz1, _uniform("p"), ("p",)),
+        _m3ts_general_domain, _make_m3ts_general, _closed_m3ts_general, _sample_m3ts_general,
+        ("c12", "c13")),
+    "ansatz1": _Family(_interval("p"), _make_ansatz1, _closed_ansatz1, _uniform("p"), ("p",)),
     "ansatz2": _Family(
-        _make_ansatz2, _closed_ansatz2,
+        _ansatz2_domain, _make_ansatz2, _closed_ansatz2,
         lambda rng: dict(zip(("alpha", "beta"), rng.dirichlet(np.ones(3)))), ("alpha", "beta")),
     "mems1_purification": _Family(
-        _make_mems1_purification, _closed_mems1_purification, _uniform("c"), ("c",)),
+        _interval("c"), _make_mems1_purification, _closed_mems1_purification, _uniform("c"),
+        ("c",)),
     "cq_state": _Family(
-        _make_cq_state, _closed_cq_state,
+        _cq_state_domain, _make_cq_state, _closed_cq_state,
         lambda rng: {"p": rng.uniform(0.0, 1.0), "a": _random_bloch(rng), "b": _random_bloch(rng)},
         ("p", "a", "b")),
 }
@@ -508,15 +496,17 @@ def _family(tag: str) -> _Family:
 
 
 def _evaluate(role: str, spec_or_family, params):
-    """The family's builder or closed form ("build" / "closed_form") at its parameters."""
+    """The family's builder or closed form ("build" / "closed_form") at the
+    values its domain makes of the parameters."""
     spec = _as_spec(spec_or_family, params)
-    fn = getattr(_FAMILIES[spec.family], role)
+    family = _FAMILIES[spec.family]
     try:
-        return fn(spec.params)
+        values = family.domain(spec.params)
     except KeyError as missing:
         raise DomainError(f"family {spec.family!r} is missing parameter {missing}") from None
     except TypeError as wrong:  # e.g. a Bloch vector where a number belongs
         raise DomainError(f"{spec.family!r} got a parameter of the wrong kind: {wrong}") from None
+    return getattr(family, role)(*values)
 
 
 def make_state(spec_or_family, **params) -> Union[DensityMatrix, PureState]:
@@ -547,36 +537,31 @@ def numeric_measures(spec_or_family, **params) -> dict[str, float]:
     """The same measures computed numerically from the constructed state.
 
     For three-qubit pure families this includes all pairwise values and the
-    tangle; for two-qubit families it is {c12, n12, r12}.
+    tangle; for two-qubit families it is {c12, n12, r12}, plus tau when the
+    state has rank <= 2. Either way one stacked kernel call measures the
+    pairs, so each value has the bits of the scalar measure of that pair.
     """
-    spec = _as_spec(spec_or_family, params)
-    state = make_state(spec)
-    if isinstance(state, PureState):
-        if state.dims != (2, 2, 2):
-            raise DimensionError(f"unexpected pure-state dims {state.dims}")
-        rho12 = reduce(state, (1, 2))
-        rho13 = reduce(state, (1, 3))
-        rho23 = reduce(state, (2, 3))
+    state = make_state(_as_spec(spec_or_family, params))
+    if isinstance(state, PureState):  # every pure family is over (2, 2, 2)
+        parent = state.amplitudes[None]
+        pairs = [reduce_pure_stack(parent, (2, 2, 2), keep) for keep in ((1, 2), (1, 3), (2, 3))]
+        m = measure_stack(np.concatenate(pairs))
         return {
-            "c12": concurrence(rho12),
-            "n12": negativity(rho12),
-            "r12": r12(rho12),
-            "c13": concurrence(rho13),
-            "r13": r12(rho13),
-            "c23": concurrence(rho23),
-            "r23": r12(rho23),
-            "tau": three_tangle(state),
+            "c12": m.c12[0],
+            "n12": m.n12[0],
+            "r12": m.r12[0],
+            "c13": m.c12[1],
+            "r13": m.r12[1],
+            "c23": m.c12[2],
+            "r23": m.r12[2],
+            "tau": _residual_tangle(parent, m.c12[:1], m.c12[1:2])[0],
         }
-    out = {
-        "c12": concurrence(state),
-        "n12": negativity(state),
-        "r12": r12(state),
-    }
+    m = measure_stack(state.matrix[None])
+    out = {"c12": m.c12[0], "n12": m.n12[0], "r12": m.r12[0]}
     # rank <= 2 states purify to three qubits, so their tangle is measurable
-    rank = state.rank()
-    if rank == 2:
+    if m.rank[0] == 2:
         out["tau"] = three_tangle(purify(state))
-    elif rank == 1:
+    elif m.rank[0] == 1:
         out["tau"] = 0.0
     return out
 

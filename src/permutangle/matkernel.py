@@ -1,18 +1,17 @@
 """Dense complex linear-algebra kernels for matrices up to dimension 16.
 
-Thin contract-enforcing wrappers around LAPACK (via numpy). Every caller in
-this package goes through these functions, so the accuracy contracts are
-stated once, here, as module constants:
+Thin wrappers around LAPACK (via numpy) that check their input: every
+caller in this package goes through them. ``HERMITICITY_TOL`` is the one
+tolerance they enforce, the max-entry Hermiticity defect that
+:func:`eig_hermitian` (and ``qstate``'s containers) accept. The accuracy of
+the results is checked by the tests, not at run time:
 
-* ``DET_TOL``        -- determinant agrees with cofactor expansion to
-                        1e-12 * max(1, |det|)
-* ``HERMITICITY_TOL``-- max-entry Hermiticity defect accepted by
-                        :func:`eig_hermitian` (and by ``qstate``'s containers)
-* ``EIG_TRACE_TOL``  -- eigenvalue-sum vs trace conservation (Hermitian)
-* ``GENERAL_EIG_TOL``-- trace conservation and characteristic-polynomial
-                        residual for general spectra
-* ``SVD_CROSS_TOL``  -- product-of-singular-values vs |det| and
-                        Frobenius-norm conservation
+* determinant against cofactor expansion to 1e-12 * max(1, |det|)
+  (acceptance criterion 8, ``tests/test_matkernel.py``);
+* Hermitian eigenvalue sum against the trace to 1e-10, general spectra
+  against the trace and the characteristic polynomial to 1e-8, and
+  singular values against |det| and the Frobenius norm to 1e-10
+  (``tests/test_matkernel.py``).
 
 ``determinant``, ``eig_hermitian`` and ``singular_values`` also take a
 ``(k, M, N)`` stack (square for the first two) and apply every check to each
@@ -30,11 +29,7 @@ import numpy as np
 from .errors import DimensionError, HermiticityError
 
 MAX_DIM = 16
-DET_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
-EIG_TRACE_TOL = 1e-10
-GENERAL_EIG_TOL = 1e-8
-SVD_CROSS_TOL = 1e-10
 
 
 def as_matrix(m, square: bool = False, stack: bool = False) -> np.ndarray:
@@ -98,8 +93,7 @@ def eig_general(m) -> np.ndarray:
     """Eigenvalue multiset of a general square matrix.
 
     Returned sorted by (real, imag) so equal inputs give identical output;
-    the contract is the residual bound ``GENERAL_EIG_TOL``, not any
-    particular ordering of degenerate values.
+    no particular ordering of degenerate values is promised.
     """
     a = as_matrix(m, square=True)
     vals = np.linalg.eigvals(a)

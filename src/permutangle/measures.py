@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import matkernel
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .permutations import link_transform, partial_transpose, realign
 from .qstate import (
     DensityMatrix,
@@ -215,50 +215,15 @@ def pure_concurrence(psi: PureState) -> float:
     return _clamp01([float(2.0 * abs(a * d - b * c))], what="concurrence")[0]
 
 
-def three_tangle(psi: PureState, c12: Optional[float] = None) -> float:
+def three_tangle(psi: PureState) -> float:
     """Residual tripartite entanglement of a three-qubit pure state.
 
     tangle(1|23) - c12^2 - c13^2, with tangle(1|23) = 4*det(rho_1). The value
-    is invariant under qubit permutations. Callers that already measured the
-    (1, 2) reduction may pass its concurrence to skip recomputing it.
+    is invariant under qubit permutations.
     """
     if psi.dims != _THREE_QUBITS:
         raise DimensionError(f"three_tangle needs a (2, 2, 2) pure state, got {psi.dims}")
     parents = psi.amplitudes[None]
-    rho13 = reduce_pure_stack(parents, _THREE_QUBITS, (1, 3))
-    if c12 is None:
-        rho12 = reduce_pure_stack(parents, _THREE_QUBITS, (1, 2))
-        c12_c13 = _concurrences(np.concatenate([rho12, rho13]))
-        return _residual_tangle(parents, c12_c13[:1], c12_c13[1:])[0]
-    return _residual_tangle(parents, [float(c12)], _concurrences(rho13))[0]
-
-
-def tau_from_r_c(r12_value: float, c12_value: float) -> float:
-    """Tangle of any rank-2 purification, fixed by (r12, c12): (r^4 - c^4) / c^2."""
-    if c12_value <= 1e-12:
-        raise DomainError("tau_from_r_c is undefined for vanishing c12")
-    return (r12_value**4 - c12_value**4) / c12_value**2
-
-
-def ccnr_norm(rho: DensityMatrix) -> float:
-    """Trace norm of the realigned density matrix (no partial transpose).
-
-    Values above 1 witness entanglement (computable cross norm / realignment
-    criterion).
-    """
-    if len(rho.dims) != 2:
-        raise DimensionError(f"expected a bipartite state, got dims {rho.dims}")
-    sv = matkernel.singular_values(realign(rho.matrix, rho.dims))
-    return float(np.sum(sv))
-
-
-def linear_entropy(rho: DensityMatrix) -> float:
-    """Two-qubit linear entropy (4/3)(1 - tr rho^2), normalized to [0, 1]."""
-    _require_two_qubits(rho, "linear_entropy")
-    return _clamp01([(4.0 / 3.0) * (1.0 - rho.purity())], what="linear_entropy")[0]
-
-
-def witness_r12(rho: DensityMatrix) -> bool:
-    """True iff r12 strictly exceeds the separability threshold (1/3)^(3/4)."""
-    _require_two_qubits(rho, "witness_r12")
-    return r12(rho) > WITNESS_THRESHOLD
+    pairs = [reduce_pure_stack(parents, _THREE_QUBITS, keep) for keep in ((1, 2), (1, 3))]
+    c12_c13 = _concurrences(np.concatenate(pairs))
+    return _residual_tangle(parents, c12_c13[:1], c12_c13[1:])[0]

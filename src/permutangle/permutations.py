@@ -24,8 +24,6 @@ from . import matkernel
 from .errors import DimensionError
 from .qstate import DensityMatrix, State, reduce
 
-LINK_TRACE_TOL = 1e-10
-
 
 def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
     if len(rho.dims) != 2:
@@ -76,11 +74,6 @@ def _square_over(m, d1: int, d2: int) -> np.ndarray:
     if a.ndim not in (2, 3) or a.shape[-2:] != (d1 * d2, d1 * d2):
         raise DimensionError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
     return a
-
-
-def reshape_vec(m: np.ndarray) -> np.ndarray:
-    """Stack the rows of a matrix into a single column vector."""
-    return np.asarray(m, dtype=complex).reshape(-1)
 
 
 def link_transform(rho: DensityMatrix) -> np.ndarray:

@@ -5,9 +5,9 @@ Conventions, fixed project-wide:
 * Subsystems are labeled from 1 (matching the measure subscripts r12, c12, ...).
 * Composite indices are row-major: the leftmost factor is the slowest index,
   so for dims (2, 2, 2) basis state |i j k> sits at flat index 4i + 2j + k.
-* Randomness is always an explicit ``numpy.random.Generator``. Parallel
-  campaigns derive one generator per sample via :func:`substream`, so results
-  are independent of scheduling and worker count.
+* Randomness is always an explicit ``numpy.random.Generator``. Campaigns
+  derive one generator per sample via :func:`substream`, so sample ``i``
+  depends only on the seed and ``i``.
 
 Constructing a container directly validates every invariant eagerly.
 Operations in this package that produce states satisfying the invariants by
@@ -39,8 +39,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-sample generator for (seed, stream-index).
 
     Identical arguments give a bit-identical stream regardless of host,
-    process, or how many worker threads are running (the stream key is a
-    hash of seed and index).
+    process, or how many samples precede it (the stream key is a hash of
+    seed and index).
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -75,10 +75,6 @@ class PureState:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     def density_matrix(self) -> "DensityMatrix":
         """|psi><psi| over the same factor dimensions."""
@@ -129,21 +125,13 @@ class DensityMatrix:
             object.__setattr__(self, "_spectral", pair)
         return pair
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum, ascending."""
-        return self._spectral_pair()[0]
-
     def spectral(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (descending, clamped at 0) and matching eigenvector columns."""
         return descending(*self._spectral_pair())
 
-    def rank(self, eps: float = RANK_EPS) -> int:
-        """Numerical rank: eigenvalue count above ``eps``."""
-        return int(np.count_nonzero(self.eigenvalues() > eps))
+    def rank(self) -> int:
+        """Numerical rank: eigenvalue count above ``RANK_EPS``."""
+        return int(np.count_nonzero(self._spectral_pair()[0] > RANK_EPS))
 
     def purity(self) -> float:
         return float(np.real(np.vdot(self.matrix, self.matrix)))
@@ -293,33 +281,25 @@ def perturb_pure(psi: PureState, psi_r: PureState, eps: float) -> PureState:
     return _trusted_pure(psi.dims, v / norm)
 
 
-def mixture_with_fixed_eigvecs(
-    eigvecs: np.ndarray, theta: float, phi: float, dims=None
+def random_fixed_eigvecs(
+    eigvecs: np.ndarray, rng: np.random.Generator, dims=None
 ) -> DensityMatrix:
-    """Rank<=3 mixture of three orthonormal vectors with weights
-    cos^2(theta), sin^2(theta)cos^2(phi), sin^2(theta)sin^2(phi)."""
+    """Random rank<=3 mixture of three fixed orthonormal eigenvectors.
+
+    Draws theta ~ U[0, pi] then phi ~ U[0, 2*pi]; the weights are
+    cos^2(theta), sin^2(theta)cos^2(phi) and sin^2(theta)sin^2(phi).
+    """
     v = np.asarray(eigvecs, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 3:
         raise DimensionError(f"expected 3 column vectors, got shape {v.shape}")
     gram_defect = np.max(np.abs(v.conj().T @ v - np.eye(3)))
     if gram_defect > ORTHONORMALITY_TOL:
         raise ValueError(f"eigenvectors not orthonormal (defect {gram_defect:.3e})")
+    theta = rng.uniform(0.0, np.pi)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
     st, ct = np.sin(theta), np.cos(theta)
     weights = np.array([ct**2, st**2 * np.cos(phi) ** 2, st**2 * np.sin(phi) ** 2])
     d = v.shape[0]
     if dims is None:
         dims = (2, 2) if d == 4 else (d,)
     return _trusted_dm(_check_dims(dims), (v * weights) @ v.conj().T)
-
-
-def random_fixed_eigvecs(
-    eigvecs: np.ndarray, rng: np.random.Generator, dims=None
-) -> DensityMatrix:
-    """Random mixture of three fixed orthonormal eigenvectors.
-
-    Draws theta ~ U[0, pi] then phi ~ U[0, 2*pi] and delegates to
-    :func:`mixture_with_fixed_eigvecs`.
-    """
-    theta = rng.uniform(0.0, np.pi)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return mixture_with_fixed_eigvecs(eigvecs, theta, phi, dims=dims)

@@ -109,3 +109,11 @@ def wootters_concurrence_truncated(m: np.ndarray, rank_eps: float = 1e-12) -> fl
     lam = np.zeros(4)
     lam[:r] = np.linalg.svd(overlap, compute_uv=False)
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def tangle_from_r_c(r12: float, c12: float) -> float:
+    """Tangle of any rank-2 purification, fixed by (r12, c12): (r^4 - c^4) / c^2.
+
+    The identity r12^4 = c12^2 (c12^2 + tau) solved for tau; undefined at c12 = 0.
+    """
+    return (r12**4 - c12**4) / c12**2

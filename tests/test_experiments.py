@@ -221,6 +221,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="record 1"):
             read_records_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("family", ["a,b", "x\ny", "", "a b", "tag\r", "é"])
+    def test_family_outside_identifier_characters_rejected(self, family):
+        recs = [_rec(), _rec(family=family)]
+        for write in (records_csv_bytes, records_to_json):
+            with pytest.raises(ValueError, match="record 1"):
+                write(recs)
+        rows = json.loads(records_to_json([_rec(), _rec()]))
+        rows[1]["family"] = family
+        with pytest.raises(ValueError, match="record 1"):
+            records_from_json(json.dumps(rows))
+        if "," not in family and "\n" not in family and "\r" not in family:
+            text = records_csv_bytes([_rec()]).decode() + f"1,2,0.3,0.3,0.5,,{family}\n"
+            with pytest.raises(ValueError, match="record 1"):
+                read_records_csv(io.StringIO(text))
+
     def test_tau_is_none_only_when_empty_or_null(self):
         recs = [_rec(tau=0.0), _rec(tau=None)]
         for back in (read_records_csv(io.StringIO(records_csv_bytes(recs).decode())),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from permutangle import (
-    CanonicalParams,
     DomainError,
     FAMILY_TAGS,
     FamilySpec,
@@ -169,6 +168,11 @@ class TestDomainValidation:
             ("canonical3", dict(lambda0=1.0, lambda5=0.0), "no parameter 'lambda5'"),
             ("werner", dict(p=(0.0, 0.0, 1.0)), "wrong kind"),
             ("x_state", dict(a=0.25j, b=0.25, c=0.25, d=0.25), "wrong kind"),
+            ("cq_state", dict(p=7.0), "p=7.0 outside"),
+            ("cq_state", dict(p=0.5, a=(2.0, 0.0, 0.0)), "outside the unit ball"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w=0.9), r"sqrt\(a\*d\) >= \|w\|"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, z=0.9), r"sqrt\(b\*c\) >= \|z\|"),
+            ("werner", dict(p=0.5, bell="xyz"), "fiducial must be"),
         ],
     )
     def test_parameters_checked_as_a_whole(self, family, params, message):
@@ -178,10 +182,10 @@ class TestDomainValidation:
             closed_form_measures(family, **params)
 
     def test_canonical_params_validation(self):
-        with pytest.raises(DomainError):
-            CanonicalParams(1.0, 1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            CanonicalParams(1.0, 0.0, 0.0, 0.0, 0.0, theta=4.0)
+        with pytest.raises(DomainError, match="sum lambda"):
+            make_state("canonical3", lambda0=1.0, lambda1=1.0)
+        with pytest.raises(DomainError, match="theta"):
+            make_state("canonical3", lambda0=1.0, theta=4.0)
         with pytest.raises(DomainError):
             make_state("w_class", lambda0=0.6, lambda3=0.5, lambda4=math.sqrt(0.39))
 

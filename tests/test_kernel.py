@@ -1,10 +1,11 @@
 """The stacked measure kernel behind campaigns and the scalar measures.
 
-Pins the kernel three ways: campaign bytes do not depend on the chunk size,
+Pins the kernel four ways: campaign bytes do not depend on the chunk size,
 a state measured alone (``build_record`` and the scalar functions) gets the
-bits it gets inside a chunk, and every value agrees with the naive per-state
-oracles of ``conftest``. A bad matrix anywhere in a stack raises what the
-scalar call raises on it.
+bits it gets inside a chunk, ``numeric_measures`` gets the bits of the scalar
+functions, and every value agrees with the naive per-state oracles of
+``conftest``. A bad matrix anywhere in a stack raises what the scalar call
+raises on it.
 """
 
 import math
@@ -22,6 +23,7 @@ from conftest import (
     wootters_concurrence_truncated,
 )
 from permutangle import (
+    FAMILY_TAGS,
     DimensionError,
     HermiticityError,
     PureState,
@@ -32,12 +34,15 @@ from permutangle import (
     haar_random_unitary,
     make_state,
     negativity,
+    numeric_measures,
     partial_transpose,
     perturbation_campaign,
+    purify,
     r12,
     realign,
     records_csv_bytes,
     reduce,
+    sample_params,
     scatter,
     separable_campaign,
     substream,
@@ -182,7 +187,27 @@ def test_scalar_measures_are_batches_of_one():
         assert r12(rho) == m.r12[i]
         assert rho.rank() == m.rank[i]
         assert three_tangle(psi) == m.tau[i]
-        assert three_tangle(psi, c12=m.c12[i]) == m.tau[i]
+
+
+@pytest.mark.parametrize("family", FAMILY_TAGS)
+def test_numeric_measures_equal_scalar_measures(family):
+    """``numeric_measures`` measures a family state in one stacked call; each
+    value has the bits of the scalar measure of the reduced pair."""
+    for i in range(50):
+        params = sample_params(family, substream(4242, i))
+        state = make_state(family, **params)
+        if isinstance(state, PureState):
+            want = {"n12": negativity(reduce(state, (1, 2))), "tau": three_tangle(state)}
+            for a, b in ((1, 2), (1, 3), (2, 3)):
+                pair = reduce(state, (a, b))
+                want[f"c{a}{b}"], want[f"r{a}{b}"] = concurrence(pair), r12(pair)
+        else:
+            want = {"c12": concurrence(state), "n12": negativity(state), "r12": r12(state)}
+            if state.rank() == 2:
+                want["tau"] = three_tangle(purify(state))
+            elif state.rank() == 1:
+                want["tau"] = 0.0
+        assert numeric_measures(family, **params) == want, (family, params)
 
 
 def test_stacked_reduction_equals_reduce():

@@ -3,31 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, tangle_from_r_c
 from permutangle import (
     DensityMatrix,
     DimensionError,
-    DomainError,
     PureState,
     WITNESS_THRESHOLD,
-    ccnr_norm,
     concurrence,
     haar_random_pure,
     haar_random_unitary,
-    linear_entropy,
     make_state,
     negativity,
+    numeric_measures,
     pure_concurrence,
     purify,
     r12,
     r12_via_singular_values,
+    realign,
     reduce,
     substream,
-    tau_from_r_c,
     three_tangle,
-    witness_r12,
 )
-from permutangle.matkernel import kron
+from permutangle.matkernel import kron, singular_values
 
 RNG = np.random.default_rng(112358)
 
@@ -169,16 +166,30 @@ class TestThreeTangle:
 
 
 class TestTauFromRC:
+    """The tangle of a rank-2 purification is fixed by (r12, c12)."""
+
     def test_w_class_point(self):
-        assert tau_from_r_c(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
+        m = numeric_measures("w_class", lambda0=0.5, lambda1=0.5, lambda2=0.5, lambda3=0.5)
+        assert m["r12"] == pytest.approx(0.5, abs=1e-12)
+        assert m["c12"] == pytest.approx(0.5, abs=1e-12)
+        assert tangle_from_r_c(m["r12"], m["c12"]) == pytest.approx(m["tau"], abs=1e-12)
 
     def test_m3ts_point(self):
         c = 0.6
-        assert tau_from_r_c(math.sqrt(c), c) == pytest.approx(1 - c * c, abs=1e-12)
+        m = numeric_measures("m3ts", c12=c)
+        assert tangle_from_r_c(m["r12"], m["c12"]) == pytest.approx(1 - c * c, abs=1e-12)
+        assert m["tau"] == pytest.approx(1 - c * c, abs=1e-12)
 
     def test_canonical_point(self):
-        # r12, c12 from the canonical worked example reproduce its tangle
-        assert tau_from_r_c(0.758946638440411, 0.6) == pytest.approx(0.5616, abs=1e-9)
+        # the canonical worked example: c12 = 0.6, tau = 0.5616
+        m = numeric_measures(
+            "canonical3", lambda0=math.sqrt(0.5), lambda1=math.sqrt(0.0392),
+            lambda3=math.sqrt(0.18), lambda4=math.sqrt(0.2808),
+        )
+        assert m["r12"] == pytest.approx(0.758946638440411, abs=1e-9)
+        assert m["c12"] == pytest.approx(0.6, abs=1e-12)
+        assert tangle_from_r_c(m["r12"], m["c12"]) == pytest.approx(0.5616, abs=1e-9)
+        assert m["tau"] == pytest.approx(0.5616, abs=1e-12)
 
     def test_matches_purified_tangle(self):
         for i in range(100):
@@ -186,59 +197,66 @@ class TestTauFromRC:
             c = concurrence(rho)
             if c < 0.05:
                 continue
-            assert abs(tau_from_r_c(r12(rho), c) - three_tangle(purify(rho))) <= 1e-8
+            assert abs(tangle_from_r_c(r12(rho), c) - three_tangle(purify(rho))) <= 1e-8
 
-    def test_rejects_vanishing_concurrence(self):
-        with pytest.raises(DomainError):
-            tau_from_r_c(0.3, 0.0)
+
+def _ccnr(rho: DensityMatrix) -> float:
+    """Trace norm of the realigned density matrix; above 1 witnesses entanglement."""
+    return float(np.sum(singular_values(realign(rho.matrix, rho.dims))))
+
+
+def _linear_entropy(rho: DensityMatrix) -> float:
+    return (4.0 / 3.0) * (1.0 - rho.purity())
 
 
 class TestCcnrAndEntropy:
     def test_maximally_mixed_ccnr(self):
         rho = DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
-        assert ccnr_norm(rho) == pytest.approx(0.5, abs=1e-12)
+        assert _ccnr(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state_ccnr(self):
         rho1 = np.array([[0.8, 0.1], [0.1, 0.2]])
         rho2 = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
         rho = DensityMatrix((2, 2), kron(rho1, rho2))
         expected = math.sqrt(np.trace(rho1 @ rho1).real * np.trace(rho2 @ rho2).real)
-        assert ccnr_norm(rho) == pytest.approx(expected, abs=1e-12)
-        assert ccnr_norm(rho) <= 1.0
+        assert _ccnr(rho) == pytest.approx(expected, abs=1e-12)
+        assert _ccnr(rho) <= 1.0
 
     def test_maximally_entangled_ccnr(self):
-        assert ccnr_norm(BELL.density_matrix()) == pytest.approx(2.0, abs=1e-12)
+        assert _ccnr(BELL.density_matrix()) == pytest.approx(2.0, abs=1e-12)
 
     def test_separable_werner_ccnr(self):
-        assert ccnr_norm(make_state("werner", p=1 / 3)) <= 1.0 + 1e-12
+        assert _ccnr(make_state("werner", p=1 / 3)) <= 1.0 + 1e-12
 
     def test_linear_entropy(self):
-        assert linear_entropy(BELL.density_matrix()) == pytest.approx(0.0, abs=1e-12)
+        assert _linear_entropy(BELL.density_matrix()) == pytest.approx(0.0, abs=1e-12)
         mm = DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
-        assert linear_entropy(mm) == pytest.approx(1.0, abs=1e-12)
+        assert _linear_entropy(mm) == pytest.approx(1.0, abs=1e-12)
         for p in (0.1, 0.5, 0.8):
-            assert linear_entropy(make_state("werner", p=p)) == pytest.approx(
+            assert _linear_entropy(make_state("werner", p=p)) == pytest.approx(
                 1 - p * p, abs=1e-12
             )
 
 
 class TestWitness:
+    """r12 strictly above (1/3)^(3/4) witnesses entanglement."""
+
     def test_entangled_werner(self):
-        assert witness_r12(make_state("werner", p=0.9)) is True
+        assert r12(make_state("werner", p=0.9)) > WITNESS_THRESHOLD
 
     def test_maximally_mixed(self):
         mm = DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
-        assert witness_r12(mm) is False
+        assert not r12(mm) > WITNESS_THRESHOLD
 
     def test_threshold_ansatz_not_flagged(self):
         # the rank-3 boundary state at its peak sits exactly at the threshold;
         # strict inequality means it is not flagged
-        assert witness_r12(make_state("ansatz1", p=1 / 3)) is False
+        assert not r12(make_state("ansatz1", p=1 / 3)) > WITNESS_THRESHOLD
 
     def test_flagged_implies_entangled(self):
         for i in range(300):
             rho = random_density_matrix(substream(55, i), 4)
-            if witness_r12(rho):
+            if r12(rho) > WITNESS_THRESHOLD:
                 assert concurrence(rho) > 0
 
 

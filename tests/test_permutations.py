@@ -22,7 +22,6 @@ from permutangle import (
     path_invariant_spectrum,
     realign,
     reduce,
-    reshape_vec,
     substream,
 )
 from permutangle.matkernel import eig_general, kron
@@ -114,32 +113,20 @@ class TestRealign:
         rho1 = np.outer(u, u.conj())
         rho2 = np.outer(v, v.conj())
         rho = DensityMatrix((2, 2), kron(rho1, rho2))
-        expected = np.outer(reshape_vec(rho1), reshape_vec(rho2).conj())
+        expected = np.outer(rho1.reshape(-1), rho2.reshape(-1).conj())
         np.testing.assert_allclose(link_transform(rho), expected, atol=1e-14)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            realign(np.eye(4), (2, 3))
-
-
-class TestReshapeVec:
-    def test_row_stacking(self):
-        np.testing.assert_array_equal(
-            reshape_vec(np.array([[1, 2], [3, 4]])), np.array([1, 2, 3, 4], dtype=complex)
-        )
-
-    def test_half_identity(self):
-        np.testing.assert_array_equal(
-            reshape_vec(np.eye(2) / 2), np.array([0.5, 0, 0, 0.5], dtype=complex)
-        )
 
     def test_outer_product_reconstructs_realigned_product_state(self):
         rho1 = np.array([[0.8, 0.1 + 0.3j], [0.1 - 0.3j, 0.2]])
         rho2 = np.array([[0.55, -0.2j], [0.2j, 0.45]])
         rho = DensityMatrix((2, 2), kron(rho1, rho2))
         realigned_no_pt = realign(rho.matrix, (2, 2))
-        expected = np.outer(reshape_vec(rho1), reshape_vec(rho2.T).conj())
+        expected = np.outer(rho1.reshape(-1), rho2.T.reshape(-1).conj())
         np.testing.assert_allclose(realigned_no_pt, expected, atol=1e-14)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionError):
+            realign(np.eye(4), (2, 3))
 
 
 class TestLinkProduct:

@@ -16,7 +16,6 @@ from permutangle import (
     haar_random_unitary,
     make_state,
     mix,
-    mixture_with_fixed_eigvecs,
     perturb_pure,
     purify,
     random_fixed_eigvecs,
@@ -282,17 +281,27 @@ class TestMixAndPerturb:
             perturb_pure(haar_random_pure((2, 2), RNG), haar_random_pure((2, 2, 2), RNG), 0.1)
 
 
+class _Angles:
+    """Stands in for a Generator whose uniform draws are the given theta, phi."""
+
+    def __init__(self, theta, phi):
+        self._draws = iter((theta, phi))
+
+    def uniform(self, low, high):
+        return next(self._draws)
+
+
 class TestFixedEigvecMixtures:
     EIGVECS = np.column_stack([BELL_PSI_PLUS, BELL_PSI_MINUS, BELL_PHI_PLUS])
 
     def test_theta_zero_is_first_projector(self):
-        rho = mixture_with_fixed_eigvecs(self.EIGVECS, 0.0, 1.234)
+        rho = random_fixed_eigvecs(self.EIGVECS, _Angles(0.0, 1.234))
         np.testing.assert_allclose(
             rho.matrix, np.outer(BELL_PSI_PLUS, BELL_PSI_PLUS), atol=1e-15
         )
 
     def test_equal_mixture_of_last_two(self):
-        rho = mixture_with_fixed_eigvecs(self.EIGVECS, np.pi / 2, np.pi / 4)
+        rho = random_fixed_eigvecs(self.EIGVECS, _Angles(np.pi / 2, np.pi / 4))
         expected = 0.5 * (
             np.outer(BELL_PSI_MINUS, BELL_PSI_MINUS) + np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS)
         )
@@ -312,7 +321,7 @@ class TestFixedEigvecMixtures:
         bad = self.EIGVECS.copy()
         bad[:, 1] = bad[:, 0]
         with pytest.raises(ValueError):
-            mixture_with_fixed_eigvecs(bad, 0.3, 0.3)
+            random_fixed_eigvecs(bad, substream(4, 4))
 
 
 @settings(max_examples=30, deadline=None)
