@@ -29,7 +29,6 @@ from .experiments import (
 from .families import (
     CURVE_TAGS,
     FAMILY_TAGS,
-    FamilySpec,
     boundary_curve,
     closed_form_measures,
     curve_grid,

@@ -158,14 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="analytic boundary curve")
     p.add_argument("--id", required=True, choices=families.CURVE_TAGS)
-    p.add_argument("--points", type=int, default=512, help="grid size (default: 512)")
+    p.add_argument("--points", type=int, default=experiments.CURVE_POINTS,
+                   help=f"grid size (default: {experiments.CURVE_POINTS})")
     p.add_argument("--out", default=None, help="write to this file instead of stdout")
     p.set_defaults(fn=_cmd_curve)
 
     p = sub.add_parser("perturb", help="perturbed boundary-family campaign")
     p.add_argument("--kind", required=True, choices=experiments.PERTURBATION_KINDS)
-    p.add_argument("--eps", type=float, default=0.51,
-                   help="perturbation strength (default: 0.51)")
+    p.add_argument("--eps", type=float, default=experiments.EPSILON,
+                   help=f"perturbation strength (default: {experiments.EPSILON})")
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--seed", type=int, required=True,
                    help="campaign seed (mandatory; no wall-clock default)")

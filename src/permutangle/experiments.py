@@ -36,13 +36,17 @@ from .qstate import (
     reduce_pure_stack,
     substream,
 )
+from .qstate import _trusted_dm
 
 CHUNK_SIZE = 512
 VIOLATION_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 
 SCATTER_DIMS = ((2, 2), (2, 2, 2), (2, 2, 3), (2, 2, 4))
-PERTURBATION_KINDS = ("ansatz1_fig4", "werner_fig5", "mems1_fig8")
+#: The perturbation strength of figures 4, 5 and 8 and the campaigns' default.
+EPSILON = 0.51
+#: How many of the worst offenders a ViolationReport lists.
+MAX_OFFENDERS = 10
 
 
 @dataclass(frozen=True)
@@ -203,10 +207,11 @@ _PERTURBATIONS = {
     "werner_fig5": _perturbed_werner,
     "mems1_fig8": _perturbed_mems1,
 }
+PERTURBATION_KINDS = tuple(_PERTURBATIONS)
 
 
 def perturbation_campaign(
-    kind: str, n: int, seed: int, epsilon: float = 0.51
+    kind: str, n: int, seed: int, epsilon: float = EPSILON
 ) -> list[MeasureRecord]:
     """Randomly perturbed boundary-family states, one record per sample.
 
@@ -219,8 +224,8 @@ def perturbation_campaign(
     """
     if kind not in _PERTURBATIONS:
         raise DomainError(f"unknown perturbation kind {kind!r}; known: {PERTURBATION_KINDS}")
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     fn = _PERTURBATIONS[kind]
     return _run_indexed(lambda i: fn(i, seed, epsilon), n)
 
@@ -236,7 +241,7 @@ def _separable_sample(index: int, seed: int) -> Sample:
             u = haar_random_pure((2,), rng).amplitudes
             v = haar_random_pure((2,), rng).amplitudes
             rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
-        return DensityMatrix((2, 2), rho), None, "product_mix"
+        return _trusted_dm((2, 2), rho), None, "product_mix"
     if kind == 1:
         params = families.sample_params("cq_state", rng)
         return families.make_state("cq_state", **params), None, "cq_state"
@@ -345,11 +350,10 @@ def verify(
     records: Iterable[MeasureRecord],
     region: str,
     tol: Optional[float] = None,
-    max_offenders: int = 10,
 ) -> ViolationReport:
     """Count records outside an analytic region beyond tolerance.
 
-    Returns the signed worst margin along with up to ``max_offenders``
+    Returns the signed worst margin along with up to ``MAX_OFFENDERS``
     (index, margin) pairs for the worst offenders.
     """
     if region not in _REGIONS:
@@ -382,7 +386,7 @@ def verify(
         total=total,
         violations=len(offenders),
         worst_margin=worst,
-        offenders=tuple(offenders[:max_offenders]),
+        offenders=tuple(offenders[:MAX_OFFENDERS]),
     )
 
 
@@ -529,11 +533,9 @@ CURVE_POINTS = 512
 
 @dataclass(frozen=True)
 class _FigureSpec:
-    scatter: Optional[tuple] = None  # ("haar", dims) | ("haar2", d1, d2) | ("perturb", kind)
+    scatter: Optional[tuple] = None  # ("haar", dims) | ("haar_pair", d1, d2) | ("perturb", kind)
     n: int = 10_000
-    epsilon: Optional[float] = None
-    curves: tuple[str, ...] = ()
-    special_curves: tuple[str, ...] = ()
+    curves: tuple[str, ...] = ()  # boundary curve tags, or "m3ts_tau"
     regions: tuple[tuple[str, Optional[str]], ...] = ()  # (region, family filter)
 
 
@@ -547,7 +549,7 @@ _FIGURES: dict[int, _FigureSpec] = {
     2: _FigureSpec(
         scatter=("haar", (2, 2, 2)),
         n=10_000,
-        special_curves=("m3ts_tau",),
+        curves=("m3ts_tau",),
         regions=(("m3ts_max_tau", None),),
     ),
     3: _FigureSpec(
@@ -559,14 +561,12 @@ _FIGURES: dict[int, _FigureSpec] = {
     4: _FigureSpec(
         scatter=("perturb", "ansatz1_fig4"),
         n=20_000,
-        epsilon=0.51,
         curves=("cr_rank2_upper", "cr_rank3"),
         regions=(("cr_rank3", None),),
     ),
     5: _FigureSpec(
         scatter=("perturb", "werner_fig5"),
         n=20_000,
-        epsilon=0.51,
         curves=("cr_rank2_upper", "cr_rank4"),
         regions=(("cr_rank4", None),),
     ),
@@ -580,7 +580,6 @@ _FIGURES: dict[int, _FigureSpec] = {
     8: _FigureSpec(
         scatter=("perturb", "mems1_fig8"),
         n=10_000,
-        epsilon=0.51,
         curves=("nr_rank2_upper", "nr_rank2_lower"),
         regions=(("nr_rank2", None),),
     ),
@@ -643,14 +642,14 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
             config.update(kind="scatter_pair", dims=[list(fig.scatter[1]), list(fig.scatter[2])])
         else:
             kind = fig.scatter[1]
-            records = perturbation_campaign(kind, count, seed, fig.epsilon)
-            config.update(kind=kind, epsilon=fig.epsilon,
+            records = perturbation_campaign(kind, count, seed, EPSILON)
+            config.update(kind=kind, epsilon=EPSILON,
                           base_parameter="uniform over the family domain, per sample")
         path = out_dir / f"fig{fig_id}_scatter.csv"
         path.write_bytes(records_csv_bytes(records))
         written["scatter"] = path
 
-    for tag in fig.curves + fig.special_curves:
+    for tag in fig.curves:
         path = out_dir / f"fig{fig_id}_curve_{tag}.csv"
         path.write_bytes(curve_csv_bytes(tag, CURVE_POINTS))
         written[f"curve_{tag}"] = path

@@ -1,22 +1,21 @@
 """Named state families, their closed-form measures, and boundary curves.
 
-Every constructor returns a validated :class:`PureState` or
-:class:`DensityMatrix` matching the family's defining matrix or amplitude
-vector entrywise. ``closed_form_measures`` returns the analytically known
-values for that family as a dict keyed by measure name; keys vary per family
-(cross-pair values like ``c13`` exist only for three-qubit families).
 Each family is one entry of a registry holding its domain, builder, closed
 form, in-domain sampler and parameter names; ``FAMILY_TAGS`` lists it in
-order. The domain alone reads the parameter mapping: it checks it, fills in
-defaults and hands the builder and the closed form the same values, so both
-reject the same parameters.
+order. ``_evaluate`` is the one gate for family parameters, so
+``make_state``, ``closed_form_measures`` and ``numeric_measures`` accept the
+same ones. Builders trust their domain: each returns a :class:`PureState` or
+:class:`DensityMatrix` matching the family's defining amplitude vector or
+matrix entrywise, without validating it again. ``closed_form_measures``
+returns the analytically known values for that family as a dict keyed by
+measure name; keys vary per family (cross-pair values like ``c13`` exist
+only for three-qubit families).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -38,28 +37,6 @@ BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / _SQ2
 BELL_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family tag plus its named parameters.
-
-    Every key must be a parameter of the family and every number finite,
-    including each element of a Bloch vector and both parts of a complex
-    value; otherwise :class:`DomainError` names the key.
-    """
-
-    family: str
-    params: Mapping[str, Union[float, complex]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        names = _family(self.family).params
-        object.__setattr__(self, "params", dict(self.params))
-        for key, value in self.params.items():
-            if key not in names:
-                raise DomainError(f"{self.family!r} has no parameter {key!r}; known: {names}")
-            if not _finite(value):
-                raise DomainError(f"parameter {key}={value!r} is not finite")
-
-
 def _finite(value) -> bool:
     """False for a NaN or infinite number, also inside a vector or a complex value."""
     try:
@@ -68,14 +45,6 @@ def _finite(value) -> bool:
         return False
     except TypeError:  # a Bloch vector, or a name such as "psi-" that the domain judges
         return not isinstance(value, (tuple, list, np.ndarray)) or all(map(_finite, value))
-
-
-def _as_spec(spec_or_family, params) -> FamilySpec:
-    if isinstance(spec_or_family, FamilySpec):
-        if params:
-            raise TypeError("pass parameters either in a FamilySpec or as keywords, not both")
-        return spec_or_family
-    return FamilySpec(str(spec_or_family), params)
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +85,14 @@ def _werner_domain(params) -> tuple[float, np.ndarray]:
     return p, _WERNER_FIDUCIALS[bell]
 
 
+def _within(value: complex, bound: float, what: str) -> complex:
+    """``value``, projected onto |value| = bound when it exceeds that by at most 1e-9."""
+    size = abs(value)
+    if size > bound + 1e-9:
+        raise DomainError(f"x_state positivity requires {what}")
+    return value if size <= bound else value * (bound / size)
+
+
 def _x_state_domain(params) -> tuple:
     a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
     w, z = complex(params.get("w", 0.0)), complex(params.get("z", 0.0))
@@ -123,10 +100,9 @@ def _x_state_domain(params) -> tuple:
         raise DomainError("x_state diagonal entries must be nonnegative")
     if abs(a + b + c + d - 1.0) > PARAM_SUM_TOL:
         raise DomainError(f"x_state diagonal must sum to 1, got {a + b + c + d!r}")
-    if abs(w) > math.sqrt(max(a, 0.0) * max(d, 0.0)) + 1e-9:
-        raise DomainError("x_state positivity requires sqrt(a*d) >= |w|")
-    if abs(z) > math.sqrt(max(b, 0.0) * max(c, 0.0)) + 1e-9:
-        raise DomainError("x_state positivity requires sqrt(b*c) >= |z|")
+    a, b, c, d = (max(0.0, x) for x in (a, b, c, d))
+    w = _within(w, math.sqrt(a * d), "sqrt(a*d) >= |w|")
+    z = _within(z, math.sqrt(b * c), "sqrt(b*c) >= |z|")
     return a, b, c, d, w, z
 
 
@@ -178,9 +154,13 @@ def _ansatz2_domain(params) -> tuple[float, float, float]:
 
 
 def _bloch_qubit(vec: Sequence[float]) -> np.ndarray:
+    """The qubit state of a Bloch vector; one just outside the ball is projected onto it."""
     x, y, z = (float(v) for v in vec)
-    if x * x + y * y + z * z > 1.0 + 1e-9:
+    norm2 = x * x + y * y + z * z
+    if norm2 > 1.0 + 1e-9:
         raise DomainError(f"Bloch vector {(x, y, z)} lies outside the unit ball")
+    if norm2 > 1.0:
+        x, y, z = (v / math.sqrt(norm2) for v in (x, y, z))
     return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
@@ -231,7 +211,7 @@ def _make_x_state(a: float, b: float, c: float, d: float, w: complex, z: complex
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
     rho[0, 3], rho[3, 0] = w, np.conj(w)
     rho[1, 2], rho[2, 1] = z, np.conj(z)
-    return DensityMatrix((2, 2), rho)
+    return _trusted_dm((2, 2), rho)
 
 
 def _make_canonical(l0, l1, l2, l3, l4, theta) -> PureState:
@@ -249,7 +229,7 @@ def _make_m3ts(c12: float) -> PureState:
     amps[0] = 1.0 / _SQ2
     amps[6] = c12 / _SQ2
     amps[7] = math.sqrt(max(0.0, 1.0 - c12 * c12)) / _SQ2
-    return PureState((2, 2, 2), amps)
+    return _trusted_pure((2, 2, 2), amps)
 
 
 def _make_m3ts_general(c12: float, c13: float) -> PureState:
@@ -259,7 +239,7 @@ def _make_m3ts_general(c12: float, c13: float) -> PureState:
     amps[5] = c13 / _SQ2
     amps[6] = c12 / _SQ2
     amps[7] = math.sqrt(max(0.0, rest)) / _SQ2
-    return PureState((2, 2, 2), amps)
+    return _trusted_pure((2, 2, 2), amps)
 
 
 def _make_ansatz1(p: float) -> DensityMatrix:
@@ -279,7 +259,7 @@ def _make_mems1_purification(c: float) -> PureState:
     amps[0] = math.sqrt(c / 2.0)
     amps[5] = math.sqrt(1.0 - c)
     amps[6] = math.sqrt(c / 2.0)
-    return PureState((2, 2, 2), amps)
+    return _trusted_pure((2, 2, 2), amps)
 
 
 def _make_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> DensityMatrix:
@@ -495,37 +475,50 @@ def _family(tag: str) -> _Family:
     return _FAMILIES[tag]
 
 
-def _evaluate(role: str, spec_or_family, params):
+def _evaluate(role: str, tag: str, params: Mapping):
     """The family's builder or closed form ("build" / "closed_form") at the
-    values its domain makes of the parameters."""
-    spec = _as_spec(spec_or_family, params)
-    family = _FAMILIES[spec.family]
+    values its domain makes of the parameters.
+
+    The one gate for family parameters: every key must be a parameter of the
+    family and every number finite, including each element of a Bloch vector
+    and both parts of a complex value. The domain then checks the values,
+    fills in defaults and projects a value within its slack of a positivity
+    bound onto the bound. Any problem with a parameter raises
+    :class:`DomainError`.
+    """
+    family = _family(tag)
+    for key, value in params.items():
+        if key not in family.params:
+            raise DomainError(f"{tag!r} has no parameter {key!r}; known: {family.params}")
+        if not _finite(value):
+            raise DomainError(f"parameter {key}={value!r} is not finite")
     try:
-        values = family.domain(spec.params)
+        values = family.domain(params)
+    except DomainError:
+        raise
     except KeyError as missing:
-        raise DomainError(f"family {spec.family!r} is missing parameter {missing}") from None
-    except TypeError as wrong:  # e.g. a Bloch vector where a number belongs
-        raise DomainError(f"{spec.family!r} got a parameter of the wrong kind: {wrong}") from None
+        raise DomainError(f"family {tag!r} is missing parameter {missing}") from None
+    except (TypeError, ValueError) as wrong:  # e.g. a Bloch vector where a number belongs
+        raise DomainError(f"{tag!r} got a parameter of the wrong kind: {wrong}") from None
     return getattr(family, role)(*values)
 
 
-def make_state(spec_or_family, **params) -> Union[DensityMatrix, PureState]:
+def make_state(family: str, **params) -> Union[DensityMatrix, PureState]:
     """Construct the state of a named family.
 
-    Accepts either a :class:`FamilySpec` or a family tag plus keyword
-    parameters. Out-of-domain parameters raise :class:`DomainError` naming
-    the violated constraint.
+    Out-of-domain parameters raise :class:`DomainError` naming the violated
+    constraint.
     """
-    return _evaluate("build", spec_or_family, params)
+    return _evaluate("build", family, params)
 
 
-def closed_form_measures(spec_or_family, **params) -> dict[str, float]:
+def closed_form_measures(family: str, **params) -> dict[str, float]:
     """Analytically known measure values for a family, keyed by name.
 
     Keys are a subset of {c12, n12, r12, tau, c13, r13, c23, r23}; only
     values with a closed form for that family are present.
     """
-    return _evaluate("closed_form", spec_or_family, params)
+    return _evaluate("closed_form", family, params)
 
 
 def sample_params(family: str, rng: np.random.Generator) -> dict:
@@ -533,7 +526,7 @@ def sample_params(family: str, rng: np.random.Generator) -> dict:
     return _family(family).sample(rng)
 
 
-def numeric_measures(spec_or_family, **params) -> dict[str, float]:
+def numeric_measures(family: str, **params) -> dict[str, float]:
     """The same measures computed numerically from the constructed state.
 
     For three-qubit pure families this includes all pairwise values and the
@@ -541,7 +534,7 @@ def numeric_measures(spec_or_family, **params) -> dict[str, float]:
     state has rank <= 2. Either way one stacked kernel call measures the
     pairs, so each value has the bits of the scalar measure of that pair.
     """
-    state = make_state(_as_spec(spec_or_family, params))
+    state = make_state(family, **params)
     if isinstance(state, PureState):  # every pure family is over (2, 2, 2)
         parent = state.amplitudes[None]
         pairs = [reduce_pure_stack(parent, (2, 2, 2), keep) for keep in ((1, 2), (1, 3), (2, 3))]
@@ -606,16 +599,10 @@ def _invert_increasing(f: Callable[[float], float], y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _cr_rank3(x: float) -> float:
-    if x <= WITNESS_THRESHOLD:
-        return 0.0
-    return _invert_increasing(cr_rank3_r_bound, x)
-
-
-def _nr_rank3(x: float) -> float:
-    if x <= WITNESS_THRESHOLD:
-        return 0.0
-    return _invert_increasing(nr_rank3_r_bound, x)
+def _rank3_curve(r_bound: Callable[[float], float]) -> Callable[[float], float]:
+    """The rank-3 boundary at r12 = x: 0 up to the witness knee, then the
+    inverse of ``r_bound``."""
+    return lambda x: 0.0 if x <= WITNESS_THRESHOLD else _invert_increasing(r_bound, x)
 
 
 def _rank4_curve(x: float) -> float:
@@ -625,11 +612,11 @@ def _rank4_curve(x: float) -> float:
 _CURVES: dict[str, tuple[Callable[[float], float], tuple[float, float]]] = {
     "cr_rank2_upper": (lambda x: x, (0.0, 1.0)),
     "cr_rank2_lower": (lambda x: x * x, (0.0, 1.0)),
-    "cr_rank3": (_cr_rank3, (0.0, 1.0)),
+    "cr_rank3": (_rank3_curve(cr_rank3_r_bound), (0.0, 1.0)),
     "cr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0)),
     "nr_rank2_upper": (lambda x: x, (0.0, 1.0)),
     "nr_rank2_lower": (nr_rank2_n_lower, (0.0, 1.0)),
-    "nr_rank3": (_nr_rank3, (0.0, 1.0)),
+    "nr_rank3": (_rank3_curve(nr_rank3_r_bound), (0.0, 1.0)),
     "nr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0)),
 }
 

@@ -197,8 +197,7 @@ def concurrence(rho: DensityMatrix) -> float:
     Equals 2|ad - bc| on pure states a|00> + b|01> + c|10> + d|11>.
     """
     _require_two_qubits(rho, "concurrence")
-    w, v = rho.spectral()
-    return _wootters(w[None], v[None])[0]
+    return _concurrences(rho.matrix[None])[0]
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -11,17 +11,17 @@ Conventions, fixed project-wide:
 
 Constructing a container directly validates every invariant eagerly.
 Operations in this package that produce states satisfying the invariants by
-construction (partial traces, convex mixtures, normalized vectors) skip the
-redundant re-validation on their outputs; positivity of those outputs is
-still certified the first time a spectral quantity (rank, eigenvalues,
-purification) is requested.
+construction (partial traces, convex mixtures, normalized vectors, family
+builders) wrap their outputs without validating them again; every
+eigendecomposition of a state (``rank``, :func:`purify`, the measures'
+kernel) goes through :func:`eigh_psd`, which certifies positivity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -91,14 +91,10 @@ def _trusted_pure(dims: tuple[int, ...], amplitudes: np.ndarray) -> PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with subsystem-dimension metadata.
-
-    The spectral decomposition is cached; computing it certifies positivity.
-    """
+    """Hermitian, PSD, unit-trace matrix with subsystem-dimension metadata."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
-    _spectral: Optional[tuple] = field(init=False, repr=False, default=None, compare=False)
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
@@ -116,22 +112,11 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
-        self._spectral_pair()  # certifies positivity eagerly on direct construction
-
-    def _spectral_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        pair = self._spectral
-        if pair is None:
-            pair = eigh_psd(self.matrix)
-            object.__setattr__(self, "_spectral", pair)
-        return pair
-
-    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (descending, clamped at 0) and matching eigenvector columns."""
-        return descending(*self._spectral_pair())
+        eigh_psd(mat)  # certifies positivity
 
     def rank(self) -> int:
         """Numerical rank: eigenvalue count above ``RANK_EPS``."""
-        return int(np.count_nonzero(self._spectral_pair()[0] > RANK_EPS))
+        return int(np.count_nonzero(eigh_psd(self.matrix)[0] > RANK_EPS))
 
     def purity(self) -> float:
         return float(np.real(np.vdot(self.matrix, self.matrix)))
@@ -161,7 +146,6 @@ def _trusted_dm(dims: tuple[int, ...], matrix: np.ndarray) -> DensityMatrix:
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "dims", dims)
     object.__setattr__(rho, "matrix", matrix)
-    object.__setattr__(rho, "_spectral", None)
     return rho
 
 
@@ -253,7 +237,7 @@ def purify(rho: DensityMatrix) -> PureState:
     ``RANK_EPS``); a rank-1 input is returned as its dominant eigenvector,
     with no ancilla factor. Modes are taken in descending eigenvalue order.
     """
-    w, v = rho.spectral()
+    w, v = descending(*eigh_psd(rho.matrix))
     r = max(1, int(np.count_nonzero(w > RANK_EPS)))
     if r == 1:
         return _trusted_pure(rho.dims, v[:, 0].copy())

@@ -67,6 +67,13 @@ class TestMeasureCommand:
         assert code == 2 and out == ""
         assert re.search(message, err), err
 
+    def test_bloch_vector_inside_the_slack_is_measured(self, capsys):
+        code, out, err = _run(
+            capsys, "measure", "--family", "cq_state", "--params", "p=1,a=0:0:-1.0000000004"
+        )
+        assert code == 0, err
+        assert out.startswith("quantity,closed_form,numeric,abs_diff")
+
 
 def _cli_text(value) -> str:
     if isinstance(value, tuple):
@@ -182,6 +189,14 @@ class TestCurveCommand:
 
 
 class TestPerturbCommand:
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_2(self, capsys, eps):
+        code, out, err = _run(
+            capsys, "perturb", "--kind", "werner_fig5", "--eps", eps, "--n", "5", "--seed", "0"
+        )
+        assert code == 2 and out == ""
+        assert "epsilon" in err, err
+
     def test_deterministic_and_correct_kind(self, capsys):
         args = ["perturb", "--kind", "mems1_fig8", "--eps", "0.51", "--n", "30", "--seed", "2"]
         code1, out1, _ = _run(capsys, *args)

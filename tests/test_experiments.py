@@ -76,6 +76,11 @@ class TestCampaigns:
         with pytest.raises(DomainError):
             perturbation_campaign("werner_fig5", 5, seed=0, epsilon=-0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_perturbation_rejects_non_finite_eps(self, eps):
+        with pytest.raises(DomainError, match="epsilon"):
+            perturbation_campaign("werner_fig5", 5, seed=0, epsilon=eps)
+
     def test_separable_campaign_families(self):
         recs = separable_campaign(80, seed=6)
         families = {r.family for r in recs}

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutangle import (
     DomainError,
     FAMILY_TAGS,
-    FamilySpec,
     PureState,
     boundary_curve,
     closed_form_measures,
@@ -118,12 +119,6 @@ class TestConstructors:
         assert rho[0, 0] == pytest.approx(0.25)
         np.testing.assert_allclose(rho[2:, 2:], 0.75 * np.array([[0.5, 0.5], [0.5, 0.5]]))
 
-    def test_family_spec_round_trip(self):
-        spec = FamilySpec("werner", {"p": 0.3})
-        assert r12(make_state(spec)) == pytest.approx(0.3**0.75, abs=1e-12)
-        with pytest.raises(TypeError):
-            make_state(spec, p=0.4)
-
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             make_state("squeezed", x=1)
@@ -173,6 +168,9 @@ class TestDomainValidation:
             ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w=0.9), r"sqrt\(a\*d\) >= \|w\|"),
             ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, z=0.9), r"sqrt\(b\*c\) >= \|z\|"),
             ("werner", dict(p=0.5, bell="xyz"), "fiducial must be"),
+            ("cq_state", dict(p=0.5, a=(0.0, 0.0)), "wrong kind"),
+            ("cq_state", dict(p=0.5, a="abc"), "wrong kind"),
+            ("werner", dict(p="abc"), "wrong kind"),
         ],
     )
     def test_parameters_checked_as_a_whole(self, family, params, message):
@@ -188,6 +186,74 @@ class TestDomainValidation:
             make_state("canonical3", lambda0=1.0, theta=4.0)
         with pytest.raises(DomainError):
             make_state("w_class", lambda0=0.6, lambda3=0.5, lambda4=math.sqrt(0.39))
+
+
+def _outcomes(family: str, params: dict) -> list[str]:
+    """How make_state, closed_form_measures and numeric_measures end on the same parameters."""
+    out = []
+    for entry in (make_state, closed_form_measures, numeric_measures):
+        try:
+            entry(family, **params)
+        except DomainError:
+            out.append("DomainError")
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+        else:
+            out.append("ok")
+    return out
+
+
+_NUDGES = (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9)
+
+
+def _at_edge(params: dict, key: str, draw):
+    """The value of ``key`` moved onto an edge of its family's domain."""
+    value = params[key]
+    if isinstance(value, tuple):  # a Bloch vector onto the sphere
+        return tuple(np.divide(value, np.linalg.norm(value)))
+    if isinstance(value, complex):  # an x_state coherence onto its positivity bound
+        a, b = ("a", "d") if key == "w" else ("b", "c")
+        return value / abs(value) * math.sqrt(params[a] * params[b])
+    return draw(st.sampled_from((0.0, 1.0)))
+
+
+def _nudged(value, draw):
+    def step():
+        return draw(st.sampled_from(_NUDGES)) * draw(st.sampled_from((-1.0, 1.0)))
+
+    if isinstance(value, tuple):
+        return tuple(v + step() for v in value)
+    if isinstance(value, complex):
+        return value + step() * (value / abs(value) if value else 1.0)
+    return value + step()
+
+
+class TestEntryPointsAgree:
+    """make_state, closed_form_measures and numeric_measures accept the same
+    parameters: all three succeed or all three raise DomainError."""
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25 + 5e-10, w=0.1, z=0.1)),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w=0.25 + 5e-10)),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, z=-0.25j - 5e-10j)),
+            ("cq_state", dict(p=1.0, a=(0.0, 0.0, -1.0 - 2e-10))),
+            ("cq_state", dict(p=0.5, b=(1.0 + 4e-10, 0.0, 0.0))),
+        ],
+    )
+    def test_edges_inside_the_slack_are_accepted(self, family, params):
+        assert _outcomes(family, params) == ["ok"] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(FAMILY_TAGS), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_nudged_parameters_agree(self, family, seed, data):
+        params = sample_params(family, substream(seed, 0))
+        if data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(params)))
+            params[key] = _at_edge(params, key, data.draw)
+        params = {key: _nudged(value, data.draw) for key, value in params.items()}
+        assert _outcomes(family, params) in (["ok"] * 3, ["DomainError"] * 3), params
 
 
 class TestClosedFormAgreement:
