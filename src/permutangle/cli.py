@@ -137,6 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation-based correlation measures for small quantum states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    campaign = argparse.ArgumentParser(add_help=False)  # the flags of sample and perturb
+    campaign.add_argument("--n", type=int, required=True, help="sample count")
+    campaign.add_argument("--seed", type=int, required=True,
+                          help="campaign seed (mandatory; no wall-clock default)")
+    campaign.add_argument("--format", choices=("csv", "json"), default="csv",
+                          help="output format (default: csv)")
+    campaign.add_argument("--out", default=None, help="write to this file instead of stdout")
 
     p = sub.add_parser("measure", help="closed-form vs numeric measures of a family state")
     p.add_argument("--family", required=True, choices=families.FAMILY_TAGS)
@@ -146,14 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write to this file instead of stdout")
     p.set_defaults(fn=_cmd_measure)
 
-    p = sub.add_parser("sample", help="Haar scatter campaign")
+    p = sub.add_parser("sample", help="Haar scatter campaign", parents=[campaign])
     p.add_argument("--dims", required=True, help="factor dimensions, e.g. 2,2,3")
-    p.add_argument("--n", type=int, required=True, help="sample count")
-    p.add_argument("--seed", type=int, required=True,
-                   help="campaign seed (mandatory; no wall-clock default)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default: csv)")
-    p.add_argument("--out", default=None, help="write to this file instead of stdout")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("curve", help="analytic boundary curve")
@@ -163,16 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write to this file instead of stdout")
     p.set_defaults(fn=_cmd_curve)
 
-    p = sub.add_parser("perturb", help="perturbed boundary-family campaign")
+    p = sub.add_parser("perturb", help="perturbed boundary-family campaign", parents=[campaign])
     p.add_argument("--kind", required=True, choices=experiments.PERTURBATION_KINDS)
     p.add_argument("--eps", type=float, default=experiments.EPSILON,
                    help=f"perturbation strength (default: {experiments.EPSILON})")
-    p.add_argument("--n", type=int, required=True, help="sample count")
-    p.add_argument("--seed", type=int, required=True,
-                   help="campaign seed (mandatory; no wall-clock default)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default: csv)")
-    p.add_argument("--out", default=None, help="write to this file instead of stdout")
     p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("figure", help="dataset bundle for one figure")

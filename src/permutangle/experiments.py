@@ -1,12 +1,13 @@
 """Reproduction campaigns: scatter datasets, perturbation sweeps, region checks.
 
-Sample ``i`` of a campaign is a pure function of ``(seed, i)`` via its own
-random substream. Campaigns run in chunks of ``CHUNK_SIZE`` samples, in index
-order; a chunk builds its samples one substream at a time, stacks them, and
-measures the whole chunk in one call of the stacked kernel
-:func:`permutangle.measures.measure_stack`. The kernel gives each state the
-bits it gets alone, and :func:`build_record` is a batch of one of it, so
-output is byte-identical regardless of chunk size.
+Every campaign runs on :func:`_run_indexed`: sample ``i`` is
+``sample(rng, i)``, a state and its family tag, with ``rng`` the random
+substream of ``(seed, i)``. The runner measures samples in chunks of
+``CHUNK_SIZE``, in index order, each chunk in one call of the stacked kernel
+:func:`permutangle.measures.measure_stack`; a pure (2, 2, 2) state is its own
+tangle parent. The kernel gives each state the bits it gets alone, and
+:func:`build_record` is a batch of one of the same step, so output is
+byte-identical regardless of chunk size.
 """
 
 from __future__ import annotations
@@ -91,64 +92,59 @@ class ViolationReport:
 # record construction
 
 
-#: One campaign sample: the state to measure, its (2, 2, 2) pure parent or
-#: None, and the family tag. The state is a two-qubit density matrix, or a
-#: pure state over (2, 2, d) whose (1, 2) reduction is measured; the chunk
-#: reduces those all at once.
-Sample = tuple[State, Optional[PureState], str]
-
-
 def build_record(
     rho: DensityMatrix, parent: Optional[PureState], family: str
 ) -> MeasureRecord:
     """Measure a two-qubit state; tau only when a (2,2,2) pure parent exists.
 
-    A batch of one of the campaigns' stacked kernel, so it reproduces their
+    A batch of one of the campaigns' records step, so it reproduces their
     records bit for bit.
     """
-    if parent is not None and parent.dims != (2, 2, 2):
-        parent = None
-    return _measure([(rho, parent, family)])[0]
-
-
-def _measure(samples: Sequence[Sample]) -> list[MeasureRecord]:
-    """Records of a chunk of samples from one :func:`measure_stack` call.
-
-    Every sample's state has the type and dims of the first, and either
-    every sample carries a (2, 2, 2) parent or none does.
-    """
-    first = samples[0][0]
-    pure = isinstance(first, PureState)
-    if first.dims[:2] != (2, 2) or (not pure and len(first.dims) != 2):
-        raise DimensionError(f"records are defined for two qubits, got dims {first.dims}")
-    for state, _, _ in samples:
-        if state.dims != first.dims or isinstance(state, PureState) != pure:
-            raise DimensionError(f"a chunk mixes states over {first.dims} and {state.dims}")
-    if pure:
-        amplitudes = np.stack([psi.amplitudes for psi, _, _ in samples])
-        rhos = reduce_pure_stack(amplitudes, first.dims, (1, 2))
-    else:
-        rhos = np.stack([rho.matrix for rho, _, _ in samples])
     parents = None
-    if samples[0][1] is not None:
-        parents = np.stack([parent.amplitudes for _, parent, _ in samples])
+    if parent is not None and parent.dims == (2, 2, 2):
+        parents = parent.amplitudes[None]
+    return _measure([rho], [family], parents)[0]
+
+
+def _measure(
+    states: Sequence[State], tags: Sequence[str], parents: Optional[np.ndarray] = None
+) -> list[MeasureRecord]:
+    """Records of states of one type and dims from one :func:`measure_stack` call.
+
+    The states are two-qubit density matrices, or pure states over (2, 2, d)
+    measured through their (1, 2) reduction. Pure states over (2, 2, 2) are
+    their own parents, so their records carry tau; otherwise ``parents`` is
+    the ``(k, 8)`` stack of the states' parents, or None.
+    """
+    dims = states[0].dims
+    if isinstance(states[0], PureState) and dims[:2] == (2, 2):
+        amplitudes = np.stack([psi.amplitudes for psi in states])
+        rhos = reduce_pure_stack(amplitudes, dims, (1, 2))
+        if dims == (2, 2, 2):
+            parents = amplitudes
+    elif dims == (2, 2):
+        rhos = np.stack([rho.matrix for rho in states])
+    else:
+        raise DimensionError(f"records are defined for two qubits, got dims {dims}")
     m = measure_stack(rhos, parents)
-    taus = [None] * len(samples) if m.tau is None else m.tau
-    return [
-        MeasureRecord(rank=rank, c12=c12, n12=n12, r12=r12, tau=tau, family=family)
-        for rank, c12, n12, r12, tau, (_, _, family) in zip(
-            m.rank, m.c12, m.n12, m.r12, taus, samples
-        )
-    ]
+    taus = [None] * len(states) if m.tau is None else m.tau
+    return list(map(MeasureRecord, m.rank, m.c12, m.n12, m.r12, taus, tags))
 
 
-def _run_indexed(sample_fn: Callable[[int], Sample], n: int) -> list[MeasureRecord]:
-    """Measure sample_fn(0..n-1) in chunks of ``CHUNK_SIZE``, in index order."""
+def _run_indexed(
+    sample: Callable[[np.random.Generator, int], tuple[State, str]], n: int, seed: int
+) -> list[MeasureRecord]:
+    """Records of samples 0..n-1, measured in chunks of ``CHUNK_SIZE`` in index order.
+
+    Sample ``i`` is ``sample(rng, i)``, with ``rng`` the substream of ``(seed, i)``:
+    the state to measure and its family tag (see :func:`_measure`).
+    """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     records: list[MeasureRecord] = []
     for start in range(0, n, CHUNK_SIZE):
-        records += _measure([sample_fn(i) for i in range(start, min(start + CHUNK_SIZE, n))])
+        chunk = range(start, min(start + CHUNK_SIZE, n))
+        records += _measure(*zip(*(sample(substream(seed, i), i) for i in chunk)))
     return records
 
 
@@ -163,14 +159,11 @@ def scatter(dims: Sequence[int], n: int, seed: int) -> list[MeasureRecord]:
         raise DimensionError(f"unsupported scatter dims {dims}; supported: {SCATTER_DIMS}")
     family = "haar_" + "x".join(str(d) for d in dims)
 
-    def one(index: int) -> Sample:
-        rng = substream(seed, index)
+    def one(rng: np.random.Generator, index: int) -> tuple[State, str]:
         psi = haar_random_pure(dims, rng)
-        if len(dims) == 2:
-            return psi.density_matrix(), None, family
-        return psi, psi if dims == (2, 2, 2) else None, family
+        return (psi.density_matrix() if len(dims) == 2 else psi), family
 
-    return _run_indexed(one, n)
+    return _run_indexed(one, n, seed)
 
 
 _ANSATZ1_EIGVECS = np.column_stack(
@@ -178,28 +171,25 @@ _ANSATZ1_EIGVECS = np.column_stack(
 )
 
 
-def _perturbed_ansatz1(index: int, seed: int, eps: float) -> Sample:
-    rng = substream(seed, index)
+def _perturbed_ansatz1(rng: np.random.Generator, eps: float) -> tuple[State, str]:
     p = rng.uniform(0.0, 1.0)
     base = families.make_state("ansatz1", p=p)
     noise = random_fixed_eigvecs(_ANSATZ1_EIGVECS, rng, dims=(2, 2))
-    return mix(base, noise, eps), None, "ansatz1_fig4"
+    return mix(base, noise, eps), "ansatz1_fig4"
 
 
-def _perturbed_werner(index: int, seed: int, eps: float) -> Sample:
-    rng = substream(seed, index)
+def _perturbed_werner(rng: np.random.Generator, eps: float) -> tuple[State, str]:
     p = rng.uniform(0.0, 1.0)
     base = families.make_state("werner", p=p, bell="psi-")
     noise = reduce(haar_random_pure((2, 2, 4), rng), (1, 2))
-    return mix(base, noise, eps), None, "werner_fig5"
+    return mix(base, noise, eps), "werner_fig5"
 
 
-def _perturbed_mems1(index: int, seed: int, eps: float) -> Sample:
-    rng = substream(seed, index)
+def _perturbed_mems1(rng: np.random.Generator, eps: float) -> tuple[State, str]:
     c = rng.uniform(0.0, 1.0)
     psi = families.make_state("mems1_purification", c=c)
     phi = perturb_pure(psi, haar_random_pure((2, 2, 2), rng), eps)
-    return phi, phi, "mems1_fig8"
+    return phi, "mems1_fig8"
 
 
 _PERTURBATIONS = {
@@ -227,11 +217,10 @@ def perturbation_campaign(
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     fn = _PERTURBATIONS[kind]
-    return _run_indexed(lambda i: fn(i, seed, epsilon), n)
+    return _run_indexed(lambda rng, index: fn(rng, epsilon), n, seed)
 
 
-def _separable_sample(index: int, seed: int) -> Sample:
-    rng = substream(seed, index)
+def _separable_sample(rng: np.random.Generator, index: int) -> tuple[State, str]:
     kind = index % 4
     if kind == 0:
         terms = int(rng.integers(1, 4))
@@ -241,19 +230,19 @@ def _separable_sample(index: int, seed: int) -> Sample:
             u = haar_random_pure((2,), rng).amplitudes
             v = haar_random_pure((2,), rng).amplitudes
             rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
-        return _trusted_dm((2, 2), rho), None, "product_mix"
+        return _trusted_dm((2, 2), rho), "product_mix"
     if kind == 1:
         params = families.sample_params("cq_state", rng)
-        return families.make_state("cq_state", **params), None, "cq_state"
+        return families.make_state("cq_state", **params), "cq_state"
     if kind == 2:
         state = families.make_state("werner", p=rng.uniform(0.0, 1.0 / 3.0))
-        return state, None, "werner_separable"
+        return state, "werner_separable"
     while True:
         p = rng.dirichlet(np.ones(4))
         if p.max() <= 0.5:
             break
     state = families.make_state("bell_diagonal", p1=p[0], p2=p[1], p3=p[2], p4=p[3])
-    return state, None, "bell_diagonal_separable"
+    return state, "bell_diagonal_separable"
 
 
 def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
@@ -263,7 +252,7 @@ def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
     states, separable Werner states (p <= 1/3), and Bell-diagonal states with
     spectrum inside [0, 1/2].
     """
-    return _run_indexed(lambda i: _separable_sample(i, seed), n)
+    return _run_indexed(_separable_sample, n, seed)
 
 
 # --------------------------------------------------------------------------

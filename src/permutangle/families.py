@@ -21,11 +21,15 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .measures import WITNESS_THRESHOLD, _residual_tangle, measure_stack, three_tangle
+from .measures import WITNESS_THRESHOLD, measure_stack, three_tangle
 from .qstate import DensityMatrix, PureState, purify, reduce_pure_stack
 from .qstate import _trusted_dm, _trusted_pure
 
 PARAM_SUM_TOL = 1e-9
+#: How far a parameter may lie past an edge of its interval; it is then clamped to the edge.
+EDGE_TOL = 1e-12
+#: How far a positivity bound may be exceeded; the value is then projected onto the bound.
+POSITIVITY_TOL = 1e-9
 CANONICAL_NORM_TOL = 1e-10
 
 _SQ2 = math.sqrt(2.0)
@@ -53,7 +57,7 @@ def _finite(value) -> bool:
 
 def _unit_interval(params, key, hi=1.0) -> float:
     value = float(params[key])
-    if not -1e-12 <= value <= hi + 1e-12:
+    if not -EDGE_TOL <= value <= hi + EDGE_TOL:
         raise DomainError(f"parameter {key}={value} outside [0, {hi}]")
     return min(hi, max(0.0, value))
 
@@ -70,7 +74,7 @@ _WERNER_FIDUCIALS = {"phi+": BELL_PHI_PLUS, "psi-": BELL_PSI_MINUS}
 
 def _bell_diagonal_domain(params) -> tuple[float, float, float, float]:
     ps = tuple(float(params[k]) for k in _BELL_WEIGHTS)
-    if any(p < -1e-12 for p in ps):
+    if any(p < -EDGE_TOL for p in ps):
         raise DomainError(f"Bell-diagonal weights must be nonnegative, got {ps}")
     if abs(sum(ps) - 1.0) > PARAM_SUM_TOL:
         raise DomainError(f"Bell-diagonal weights must sum to 1, got sum {sum(ps)!r}")
@@ -86,9 +90,9 @@ def _werner_domain(params) -> tuple[float, np.ndarray]:
 
 
 def _within(value: complex, bound: float, what: str) -> complex:
-    """``value``, projected onto |value| = bound when it exceeds that by at most 1e-9."""
+    """``value``, projected onto |value| = bound when at most ``POSITIVITY_TOL`` above it."""
     size = abs(value)
-    if size > bound + 1e-9:
+    if size > bound + POSITIVITY_TOL:
         raise DomainError(f"x_state positivity requires {what}")
     return value if size <= bound else value * (bound / size)
 
@@ -96,7 +100,7 @@ def _within(value: complex, bound: float, what: str) -> complex:
 def _x_state_domain(params) -> tuple:
     a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
     w, z = complex(params.get("w", 0.0)), complex(params.get("z", 0.0))
-    if min(a, b, c, d) < -1e-12:
+    if min(a, b, c, d) < -EDGE_TOL:
         raise DomainError("x_state diagonal entries must be nonnegative")
     if abs(a + b + c + d - 1.0) > PARAM_SUM_TOL:
         raise DomainError(f"x_state diagonal must sum to 1, got {a + b + c + d!r}")
@@ -117,13 +121,13 @@ def _canonical_domain(params) -> tuple[float, ...]:
     norm2 = sum(l * l for l in lams)
     if abs(norm2 - 1.0) > CANONICAL_NORM_TOL:
         raise DomainError(f"canonical amplitudes must satisfy sum lambda^2 = 1, got {norm2!r}")
-    if not 0.0 <= theta <= math.pi + 1e-12:
+    if not 0.0 <= theta <= math.pi + EDGE_TOL:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     return values
 
 
 def _w_class_domain(params) -> tuple[float, ...]:
-    if abs(float(params.get("lambda4", 0.0))) > 1e-12:
+    if abs(float(params.get("lambda4", 0.0))) > EDGE_TOL:
         raise DomainError("w_class states have lambda4 = 0")
     return _canonical_domain({**params, "lambda4": 0.0})
 
@@ -131,7 +135,7 @@ def _w_class_domain(params) -> tuple[float, ...]:
 def _m3ts_general_domain(params) -> tuple[float, float]:
     c12 = _unit_interval(params, "c12")
     c13 = _unit_interval(params, "c13")
-    if 1.0 - c12 * c12 - c13 * c13 < -1e-12:
+    if 1.0 - c12 * c12 - c13 * c13 < -EDGE_TOL:
         raise DomainError(f"m3ts_general requires c12^2 + c13^2 <= 1, got {c12**2 + c13**2!r}")
     return c12, c13
 
@@ -141,10 +145,10 @@ def _ansatz2_domain(params) -> tuple[float, float, float]:
     if "beta" in params:
         beta = float(params["beta"])
         gamma = 1.0 - alpha - beta
-        if min(alpha, beta, gamma) < -1e-12:
+        if min(alpha, beta, gamma) < -EDGE_TOL:
             raise DomainError("ansatz2 weights (alpha, beta, 1-alpha-beta) must be nonnegative")
         return alpha, max(0.0, beta), max(0.0, gamma)
-    if not -1e-12 <= alpha <= 1.0 / 3.0 + 1e-12:
+    if not -EDGE_TOL <= alpha <= 1.0 / 3.0 + EDGE_TOL:
         raise DomainError(f"optimized ansatz2 requires alpha in [0, 1/3], got {alpha}")
     alpha = min(1.0 / 3.0, max(0.0, alpha))
     root = math.sqrt((1.0 - alpha) * (1.0 - 3.0 * alpha))
@@ -157,7 +161,7 @@ def _bloch_qubit(vec: Sequence[float]) -> np.ndarray:
     """The qubit state of a Bloch vector; one just outside the ball is projected onto it."""
     x, y, z = (float(v) for v in vec)
     norm2 = x * x + y * y + z * z
-    if norm2 > 1.0 + 1e-9:
+    if norm2 > 1.0 + POSITIVITY_TOL:
         raise DomainError(f"Bloch vector {(x, y, z)} lies outside the unit ball")
     if norm2 > 1.0:
         x, y, z = (v / math.sqrt(norm2) for v in (x, y, z))
@@ -224,14 +228,6 @@ def _make_canonical(l0, l1, l2, l3, l4, theta) -> PureState:
     return _trusted_pure((2, 2, 2), amps / np.linalg.norm(amps))
 
 
-def _make_m3ts(c12: float) -> PureState:
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = 1.0 / _SQ2
-    amps[6] = c12 / _SQ2
-    amps[7] = math.sqrt(max(0.0, 1.0 - c12 * c12)) / _SQ2
-    return _trusted_pure((2, 2, 2), amps)
-
-
 def _make_m3ts_general(c12: float, c13: float) -> PureState:
     rest = 1.0 - c12 * c12 - c13 * c13
     amps = np.zeros(8, dtype=complex)
@@ -285,8 +281,7 @@ def _closed_werner(p: float, vec: np.ndarray) -> dict:
 
 
 def _closed_mems1(c: float) -> dict:
-    n = math.sqrt((1.0 - c) ** 2 + c * c) - (1.0 - c)
-    return {"c12": c, "r12": c, "n12": n, "tau": 0.0}
+    return {"c12": c, "r12": c, "n12": nr_rank2_n_lower(c), "tau": 0.0}
 
 
 def _closed_mems2(c: float) -> dict:
@@ -323,19 +318,6 @@ def _closed_w_class(l0: float, l1: float, l2: float, l3: float, l4: float, theta
     }
 
 
-def _closed_m3ts(c12: float) -> dict:
-    return {
-        "c12": c12,
-        "r12": math.sqrt(c12),
-        "n12": c12,
-        "tau": 1.0 - c12 * c12,
-        "c13": 0.0,
-        "c23": 0.0,
-        "r13": 0.0,
-        "r23": 0.0,
-    }
-
-
 def _closed_m3ts_general(c12: float, c13: float) -> dict:
     r12_val = math.sqrt(c12) * (1.0 - c13 * c13) ** 0.25
     r13_val = math.sqrt(c13) * (1.0 - c12 * c12) ** 0.25
@@ -366,7 +348,7 @@ def _closed_mems1_purification(c: float) -> dict:
     return {
         "c12": c,
         "r12": c,
-        "n12": math.sqrt((1.0 - c) ** 2 + c * c) - (1.0 - c),
+        "n12": nr_rank2_n_lower(c),
         "c13": cross,
         "r13": cross,
         "c23": cross,
@@ -449,7 +431,9 @@ _FAMILIES: dict[str, _Family] = {
     "canonical3": _Family(
         _canonical_domain, _make_canonical, _closed_canonical,
         lambda rng: _sample_canonical(rng, 5), _CANONICAL),
-    "m3ts": _Family(_interval("c12"), _make_m3ts, _closed_m3ts, _uniform("c12"), ("c12",)),
+    "m3ts": _Family(  # m3ts_general at c13 = 0, where n12 = c12 too
+        lambda params: (_unit_interval(params, "c12"), 0.0), _make_m3ts_general,
+        lambda c12, c13: {**_closed_m3ts_general(c12, c13), "n12": c12}, _uniform("c12"), ("c12",)),
     "m3ts_general": _Family(
         _m3ts_general_domain, _make_m3ts_general, _closed_m3ts_general, _sample_m3ts_general,
         ("c12", "c13")),
@@ -547,7 +531,7 @@ def numeric_measures(family: str, **params) -> dict[str, float]:
             "r13": m.r12[1],
             "c23": m.c12[2],
             "r23": m.r12[2],
-            "tau": _residual_tangle(parent, m.c12[:1], m.c12[1:2])[0],
+            "tau": three_tangle(state),
         }
     m = measure_stack(state.matrix[None])
     out = {"c12": m.c12[0], "n12": m.n12[0], "r12": m.r12[0]}
@@ -649,7 +633,7 @@ def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float
     out = []
     for x in grid:
         x = float(x)
-        if x < lo - 1e-12 or x > hi + 1e-12:
+        if x < lo - EDGE_TOL or x > hi + EDGE_TOL:
             raise DomainError(f"abscissa {x} outside domain [{lo}, {hi}] of {curve}")
         out.append((x, fn(min(hi, max(lo, x)))))
     return out

@@ -249,8 +249,8 @@ def mix(a: DensityMatrix, b: DensityMatrix, eps: float) -> DensityMatrix:
     """Normalized perturbation (a + eps*b) / (1 + eps)."""
     if a.dims != b.dims:
         raise DimensionError(f"dimension mismatch {a.dims} vs {b.dims}")
-    if eps < 0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     return _trusted_dm(a.dims, (a.matrix + eps * b.matrix) / (1.0 + eps))
 
 
@@ -258,6 +258,8 @@ def perturb_pure(psi: PureState, psi_r: PureState, eps: float) -> PureState:
     """Normalized pure-state perturbation (psi + eps*psi_r) / ||psi + eps*psi_r||."""
     if psi.dims != psi_r.dims:
         raise DimensionError(f"dimension mismatch {psi.dims} vs {psi_r.dims}")
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, got {eps}")
     v = psi.amplitudes + eps * psi_r.amplitudes
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:

@@ -77,21 +77,25 @@ def _campaign(campaign, n, seed):
 
 
 def _sample(campaign, seed, index):
-    """Sample ``index`` of a campaign as (two-qubit state, parent, family)."""
+    """Sample ``index`` of a campaign as (two-qubit state, parent, family).
+
+    Built by the campaign's own sample function from substream ``(seed, index)``;
+    a pure (2, 2, 2) state is its own parent.
+    """
     mode, arg = campaign
+    rng = substream(seed, index)
     if mode == "scatter":
-        psi = haar_random_pure(arg, substream(seed, index))
+        psi = haar_random_pure(arg, rng)
+        state = psi.density_matrix() if len(arg) == 2 else psi
         family = "haar_" + "x".join(str(d) for d in arg)
-        if len(arg) == 2:
-            return psi.density_matrix(), None, family
-        return reduce(psi, (1, 2)), psi, family
-    if mode == "perturb":
-        state, parent, family = experiments._PERTURBATIONS[arg](index, seed, EPSILON)
+    elif mode == "perturb":
+        state, family = experiments._PERTURBATIONS[arg](rng, EPSILON)
     else:
-        state, parent, family = experiments._separable_sample(index, seed)
+        state, family = experiments._separable_sample(rng, index)
     if isinstance(state, PureState):
-        state = reduce(state, (1, 2))
-    return state, parent, family
+        parent = state if state.dims == (2, 2, 2) else None
+        return reduce(state, (1, 2)), parent, family
+    return state, None, family
 
 
 @pytest.mark.parametrize("campaign", CAMPAIGNS, ids=lambda c: f"{c[0]}-{c[1]}")
@@ -109,6 +113,16 @@ def test_build_record_equals_campaign_record(campaign):
     records = _campaign(campaign, 520, seed)
     for index in (0, 1, 2, 3, 6, 7, 255, 510, 511, 512, 513, 519):
         assert build_record(*_sample(campaign, seed, index)) == records[index]
+
+
+def test_build_record_contract():
+    """Two-qubit input only; tau exactly when the parent is a (2, 2, 2) pure state."""
+    psi = haar_random_pure((2, 2, 2), substream(41, 0))
+    with pytest.raises(DimensionError):
+        build_record(psi.density_matrix(), None, "haar_2x2x2")
+    assert build_record(reduce(psi, (1, 2)), psi, "haar_2x2x2").tau == three_tangle(psi)
+    wide = haar_random_pure((2, 2, 3), substream(41, 1))
+    assert build_record(reduce(wide, (1, 2)), wide, "haar_2x2x3").tau is None
 
 
 def _reference(rho: np.ndarray, parent=None) -> dict:

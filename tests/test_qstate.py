@@ -10,6 +10,7 @@ from permutangle import (
     DegenerateStateError,
     DensityMatrix,
     DimensionError,
+    DomainError,
     HermiticityError,
     PureState,
     haar_random_pure,
@@ -254,6 +255,12 @@ class TestMixAndPerturb:
         with pytest.raises(ValueError):
             mix(a, a, -0.5)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_mix_rejects_non_finite_eps(self, eps):
+        a = random_density_matrix(RNG, 2)
+        with pytest.raises(DomainError, match="finite"):
+            mix(a, a, eps)
+
     def test_ansatz_mix_has_rank3(self):
         eigvecs = np.column_stack([BELL_PSI_PLUS, BELL_PSI_MINUS, BELL_PHI_PLUS])
         base = make_state("ansatz1", p=0.4)
@@ -279,6 +286,20 @@ class TestMixAndPerturb:
     def test_perturb_dim_mismatch(self):
         with pytest.raises(DimensionError):
             perturb_pure(haar_random_pure((2, 2), RNG), haar_random_pure((2, 2, 2), RNG), 0.1)
+
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_perturb_rejects_non_finite_eps(self, eps):
+        psi = haar_random_pure((2, 2, 2), RNG)
+        with pytest.raises(DomainError, match="finite"):
+            perturb_pure(psi, psi, eps)
+
+    def test_perturb_accepts_finite_negative_eps(self):
+        psi = haar_random_pure((2, 2, 2), RNG)
+        chi = haar_random_pure((2, 2, 2), RNG)
+        v = psi.amplitudes - 0.3 * chi.amplitudes
+        np.testing.assert_array_equal(
+            perturb_pure(psi, chi, -0.3).amplitudes, v / np.linalg.norm(v))
 
 
 class _Angles:
