@@ -1,13 +1,15 @@
 """Reproduction campaigns: scatter datasets, perturbation sweeps, region checks.
 
-Every campaign runs on :func:`_run_indexed`: sample ``i`` is
-``sample(rng, i)``, a state and its family tag, with ``rng`` the random
-substream of ``(seed, i)``. The runner measures samples in chunks of
-``CHUNK_SIZE``, in index order, each chunk in one call of the stacked kernel
-:func:`permutangle.measures.measure_stack`; a pure (2, 2, 2) state is its own
-tangle parent. The kernel gives each state the bits it gets alone, and
-:func:`build_record` is a batch of one of the same step, so output is
-byte-identical regardless of chunk size.
+Every campaign runs on :func:`_run_indexed`, in chunks of ``CHUNK_SIZE``
+samples in index order. A campaign is a pair of steps. ``draw(rng, i)``
+takes sample ``i``'s raw numbers from ``rng``, the stream of ``(seed, i)``
+(:func:`permutangle.qstate.substreams` seeds a whole chunk at once). Then
+``build(draws)`` turns a chunk's draws into one stack of states with the
+stacked forms of the scalar constructors, and one call of the stacked kernel
+:func:`permutangle.measures.measure_stack` measures it; a pure (2, 2, 2)
+state is its own tangle parent. Each state of a stack gets the bits it gets
+alone, and :func:`build_record` is a batch of one of the same step, so
+output is byte-identical regardless of chunk size.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import operator
 import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,16 +30,17 @@ from .measures import WITNESS_THRESHOLD, measure_stack
 from .qstate import (
     DensityMatrix,
     PureState,
-    State,
+    fixed_eigvecs_stack,
+    fixed_eigvecs_weights,
+    haar_amplitudes,
+    haar_draw,
     haar_random_pure,
-    mix,
-    perturb_pure,
-    random_fixed_eigvecs,
-    reduce,
+    mix_stack,
+    perturb_pure_stack,
+    projector_stack,
     reduce_pure_stack,
-    substream,
+    substreams,
 )
-from .qstate import _trusted_dm
 
 CHUNK_SIZE = 512
 VIOLATION_TOL = 1e-9
@@ -100,51 +103,63 @@ def build_record(
     A batch of one of the campaigns' records step, so it reproduces their
     records bit for bit.
     """
+    if rho.dims != (2, 2):
+        raise DimensionError(f"records are defined for two qubits, got dims {rho.dims}")
     parents = None
     if parent is not None and parent.dims == (2, 2, 2):
         parents = parent.amplitudes[None]
-    return _measure([rho], [family], parents)[0]
+    return _measure(rho.matrix[None], [family], parents)[0]
 
 
 def _measure(
-    states: Sequence[State], tags: Sequence[str], parents: Optional[np.ndarray] = None
+    stack: np.ndarray, tags: Sequence[str], parents: Optional[np.ndarray] = None
 ) -> list[MeasureRecord]:
-    """Records of states of one type and dims from one :func:`measure_stack` call.
+    """Records of a stack of states from one :func:`measure_stack` call.
 
-    The states are two-qubit density matrices, or pure states over (2, 2, d)
-    measured through their (1, 2) reduction. Pure states over (2, 2, 2) are
-    their own parents, so their records carry tau; otherwise ``parents`` is
-    the ``(k, 8)`` stack of the states' parents, or None.
+    ``stack`` is a ``(k, 4, 4)`` stack of two-qubit density matrices, or a
+    ``(k, 4 d)`` stack of pure states over (2, 2, d), measured through their
+    (1, 2) reductions. Pure states over (2, 2, 2) are their own parents, so
+    their records carry tau; otherwise ``parents`` is the ``(k, 8)`` stack
+    of the states' parents, or None.
     """
-    dims = states[0].dims
-    if isinstance(states[0], PureState) and dims[:2] == (2, 2):
-        amplitudes = np.stack([psi.amplitudes for psi in states])
-        rhos = reduce_pure_stack(amplitudes, dims, (1, 2))
+    if stack.ndim == 2:
+        dims = (2, 2, stack.shape[1] // 4)
         if dims == (2, 2, 2):
-            parents = amplitudes
-    elif dims == (2, 2):
-        rhos = np.stack([rho.matrix for rho in states])
-    else:
-        raise DimensionError(f"records are defined for two qubits, got dims {dims}")
-    m = measure_stack(rhos, parents)
-    taus = [None] * len(states) if m.tau is None else m.tau
+            parents = stack
+        stack = reduce_pure_stack(stack, dims, (1, 2))
+    m = measure_stack(stack, parents)
+    taus = [None] * len(tags) if m.tau is None else m.tau
     return list(map(MeasureRecord, m.rank, m.c12, m.n12, m.r12, taus, tags))
 
 
+def _check_seed(seed) -> int:
+    """A campaign seed, which must be a non-negative int."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
+    return int(seed)
+
+
 def _run_indexed(
-    sample: Callable[[np.random.Generator, int], tuple[State, str]], n: int, seed: int
+    draw: Callable[[np.random.Generator, int], Any],
+    build: Callable[[list], tuple[np.ndarray, Sequence[str]]],
+    n: int,
+    seed: int,
 ) -> list[MeasureRecord]:
     """Records of samples 0..n-1, measured in chunks of ``CHUNK_SIZE`` in index order.
 
-    Sample ``i`` is ``sample(rng, i)``, with ``rng`` the substream of ``(seed, i)``:
-    the state to measure and its family tag (see :func:`_measure`).
+    Sample ``i`` is ``draw(rng, i)``, with ``rng`` the substream of
+    ``(seed, i)``; ``draw`` must be done with ``rng`` when it returns. A
+    chunk's draws go to ``build``, which returns the stack of their states
+    and their family tags (see :func:`_measure`).
     """
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
+    seed = _check_seed(seed)
+    if not 1 <= n <= 2**32:  # an index is a spawn key of one 32-bit word
+        raise DomainError(f"sample count must be in 1..2**32, got {n}")
     records: list[MeasureRecord] = []
     for start in range(0, n, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, n))
-        records += _measure(*zip(*(sample(substream(seed, i), i) for i in chunk)))
+        draws = [draw(rng, i) for rng, i in zip(substreams(seed, chunk), chunk)]
+        records += _measure(*build(draws))
     return records
 
 
@@ -158,12 +173,16 @@ def scatter(dims: Sequence[int], n: int, seed: int) -> list[MeasureRecord]:
     if dims not in SCATTER_DIMS:
         raise DimensionError(f"unsupported scatter dims {dims}; supported: {SCATTER_DIMS}")
     family = "haar_" + "x".join(str(d) for d in dims)
+    size = math.prod(dims)
 
-    def one(rng: np.random.Generator, index: int) -> tuple[State, str]:
-        psi = haar_random_pure(dims, rng)
-        return (psi.density_matrix() if len(dims) == 2 else psi), family
+    def build(parts: list) -> tuple[np.ndarray, list[str]]:
+        amplitudes = haar_amplitudes(np.array(parts))
+        # a (2, 2) state is measured as |psi><psi|: a reduction over a
+        # one-dimensional factor would round differently
+        stack = projector_stack(amplitudes) if len(dims) == 2 else amplitudes
+        return stack, [family] * len(parts)
 
-    return _run_indexed(one, n, seed)
+    return _run_indexed(lambda rng, index: haar_draw(size, rng), build, n, seed)
 
 
 _ANSATZ1_EIGVECS = np.column_stack(
@@ -171,31 +190,28 @@ _ANSATZ1_EIGVECS = np.column_stack(
 )
 
 
-def _perturbed_ansatz1(rng: np.random.Generator, eps: float) -> tuple[State, str]:
-    p = rng.uniform(0.0, 1.0)
-    base = families.make_state("ansatz1", p=p)
-    noise = random_fixed_eigvecs(_ANSATZ1_EIGVECS, rng, dims=(2, 2))
-    return mix(base, noise, eps), "ansatz1_fig4"
+def _ansatz1_stack(p: np.ndarray, weights: np.ndarray, eps: float) -> np.ndarray:
+    base = families.state_stack("ansatz1", p=p)
+    return mix_stack(base, fixed_eigvecs_stack(_ANSATZ1_EIGVECS, weights), eps)
 
 
-def _perturbed_werner(rng: np.random.Generator, eps: float) -> tuple[State, str]:
-    p = rng.uniform(0.0, 1.0)
-    base = families.make_state("werner", p=p, bell="psi-")
-    noise = reduce(haar_random_pure((2, 2, 4), rng), (1, 2))
-    return mix(base, noise, eps), "werner_fig5"
+def _werner_stack(p: np.ndarray, parts: np.ndarray, eps: float) -> np.ndarray:
+    base = families.state_stack("werner", p=p, bell="psi-")
+    noise = reduce_pure_stack(haar_amplitudes(parts), (2, 2, 4), (1, 2))
+    return mix_stack(base, noise, eps)
 
 
-def _perturbed_mems1(rng: np.random.Generator, eps: float) -> tuple[State, str]:
-    c = rng.uniform(0.0, 1.0)
-    psi = families.make_state("mems1_purification", c=c)
-    phi = perturb_pure(psi, haar_random_pure((2, 2, 2), rng), eps)
-    return phi, "mems1_fig8"
+def _mems1_stack(c: np.ndarray, parts: np.ndarray, eps: float) -> np.ndarray:
+    psi = families.state_stack("mems1_purification", c=c)
+    return perturb_pure_stack(psi, haar_amplitudes(parts), eps)
 
 
+#: kind -> (the noise draw, which follows the base parameter's U[0, 1] draw;
+#: the chunk's states from the base parameters, the noise draws and epsilon)
 _PERTURBATIONS = {
-    "ansatz1_fig4": _perturbed_ansatz1,
-    "werner_fig5": _perturbed_werner,
-    "mems1_fig8": _perturbed_mems1,
+    "ansatz1_fig4": (fixed_eigvecs_weights, _ansatz1_stack),
+    "werner_fig5": (lambda rng: haar_draw(16, rng), _werner_stack),
+    "mems1_fig8": (lambda rng: haar_draw(8, rng), _mems1_stack),
 }
 PERTURBATION_KINDS = tuple(_PERTURBATIONS)
 
@@ -216,11 +232,16 @@ def perturbation_campaign(
         raise DomainError(f"unknown perturbation kind {kind!r}; known: {PERTURBATION_KINDS}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
-    fn = _PERTURBATIONS[kind]
-    return _run_indexed(lambda rng, index: fn(rng, epsilon), n, seed)
+    noise, states = _PERTURBATIONS[kind]
+
+    def build(draws: list) -> tuple[np.ndarray, list[str]]:
+        base, noises = map(np.array, zip(*draws))
+        return states(base, noises, epsilon), [kind] * len(draws)
+
+    return _run_indexed(lambda rng, index: (rng.uniform(0.0, 1.0), noise(rng)), build, n, seed)
 
 
-def _separable_sample(rng: np.random.Generator, index: int) -> tuple[State, str]:
+def _separable_draw(rng: np.random.Generator, index: int) -> tuple[np.ndarray, str]:
     kind = index % 4
     if kind == 0:
         terms = int(rng.integers(1, 4))
@@ -230,18 +251,18 @@ def _separable_sample(rng: np.random.Generator, index: int) -> tuple[State, str]
             u = haar_random_pure((2,), rng).amplitudes
             v = haar_random_pure((2,), rng).amplitudes
             rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
-        return _trusted_dm((2, 2), rho), "product_mix"
+        return rho, "product_mix"
     if kind == 1:
         params = families.sample_params("cq_state", rng)
-        return families.make_state("cq_state", **params), "cq_state"
+        return families.state_stack("cq_state", **params), "cq_state"
     if kind == 2:
-        state = families.make_state("werner", p=rng.uniform(0.0, 1.0 / 3.0))
+        state = families.state_stack("werner", p=rng.uniform(0.0, 1.0 / 3.0))
         return state, "werner_separable"
     while True:
         p = rng.dirichlet(np.ones(4))
         if p.max() <= 0.5:
             break
-    state = families.make_state("bell_diagonal", p1=p[0], p2=p[1], p3=p[2], p4=p[3])
+    state = families.state_stack("bell_diagonal", p1=p[0], p2=p[1], p3=p[2], p4=p[3])
     return state, "bell_diagonal_separable"
 
 
@@ -252,7 +273,12 @@ def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
     states, separable Werner states (p <= 1/3), and Bell-diagonal states with
     spectrum inside [0, 1/2].
     """
-    return _run_indexed(_separable_sample, n, seed)
+
+    def build(draws: list) -> tuple[np.ndarray, tuple[str, ...]]:
+        matrices, tags = zip(*draws)
+        return np.array(matrices), tags
+
+    return _run_indexed(_separable_draw, build, n, seed)
 
 
 # --------------------------------------------------------------------------
@@ -349,6 +375,8 @@ def verify(
         raise DomainError(f"unknown region {region!r}; known: {REGION_TAGS}")
     margin_fn, default_tol, needs_tau = _REGIONS[region]
     tol = default_tol if tol is None else float(tol)
+    if not math.isfinite(tol):
+        raise DomainError(f"tolerance must be finite, got tol={tol}")
     worst = -math.inf
     total = 0
     offenders: list[tuple[int, float]] = []
@@ -612,6 +640,7 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
     if fig_id not in _FIGURES:
         raise DomainError(f"unknown figure id {fig_id}; known: 1..11")
     fig = _FIGURES[fig_id]
+    seed = _check_seed(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

@@ -3,10 +3,14 @@
 Each family is one entry of a registry holding its domain, builder, closed
 form, in-domain sampler and parameter names; ``FAMILY_TAGS`` lists it in
 order. ``_evaluate`` is the one gate for family parameters, so
-``make_state``, ``closed_form_measures`` and ``numeric_measures`` accept the
-same ones. Builders trust their domain: each returns a :class:`PureState` or
-:class:`DensityMatrix` matching the family's defining amplitude vector or
-matrix entrywise, without validating it again. ``closed_form_measures``
+``make_state``, ``state_stack``, ``closed_form_measures`` and
+``numeric_measures`` accept the same ones. Builders trust their domain: each
+returns the family's defining amplitude vector or matrix, which
+``make_state`` wraps as a :class:`PureState` or :class:`DensityMatrix`
+without validating it again. The builders of the families that campaigns
+perturb (ansatz1, werner, mems1_purification) broadcast over arrays of
+parameter values, so ``state_stack`` builds a campaign chunk's states with
+the same formula. ``closed_form_measures``
 returns the analytically known values for that family as a dict keyed by
 measure name; keys vary per family (cross-pair values like ``c13`` exist
 only for three-qubit families).
@@ -55,8 +59,18 @@ def _finite(value) -> bool:
 # domains and builders
 
 
-def _unit_interval(params, key, hi=1.0) -> float:
-    value = float(params[key])
+def _unit_interval(params, key, hi=1.0):
+    """``params[key]``, clamped to [0, hi] once it lies within ``EDGE_TOL`` of it.
+
+    A numpy array holds a stack of values: all are checked in one comparison.
+    """
+    value = params[key]
+    if isinstance(value, np.ndarray):
+        inside = (value >= -EDGE_TOL) & (value <= hi + EDGE_TOL)
+        if not inside.all():
+            raise DomainError(f"parameter {key}={value[~inside][0]} outside [0, {hi}]")
+        return np.minimum(hi, np.maximum(0.0, value))
+    value = float(value)
     if not -EDGE_TOL <= value <= hi + EDGE_TOL:
         raise DomainError(f"parameter {key}={value} outside [0, {hi}]")
     return min(hi, max(0.0, value))
@@ -176,93 +190,94 @@ def _cq_state_domain(params) -> tuple[float, np.ndarray, np.ndarray]:
     return p, rho_a, rho_b
 
 
-def _bell_mixture(weights: Sequence[float]) -> np.ndarray:
-    vecs = (BELL_PHI_PLUS, BELL_PSI_PLUS, BELL_PSI_MINUS, BELL_PHI_MINUS)
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, v in zip(weights, vecs):
-        rho += w * np.outer(v, v)
+_BELL_PROJECTORS = tuple(
+    np.outer(v, v) for v in (BELL_PHI_PLUS, BELL_PSI_PLUS, BELL_PSI_MINUS, BELL_PHI_MINUS)
+)
+
+
+def _bell_mixture(*weights) -> np.ndarray:
+    """sum_j w_j |B_j><B_j| over phi+, psi+, psi-, phi-; a weight may be an array of k values."""
+    rho = np.zeros(np.shape(weights[0]) + (4, 4), dtype=complex)
+    for w, projector in zip(weights, _BELL_PROJECTORS):
+        rho += np.multiply.outer(w, projector)
     return rho
 
 
-def _make_bell_diagonal(*weights: float) -> DensityMatrix:
-    return _trusted_dm((2, 2), _bell_mixture(weights))
+def _make_werner(p, vec: np.ndarray) -> np.ndarray:
+    rho = np.multiply.outer(1.0 - p, np.eye(4)) / 4.0 + np.multiply.outer(p, np.outer(vec, vec))
+    return rho.astype(complex)
 
 
-def _make_werner(p: float, vec: np.ndarray) -> DensityMatrix:
-    rho = (1.0 - p) * np.eye(4) / 4.0 + p * np.outer(vec, vec)
-    return _trusted_dm((2, 2), rho.astype(complex))
-
-
-def _make_mems1(c: float) -> DensityMatrix:
+def _make_mems1(c: float) -> np.ndarray:
     # Accepted on all of [0, 1]; it is maximally entangled at fixed linear
     # entropy only for c >= 2/3, but the same matrix stays a valid rank-2
     # boundary state below that.
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = c / 2.0
     rho[1, 1] = 1.0 - c
-    return _trusted_dm((2, 2), rho)
+    return rho
 
 
-def _make_mems2(c: float) -> DensityMatrix:
+def _make_mems2(c: float) -> np.ndarray:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[1, 1] = rho[3, 3] = 1.0 / 3.0
     rho[0, 3] = rho[3, 0] = c / 2.0
-    return _trusted_dm((2, 2), rho)
+    return rho
 
 
-def _make_x_state(a: float, b: float, c: float, d: float, w: complex, z: complex) -> DensityMatrix:
+def _make_x_state(a: float, b: float, c: float, d: float, w: complex, z: complex) -> np.ndarray:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
     rho[0, 3], rho[3, 0] = w, np.conj(w)
     rho[1, 2], rho[2, 1] = z, np.conj(z)
-    return _trusted_dm((2, 2), rho)
+    return rho
 
 
-def _make_canonical(l0, l1, l2, l3, l4, theta) -> PureState:
+def _make_canonical(l0, l1, l2, l3, l4, theta) -> np.ndarray:
     amps = np.zeros(8, dtype=complex)
     amps[0] = l0
     amps[4] = l1 * np.exp(1j * theta)
     amps[5] = l2
     amps[6] = l3
     amps[7] = l4
-    return _trusted_pure((2, 2, 2), amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
-def _make_m3ts_general(c12: float, c13: float) -> PureState:
+def _make_m3ts_general(c12: float, c13: float) -> np.ndarray:
     rest = 1.0 - c12 * c12 - c13 * c13
     amps = np.zeros(8, dtype=complex)
     amps[0] = 1.0 / _SQ2
     amps[5] = c13 / _SQ2
     amps[6] = c12 / _SQ2
     amps[7] = math.sqrt(max(0.0, rest)) / _SQ2
-    return _trusted_pure((2, 2, 2), amps)
+    return amps
 
 
-def _make_ansatz1(p: float) -> DensityMatrix:
-    return _trusted_dm((2, 2), _bell_mixture((p, (1.0 - p) / 2.0, (1.0 - p) / 2.0, 0.0)))
+def _make_ansatz1(p) -> np.ndarray:
+    q = (1.0 - p) / 2.0
+    return _bell_mixture(p, q, q, 0.0)
 
 
-def _make_ansatz2(alpha: float, beta: float, gamma: float) -> DensityMatrix:
+def _make_ansatz2(alpha: float, beta: float, gamma: float) -> np.ndarray:
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = alpha
     rho += beta * np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS)
     rho += gamma * np.outer(BELL_PHI_MINUS, BELL_PHI_MINUS)
-    return _trusted_dm((2, 2), rho)
+    return rho
 
 
-def _make_mems1_purification(c: float) -> PureState:
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = math.sqrt(c / 2.0)
-    amps[5] = math.sqrt(1.0 - c)
-    amps[6] = math.sqrt(c / 2.0)
-    return _trusted_pure((2, 2, 2), amps)
+def _make_mems1_purification(c) -> np.ndarray:
+    amps = np.zeros(np.shape(c) + (8,), dtype=complex)
+    amps[..., 0] = amps[..., 6] = np.sqrt(c / 2.0)
+    amps[..., 5] = np.sqrt(1.0 - c)
+    return amps
 
 
-def _make_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> DensityMatrix:
+def _make_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     rho = np.zeros((4, 4), dtype=complex)
     rho[:2, :2] = p * rho_a
     rho[2:, 2:] = (1.0 - p) * rho_b
-    return _trusted_dm((2, 2), rho)
+    return rho
 
 
 # --------------------------------------------------------------------------
@@ -404,7 +419,7 @@ class _Family(NamedTuple):
     #: The parameter mapping -> the checked values that ``build`` and
     #: ``closed_form`` take as positional arguments; raises DomainError.
     domain: Callable[[Mapping], tuple]
-    build: Callable[..., Union[DensityMatrix, PureState]]
+    build: Callable[..., np.ndarray]
     closed_form: Callable[..., dict]
     sample: Callable[[np.random.Generator], dict]
     params: tuple[str, ...]
@@ -415,7 +430,7 @@ class _Family(NamedTuple):
 #: separable campaign).
 _FAMILIES: dict[str, _Family] = {
     "bell_diagonal": _Family(
-        _bell_diagonal_domain, _make_bell_diagonal, _closed_bell_diagonal,
+        _bell_diagonal_domain, _bell_mixture, _closed_bell_diagonal,
         lambda rng: dict(zip(_BELL_WEIGHTS, rng.dirichlet(np.ones(4)))), _BELL_WEIGHTS),
     "werner": _Family(
         _werner_domain, _make_werner, _closed_werner, _uniform("p"), ("p", "bell")),
@@ -492,6 +507,23 @@ def make_state(family: str, **params) -> Union[DensityMatrix, PureState]:
 
     Out-of-domain parameters raise :class:`DomainError` naming the violated
     constraint.
+    """
+    state = state_stack(family, **params)
+    if state.shape == (8,):
+        return _trusted_pure((2, 2, 2), state)
+    if state.shape == (4, 4):
+        return _trusted_dm((2, 2), state)
+    raise DomainError(f"{family!r} takes one value per parameter, got a stack of them")
+
+
+def state_stack(family: str, **params) -> np.ndarray:
+    """The defining amplitude vector (three qubits) or density matrix (two
+    qubits) of a family state, as a numpy array.
+
+    Given numpy arrays of k values for its parameters, a family whose builder
+    broadcasts (ansatz1, werner, mems1_purification) returns the ``(k, 8)``
+    or ``(k, 4, 4)`` stack of the k states, each row with the bits
+    :func:`make_state` gives it; the domain checks all the values at once.
     """
     return _evaluate("build", family, params)
 

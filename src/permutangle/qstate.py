@@ -5,9 +5,15 @@ Conventions, fixed project-wide:
 * Subsystems are labeled from 1 (matching the measure subscripts r12, c12, ...).
 * Composite indices are row-major: the leftmost factor is the slowest index,
   so for dims (2, 2, 2) basis state |i j k> sits at flat index 4i + 2j + k.
-* Randomness is always an explicit ``numpy.random.Generator``. Campaigns
-  derive one generator per sample via :func:`substream`, so sample ``i``
-  depends only on the seed and ``i``.
+* Randomness is always an explicit ``numpy.random.Generator``. Sample ``i``
+  of a campaign draws from the stream :func:`substream` gives ``(seed, i)``,
+  so it depends only on the seed and ``i``; :func:`substreams` derives the
+  streams of a whole chunk of indices with one vectorized hash.
+
+The ``*_stack`` functions and :func:`haar_amplitudes` are the array forms of
+the scalar operations: they act on stacks with leading axes, the scalar
+functions call them on one state, and each row of a stack gets the bits the
+scalar function gives it alone.
 
 Constructing a container directly validates every invariant eagerly.
 Operations in this package that produce states satisfying the invariants by
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +41,15 @@ RANK_EPS = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 
 
+#: numpy's ``SeedSequence`` hash constants and the PCG64 multiplier. NEP 19
+#: keeps both algorithms fixed, so a stream is the same under every numpy.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-sample generator for (seed, stream-index).
 
@@ -43,6 +58,68 @@ def substream(seed: int, index: int) -> np.random.Generator:
     seed and index).
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def substreams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The streams of :func:`substream` for ``seed`` and each index in turn.
+
+    Yields one generator, owned by this call and reset to the next index's
+    stream before each yield, so a draw must be finished with it before the
+    next one is taken. The PCG64 states of all the indices come from one
+    vectorized pass of ``SeedSequence``'s hash, run on uint32 arrays, which
+    wrap as the hash requires. ``seed`` is a non-negative int and every
+    index lies in [0, 2**32), a spawn key of one word.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if not ((indices >= 0) & (indices <= _MASK32)).all():
+        raise DomainError("stream indices must lie in [0, 2**32)")
+    # the entropy words: the seed's, little end first and padded to the pool
+    # size of 4, then the spawn key
+    words = -(-seed.bit_length() // 32)
+    entropy = [np.full(len(indices), seed >> (32 * j) & _MASK32, dtype=np.uint32)
+               for j in range(max(4, words))]
+    entropy.append(indices.astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words, paired little end first
+    const = _INIT_B
+    state = []
+    for j in range(8):
+        value = pool[j % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (state[2 * m] | state[2 * m + 1] << 32).tolist() for m in range(4)
+    )
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps from 0
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        pcg = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -78,7 +155,12 @@ class PureState:
 
     def density_matrix(self) -> "DensityMatrix":
         """|psi><psi| over the same factor dimensions."""
-        return _trusted_dm(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _trusted_dm(self.dims, projector_stack(self.amplitudes))
+
+
+def projector_stack(amplitudes: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each amplitude vector, as ``np.outer``'s broadcast product."""
+    return amplitudes[..., :, None] * amplitudes[..., None, :].conj()
 
 
 def _trusted_pure(dims: tuple[int, ...], amplitudes: np.ndarray) -> PureState:
@@ -153,18 +235,29 @@ State = Union[PureState, DensityMatrix]
 
 
 def haar_random_pure(dims, rng: np.random.Generator) -> PureState:
-    """Haar-uniform pure state: normalized i.i.d. standard complex Gaussians.
-
-    Draw order is fixed (one real block, one imaginary block) so streams are
-    reproducible.
-    """
+    """Haar-uniform pure state: normalized i.i.d. standard complex Gaussians."""
     dims = _check_dims(dims)
     if any(d < 2 for d in dims):
         raise DimensionError(f"each factor dimension must be >= 2, got {dims}")
-    n = math.prod(dims)
-    parts = rng.standard_normal((2, n))
-    z = parts[0] + 1j * parts[1]
-    return _trusted_pure(dims, z / np.linalg.norm(z))
+    return _trusted_pure(dims, haar_amplitudes(haar_draw(math.prod(dims), rng)))
+
+
+def haar_draw(size: int, rng: np.random.Generator) -> np.ndarray:
+    """The Gaussian blocks of a Haar state of ``size`` amplitudes: one real
+    block, then one imaginary block, so streams are reproducible."""
+    return rng.standard_normal((2, size))
+
+
+def haar_amplitudes(parts: np.ndarray) -> np.ndarray:
+    """The unit amplitude vectors of :func:`haar_draw` blocks, ``(..., 2, n)`` -> ``(..., n)``."""
+    z = parts[..., 0, :] + 1j * parts[..., 1, :]
+    return z / _norms(z)[..., None]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, with the bits of ``np.linalg.norm``
+    of each vector (which sums the real and imaginary squares the same way)."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -251,7 +344,12 @@ def mix(a: DensityMatrix, b: DensityMatrix, eps: float) -> DensityMatrix:
         raise DimensionError(f"dimension mismatch {a.dims} vs {b.dims}")
     if not (math.isfinite(eps) and eps >= 0):
         raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    return _trusted_dm(a.dims, (a.matrix + eps * b.matrix) / (1.0 + eps))
+    return _trusted_dm(a.dims, mix_stack(a.matrix, b.matrix, eps))
+
+
+def mix_stack(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """(a + eps*b) / (1 + eps) of stacked matrices, for a finite eps >= 0."""
+    return (a + eps * b) / (1.0 + eps)
 
 
 def perturb_pure(psi: PureState, psi_r: PureState, eps: float) -> PureState:
@@ -260,32 +358,57 @@ def perturb_pure(psi: PureState, psi_r: PureState, eps: float) -> PureState:
         raise DimensionError(f"dimension mismatch {psi.dims} vs {psi_r.dims}")
     if not math.isfinite(eps):
         raise DomainError(f"eps must be finite, got {eps}")
-    v = psi.amplitudes + eps * psi_r.amplitudes
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
+    return _trusted_pure(psi.dims, perturb_pure_stack(psi.amplitudes, psi_r.amplitudes, eps))
+
+
+def perturb_pure_stack(psi: np.ndarray, psi_r: np.ndarray, eps: float) -> np.ndarray:
+    """:func:`perturb_pure` of stacked unit amplitude vectors, for a finite eps.
+
+    Raises ``DomainError`` when eps is so large that a norm overflows, and
+    ``DegenerateStateError`` when a perturbation cancels its state.
+    """
+    v = psi + eps * psi_r
+    with np.errstate(over="ignore"):
+        norms = _norms(v)
+    if not np.isfinite(norms).all():
+        raise DomainError(f"eps={eps} makes the norm of psi + eps*psi_r overflow")
+    if (norms < 1e-12).any():
         raise DegenerateStateError("perturbation cancelled the state to zero norm")
-    return _trusted_pure(psi.dims, v / norm)
+    return v / norms[..., None]
 
 
 def random_fixed_eigvecs(
     eigvecs: np.ndarray, rng: np.random.Generator, dims=None
 ) -> DensityMatrix:
-    """Random rank<=3 mixture of three fixed orthonormal eigenvectors.
+    """Random rank<=3 mixture of three fixed orthonormal eigenvectors,
+    weighted by :func:`fixed_eigvecs_weights`."""
+    matrix = fixed_eigvecs_stack(eigvecs, fixed_eigvecs_weights(rng))
+    d = matrix.shape[0]
+    if dims is None:
+        dims = (2, 2) if d == 4 else (d,)
+    return _trusted_dm(_check_dims(dims), matrix)
 
-    Draws theta ~ U[0, pi] then phi ~ U[0, 2*pi]; the weights are
+
+def fixed_eigvecs_weights(rng: np.random.Generator) -> np.ndarray:
+    """Draws theta ~ U[0, pi] then phi ~ U[0, 2*pi]; returns the weights
     cos^2(theta), sin^2(theta)cos^2(phi) and sin^2(theta)sin^2(phi).
+
+    The angles stay scalars: numpy's vectorized sin and cos can round
+    differently from the scalar calls.
     """
+    theta = rng.uniform(0.0, np.pi)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    st, ct = np.sin(theta), np.cos(theta)
+    return np.array([ct**2, st**2 * np.cos(phi) ** 2, st**2 * np.sin(phi) ** 2])
+
+
+def fixed_eigvecs_stack(eigvecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j |v_j><v_j| over three orthonormal columns v_j, for each row
+    of a ``(..., 3)`` stack of weights."""
     v = np.asarray(eigvecs, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 3:
         raise DimensionError(f"expected 3 column vectors, got shape {v.shape}")
     gram_defect = np.max(np.abs(v.conj().T @ v - np.eye(3)))
     if gram_defect > ORTHONORMALITY_TOL:
         raise ValueError(f"eigenvectors not orthonormal (defect {gram_defect:.3e})")
-    theta = rng.uniform(0.0, np.pi)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    st, ct = np.sin(theta), np.cos(theta)
-    weights = np.array([ct**2, st**2 * np.cos(phi) ** 2, st**2 * np.sin(phi) ** 2])
-    d = v.shape[0]
-    if dims is None:
-        dims = (2, 2) if d == 4 else (d,)
-    return _trusted_dm(_check_dims(dims), (v * weights) @ v.conj().T)
+    return (v * weights[..., None, :]) @ v.conj().T

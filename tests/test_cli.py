@@ -159,6 +159,21 @@ class TestSampleCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--dims", "2,2,2", "--n", "5"),
+    ("perturb", "--kind", "mems1_fig8", "--n", "5"),
+    ("figure", "--id", "1", "--n", "5"),
+    ("figure", "--id", "6"),
+    ("figure", "--id", "11"),
+], ids=["sample", "perturb", "figure-1", "figure-6", "figure-11"])
+def test_negative_seed_exits_2(capsys, tmp_path, argv):
+    out = ("--out", str(tmp_path)) if argv[0] == "figure" else ()
+    code, _, err = _run(capsys, *argv, "--seed", "-4", *out)
+    assert code == 2
+    assert "seed" in err, err
+    assert not list(tmp_path.iterdir())
+
+
 class TestCurveCommand:
     def test_rank4_three_points(self, capsys):
         code, out, _ = _run(capsys, "curve", "--id", "cr_rank4", "--points", "3")
@@ -196,6 +211,13 @@ class TestPerturbCommand:
         )
         assert code == 2 and out == ""
         assert "epsilon" in err, err
+
+    def test_eps_whose_norm_overflows_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "perturb", "--kind", "mems1_fig8", "--n", "3", "--seed", "1", "--eps", "1e160"
+        )
+        assert code == 2 and out == ""
+        assert "eps" in err, err
 
     def test_deterministic_and_correct_kind(self, capsys):
         args = ["perturb", "--kind", "mems1_fig8", "--eps", "0.51", "--n", "30", "--seed", "2"]
@@ -239,6 +261,16 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, "verify", "--region", "prop1", "--input", str(path))
         assert code == 2
         assert "index" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_2(self, capsys, tmp_path, tol):
+        path = tmp_path / "recs.csv"
+        path.write_text("index,rank,c12,n12,r12,tau,family\n0,2,0.5,0.25,0.0,,off\n")
+        code, out, err = _run(
+            capsys, "verify", "--region", "cr_rank2", "--input", str(path), "--tol", tol
+        )
+        assert code == 2 and out == ""
+        assert "tol" in err, err
 
     def test_missing_input_exit_2(self, capsys):
         code, _, _ = _run(capsys, "verify", "--region", "cr_rank2", "--input", "/no/such.csv")

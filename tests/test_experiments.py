@@ -81,6 +81,18 @@ class TestCampaigns:
         with pytest.raises(DomainError, match="epsilon"):
             perturbation_campaign("werner_fig5", 5, seed=0, epsilon=eps)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, "7", None])
+    def test_campaigns_reject_a_seed_that_is_not_a_non_negative_int(self, seed):
+        for run in (lambda: scatter((2, 2, 2), 3, seed),
+                    lambda: perturbation_campaign("werner_fig5", 3, seed),
+                    lambda: separable_campaign(3, seed)):
+            with pytest.raises(DomainError, match="seed"):
+                run()
+
+    def test_sample_count_beyond_one_word_of_spawn_key_rejected(self):
+        with pytest.raises(DomainError, match="sample count"):
+            scatter((2, 2, 2), 2**32 + 1, 0)
+
     def test_separable_campaign_families(self):
         recs = separable_campaign(80, seed=6)
         families = {r.family for r in recs}
@@ -130,6 +142,15 @@ class TestVerify:
             verify([_rec()], "no_region")
         with pytest.raises(ValueError):
             verify([], "cr_rank2")
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            verify([_rec(r12=0.5, c12=0.3)], "cr_rank2", tol=tol)
+
+    def test_negative_tolerance_allowed(self):
+        report = verify([_rec(r12=0.5, c12=0.3)], "cr_rank2", tol=-0.01)
+        assert report.violations == 0 and report.tolerance == -0.01
 
     def test_witness_region(self):
         thr = (1 / 3) ** 0.75

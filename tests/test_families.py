@@ -24,6 +24,7 @@ from permutangle import (
 )
 from permutangle.families import (
     BELL_PHI_PLUS,
+    state_stack,
     cr_rank3_r_bound,
     nr_rank2_n_lower,
     nr_rank3_r_bound,
@@ -226,6 +227,29 @@ def _nudged(value, draw):
     if isinstance(value, complex):
         return value + step() * (value / abs(value) if value else 1.0)
     return value + step()
+
+
+class TestStateStack:
+    """``state_stack`` over arrays of parameters gives each row ``make_state``'s bits."""
+
+    @pytest.mark.parametrize("family, key, extra", [
+        ("ansatz1", "p", {}), ("werner", "p", {"bell": "psi-"}), ("mems1_purification", "c", {}),
+    ])
+    def test_rows_equal_make_state(self, family, key, extra):
+        values = np.concatenate([[0.0, 1.0, 1.0 + 1e-13], np.random.default_rng(3).uniform(size=40)])
+        stack = state_stack(family, **{key: values}, **extra)
+        for row, value in zip(stack, values):
+            state = make_state(family, **{key: float(value)}, **extra)
+            want = state.amplitudes if state.dims == (2, 2, 2) else state.matrix
+            assert np.array_equal(row, want)
+
+    def test_one_value_outside_the_domain_rejects_the_stack(self):
+        with pytest.raises(DomainError, match="p=1.5"):
+            state_stack("ansatz1", p=np.array([0.2, 1.5, 0.3]))
+
+    def test_make_state_takes_one_value_per_parameter(self):
+        with pytest.raises(DomainError):
+            make_state("werner", p=np.array([0.2, 0.3]))
 
 
 class TestEntryPointsAgree:

@@ -1,8 +1,9 @@
 """The stacked measure kernel behind campaigns and the scalar measures.
 
 Pins the kernel four ways: campaign bytes do not depend on the chunk size,
-a state measured alone (``build_record`` and the scalar functions) gets the
-bits it gets inside a chunk, ``numeric_measures`` gets the bits of the scalar
+a campaign sample rebuilt alone from the scalar constructors and measured
+alone (``build_record`` and the scalar functions) gets the record of the
+campaign's stacked build, ``numeric_measures`` gets the bits of the scalar
 functions, and every value agrees with the naive per-state oracles of
 ``conftest``. A bad matrix anywhere in a stack raises what the scalar call
 raises on it.
@@ -24,6 +25,7 @@ from conftest import (
 )
 from permutangle import (
     FAMILY_TAGS,
+    DensityMatrix,
     DimensionError,
     HermiticityError,
     PureState,
@@ -33,12 +35,15 @@ from permutangle import (
     haar_random_pure,
     haar_random_unitary,
     make_state,
+    mix,
     negativity,
     numeric_measures,
     partial_transpose,
+    perturb_pure,
     perturbation_campaign,
     purify,
     r12,
+    random_fixed_eigvecs,
     realign,
     records_csv_bytes,
     reduce,
@@ -48,6 +53,7 @@ from permutangle import (
     substream,
     three_tangle,
 )
+from permutangle.families import BELL_PHI_PLUS, BELL_PSI_MINUS, BELL_PSI_PLUS
 from permutangle.matkernel import (
     as_matrix,
     determinant,
@@ -76,26 +82,63 @@ def _campaign(campaign, n, seed):
     return separable_campaign(n, seed)
 
 
+_ANSATZ1_EIGVECS = np.column_stack([BELL_PSI_PLUS, BELL_PSI_MINUS, BELL_PHI_PLUS])
+
+
+def _separable_state(rng, index):
+    """The separable campaign's sample ``index``, from the scalar constructors."""
+    kind = index % 4
+    if kind == 0:
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        rho = np.zeros((4, 4), dtype=complex)
+        for w in weights:
+            u = haar_random_pure((2,), rng).amplitudes
+            v = haar_random_pure((2,), rng).amplitudes
+            rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+        return DensityMatrix((2, 2), rho), "product_mix"
+    if kind == 1:
+        return make_state("cq_state", **sample_params("cq_state", rng)), "cq_state"
+    if kind == 2:
+        return make_state("werner", p=rng.uniform(0.0, 1.0 / 3.0)), "werner_separable"
+    while True:
+        p = rng.dirichlet(np.ones(4))
+        if p.max() <= 0.5:
+            break
+    state = make_state("bell_diagonal", p1=p[0], p2=p[1], p3=p[2], p4=p[3])
+    return state, "bell_diagonal_separable"
+
+
 def _sample(campaign, seed, index):
     """Sample ``index`` of a campaign as (two-qubit state, parent, family).
 
-    Built by the campaign's own sample function from substream ``(seed, index)``;
-    a pure (2, 2, 2) state is its own parent.
+    Built one sample at a time from the public scalar functions and
+    ``substream(seed, index)``, independently of the campaigns' stacked
+    builds, as the benchmark's own constructors are.
     """
     mode, arg = campaign
     rng = substream(seed, index)
     if mode == "scatter":
         psi = haar_random_pure(arg, rng)
-        state = psi.density_matrix() if len(arg) == 2 else psi
         family = "haar_" + "x".join(str(d) for d in arg)
-    elif mode == "perturb":
-        state, family = experiments._PERTURBATIONS[arg](rng, EPSILON)
-    else:
-        state, family = experiments._separable_sample(rng, index)
-    if isinstance(state, PureState):
-        parent = state if state.dims == (2, 2, 2) else None
-        return reduce(state, (1, 2)), parent, family
-    return state, None, family
+        if len(arg) == 2:
+            return psi.density_matrix(), None, family
+        return reduce(psi, (1, 2)), psi, family
+    if mode == "separable":
+        state, family = _separable_state(rng, index)
+        return state, None, family
+    if arg == "ansatz1_fig4":
+        base = make_state("ansatz1", p=rng.uniform(0.0, 1.0))
+        noise = random_fixed_eigvecs(_ANSATZ1_EIGVECS, rng, dims=(2, 2))
+        return mix(base, noise, EPSILON), None, arg
+    if arg == "werner_fig5":
+        base = make_state("werner", p=rng.uniform(0.0, 1.0), bell="psi-")
+        noise = reduce(haar_random_pure((2, 2, 4), rng), (1, 2))
+        return mix(base, noise, EPSILON), None, arg
+    if arg == "mems1_fig8":
+        psi = make_state("mems1_purification", c=rng.uniform(0.0, 1.0))
+        phi = perturb_pure(psi, haar_random_pure((2, 2, 2), rng), EPSILON)
+        return reduce(phi, (1, 2)), phi, arg
+    raise ValueError(f"unknown campaign {campaign}")
 
 
 @pytest.mark.parametrize("campaign", CAMPAIGNS, ids=lambda c: f"{c[0]}-{c[1]}")
@@ -120,6 +163,8 @@ def test_build_record_contract():
     psi = haar_random_pure((2, 2, 2), substream(41, 0))
     with pytest.raises(DimensionError):
         build_record(psi.density_matrix(), None, "haar_2x2x2")
+    with pytest.raises(DimensionError):
+        build_record(DensityMatrix((4,), np.eye(4, dtype=complex) / 4), None, "flat")
     assert build_record(reduce(psi, (1, 2)), psi, "haar_2x2x2").tau == three_tangle(psi)
     wide = haar_random_pure((2, 2, 3), substream(41, 1))
     assert build_record(reduce(wide, (1, 2)), wide, "haar_2x2x3").tau is None

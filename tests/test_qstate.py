@@ -24,6 +24,7 @@ from permutangle import (
     substream,
     three_tangle,
 )
+from permutangle.qstate import haar_amplitudes, substreams
 from permutangle.families import (
     BELL_PHI_MINUS,
     BELL_PHI_PLUS,
@@ -90,6 +91,36 @@ class TestSubstream:
         assert not np.array_equal(a, b)
 
 
+class TestChunkStreams:
+    """``substreams`` against numpy's own ``SeedSequence``, through ``substream``."""
+
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**128 + 3)
+    INDICES = (0, 1, 511, 512, 2**31, 2**32 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_equal_seed_sequence_streams(self, seed):
+        count = 0
+        for rng, index in zip(substreams(seed, self.INDICES), self.INDICES):
+            want = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+            assert rng.bit_generator.state == want.state, (seed, index)
+            np.testing.assert_array_equal(
+                rng.standard_normal(16), substream(seed, index).standard_normal(16))
+            count += 1
+        assert count == len(self.INDICES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**160 - 1), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_streams_equal_substream_for_any_seed(self, seed, indices):
+        for rng, index in zip(substreams(seed, indices), indices):
+            np.testing.assert_array_equal(
+                rng.standard_normal(4), substream(seed, index).standard_normal(4))
+
+    @pytest.mark.parametrize("index", [-1, 2**32])
+    def test_rejects_an_index_beyond_one_word(self, index):
+        with pytest.raises(DomainError):
+            next(substreams(3, [0, index]))
+
+
 class TestHaarSampling:
     def test_deterministic_under_fixed_seed(self):
         psi1 = haar_random_pure((2, 2, 2), substream(3, 5))
@@ -101,6 +132,14 @@ class TestHaarSampling:
         for dims in [(2, 2), (2, 2, 3), (2, 2, 4)]:
             psi = haar_random_pure(dims, RNG)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+    def test_stacked_normalization_has_the_bits_of_linalg_norm(self, n):
+        parts = np.random.default_rng(n).standard_normal((2000, 2, n))
+        stacked = haar_amplitudes(parts)
+        for row, (re, im) in zip(stacked, parts):
+            z = re + 1j * im
+            assert np.array_equal(row, z / np.linalg.norm(z))
 
     def test_rejects_empty_and_trivial_dims(self):
         with pytest.raises(DimensionError):
@@ -293,6 +332,13 @@ class TestMixAndPerturb:
         psi = haar_random_pure((2, 2, 2), RNG)
         with pytest.raises(DomainError, match="finite"):
             perturb_pure(psi, psi, eps)
+
+    @pytest.mark.parametrize("eps", [1e200, -1e160])
+    def test_perturb_rejects_eps_whose_norm_overflows(self, eps):
+        psi = haar_random_pure((2, 2, 2), RNG)
+        chi = haar_random_pure((2, 2, 2), RNG)
+        with pytest.raises(DomainError, match="eps"):
+            perturb_pure(psi, chi, eps)
 
     def test_perturb_accepts_finite_negative_eps(self):
         psi = haar_random_pure((2, 2, 2), RNG)
