@@ -2,8 +2,9 @@
 
 Every campaign runs on :func:`_run_indexed`, in chunks of ``CHUNK_SIZE``
 samples in index order. A campaign is a pair of steps. ``draw(rng, i)``
-takes sample ``i``'s raw numbers from ``rng``, the stream of ``(seed, i)``
-(:func:`permutangle.qstate.substreams` seeds a whole chunk at once). Then
+takes sample ``i``'s raw numbers from ``rng``, its own generator of the
+stream of ``(seed, i)`` (:func:`permutangle.qstate.substreams` seeds a whole
+chunk's generators from one hash). Then
 ``build(draws)`` turns a chunk's draws into one stack of states with the
 stacked forms of the scalar constructors, and one call of the stacked kernel
 :func:`permutangle.measures.measure_stack` measures it; a pure (2, 2, 2)
@@ -100,6 +101,8 @@ def build_record(
 ) -> MeasureRecord:
     """Measure a two-qubit state; tau only when a (2,2,2) pure parent exists.
 
+    Such a parent must be the state ``rho`` is the (1, 2) reduction of, as
+    :func:`~permutangle.qstate.reduce` gives it; otherwise ``ValueError``.
     A batch of one of the campaigns' records step, so it reproduces their
     records bit for bit.
     """
@@ -108,6 +111,8 @@ def build_record(
     parents = None
     if parent is not None and parent.dims == (2, 2, 2):
         parents = parent.amplitudes[None]
+        if not np.array_equal(rho.matrix, reduce_pure_stack(parents, (2, 2, 2), (1, 2))[0]):
+            raise ValueError("rho is not the (1, 2) reduction of the (2, 2, 2) parent")
     return _measure(rho.matrix[None], [family], parents)[0]
 
 
@@ -148,9 +153,8 @@ def _run_indexed(
     """Records of samples 0..n-1, measured in chunks of ``CHUNK_SIZE`` in index order.
 
     Sample ``i`` is ``draw(rng, i)``, with ``rng`` the substream of
-    ``(seed, i)``; ``draw`` must be done with ``rng`` when it returns. A
-    chunk's draws go to ``build``, which returns the stack of their states
-    and their family tags (see :func:`_measure`).
+    ``(seed, i)``. A chunk's draws go to ``build``, which returns the stack
+    of their states and their family tags (see :func:`_measure`).
     """
     seed = _check_seed(seed)
     if not 1 <= n <= 2**32:  # an index is a spawn key of one 32-bit word
@@ -238,7 +242,7 @@ def perturbation_campaign(
         base, noises = map(np.array, zip(*draws))
         return states(base, noises, epsilon), [kind] * len(draws)
 
-    return _run_indexed(lambda rng, index: (rng.uniform(0.0, 1.0), noise(rng)), build, n, seed)
+    return _run_indexed(lambda rng, index: (rng.random(), noise(rng)), build, n, seed)
 
 
 def _separable_draw(rng: np.random.Generator, index: int) -> tuple[np.ndarray, str]:

@@ -208,23 +208,6 @@ def _make_werner(p, vec: np.ndarray) -> np.ndarray:
     return rho.astype(complex)
 
 
-def _make_mems1(c: float) -> np.ndarray:
-    # Accepted on all of [0, 1]; it is maximally entangled at fixed linear
-    # entropy only for c >= 2/3, but the same matrix stays a valid rank-2
-    # boundary state below that.
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = c / 2.0
-    rho[1, 1] = 1.0 - c
-    return rho
-
-
-def _make_mems2(c: float) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[1, 1] = rho[3, 3] = 1.0 / 3.0
-    rho[0, 3] = rho[3, 0] = c / 2.0
-    return rho
-
-
 def _make_x_state(a: float, b: float, c: float, d: float, w: complex, z: complex) -> np.ndarray:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
@@ -382,20 +365,20 @@ def _closed_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> dict:
 
 
 def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]:
-    return lambda rng: {key: rng.uniform(0.0, hi)}
+    return lambda rng: {key: hi * rng.random()}
 
 
 def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
     """A Bloch vector drawn uniformly from the unit ball."""
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
-    return tuple(v * rng.uniform() ** (1.0 / 3.0))
+    return tuple(v * rng.random() ** (1.0 / 3.0))
 
 
 def _sample_x_state(rng: np.random.Generator) -> dict:
     a, b, c, d = rng.dirichlet(np.ones(4))
-    w = rng.uniform(0.0, 1.0) * math.sqrt(a * d) * np.exp(2j * np.pi * rng.uniform())
-    z = rng.uniform(0.0, 1.0) * math.sqrt(b * c) * np.exp(2j * np.pi * rng.uniform())
+    w = rng.random() * math.sqrt(a * d) * np.exp(2j * np.pi * rng.random())
+    z = rng.random() * math.sqrt(b * c) * np.exp(2j * np.pi * rng.random())
     return {"a": a, "b": b, "c": c, "d": d, "w": w, "z": z}
 
 
@@ -410,7 +393,7 @@ def _sample_canonical(rng: np.random.Generator, k: int) -> dict:
 
 def _sample_m3ts_general(rng: np.random.Generator) -> dict:
     while True:
-        c12, c13 = rng.uniform(0.0, 1.0, size=2)
+        c12, c13 = rng.random(2)
         if c12 * c12 + c13 * c13 <= 1.0:
             return {"c12": c12, "c13": c13}
 
@@ -434,9 +417,16 @@ _FAMILIES: dict[str, _Family] = {
         lambda rng: dict(zip(_BELL_WEIGHTS, rng.dirichlet(np.ones(4)))), _BELL_WEIGHTS),
     "werner": _Family(
         _werner_domain, _make_werner, _closed_werner, _uniform("p"), ("p", "bell")),
-    "mems1": _Family(_interval("c"), _make_mems1, _closed_mems1, _uniform("c"), ("c",)),
+    # mems1 is accepted on all of [0, 1]; it is maximally entangled at fixed
+    # linear entropy only for c >= 2/3, but the same matrix stays a valid
+    # rank-2 boundary state below that.
+    "mems1": _Family(
+        _interval("c"), lambda c: _make_x_state(c / 2.0, 1.0 - c, 0.0, c / 2.0, c / 2.0, 0.0),
+        _closed_mems1, _uniform("c"), ("c",)),
     "mems2": _Family(
-        _interval("c", 2.0 / 3.0), _make_mems2, _closed_mems2, _uniform("c", 2.0 / 3.0), ("c",)),
+        _interval("c", 2.0 / 3.0),
+        lambda c: _make_x_state(1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0, c / 2.0, 0.0),
+        _closed_mems2, _uniform("c", 2.0 / 3.0), ("c",)),
     "x_state": _Family(
         _x_state_domain, _make_x_state, _closed_x_state, _sample_x_state,
         ("a", "b", "c", "d", "w", "z")),
@@ -461,7 +451,7 @@ _FAMILIES: dict[str, _Family] = {
         ("c",)),
     "cq_state": _Family(
         _cq_state_domain, _make_cq_state, _closed_cq_state,
-        lambda rng: {"p": rng.uniform(0.0, 1.0), "a": _random_bloch(rng), "b": _random_bloch(rng)},
+        lambda rng: {"p": rng.random(), "a": _random_bloch(rng), "b": _random_bloch(rng)},
         ("p", "a", "b")),
 }
 

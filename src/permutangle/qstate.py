@@ -7,8 +7,9 @@ Conventions, fixed project-wide:
   so for dims (2, 2, 2) basis state |i j k> sits at flat index 4i + 2j + k.
 * Randomness is always an explicit ``numpy.random.Generator``. Sample ``i``
   of a campaign draws from the stream :func:`substream` gives ``(seed, i)``,
-  so it depends only on the seed and ``i``; :func:`substreams` derives the
-  streams of a whole chunk of indices with one vectorized hash.
+  so it depends only on the seed and ``i``; :func:`substreams` gives each
+  index of a whole chunk its own generator of that stream, seeded from one
+  vectorized hash of the indices.
 
 The ``*_stack`` functions and :func:`haar_amplitudes` are the array forms of
 the scalar operations: they act on stacks with leading axes, the scalar
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateStateError, DimensionError, DomainError, HermiticityError
 from .matkernel import HERMITICITY_TOL
@@ -41,13 +43,12 @@ RANK_EPS = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 
 
-#: numpy's ``SeedSequence`` hash constants and the PCG64 multiplier. NEP 19
-#: keeps both algorithms fixed, so a stream is the same under every numpy.
+#: numpy's ``SeedSequence`` hash constants. NEP 19 keeps the algorithm fixed,
+#: so a stream is the same under every numpy.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_WORD = 1 << 32
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -60,66 +61,49 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def substreams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
-    """The streams of :func:`substream` for ``seed`` and each index in turn.
+class _GeneratedState(ISeedSequence):
+    """A ``generate_state(4, uint64)`` result already computed, for ``PCG64`` to seed from."""
 
-    Yields one generator, owned by this call and reset to the next index's
-    stream before each yield, so a draw must be finished with it before the
-    next one is taken. The PCG64 states of all the indices come from one
-    vectorized pass of ``SeedSequence``'s hash, run on uint32 arrays, which
-    wrap as the hash requires. ``seed`` is a non-negative int and every
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The hash constants ``init * mult**j`` mod 2**32 for j in first..first+count-1."""
+    return np.array([init * pow(mult, j, _WORD) % _WORD for j in range(first, first + count)],
+                    dtype=np.uint32)
+
+
+def substreams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The generators of :func:`substream` for ``seed`` and each index in turn.
+
+    ``SeedSequence(seed, spawn_key=(i,))`` is the pool of
+    ``SeedSequence(seed)`` hashed on with the one key word ``i``. That step and
+    ``generate_state(4, uint64)`` run for all the indices at once on uint32
+    arrays, which wrap as the hash requires; numpy then seeds each index's
+    own ``PCG64`` from its row. ``seed`` is a non-negative int and every
     index lies in [0, 2**32), a spawn key of one word.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    if not ((indices >= 0) & (indices <= _MASK32)).all():
+    if not ((indices >= 0) & (indices < _WORD)).all():
         raise DomainError("stream indices must lie in [0, 2**32)")
-    # the entropy words: the seed's, little end first and padded to the pool
-    # size of 4, then the spawn key
+    # the pool took 4 hashes per entropy word, the seed's words padded to 4
     words = -(-seed.bit_length() // 32)
-    entropy = [np.full(len(indices), seed >> (32 * j) & _MASK32, dtype=np.uint32)
-               for j in range(max(4, words))]
-    entropy.append(indices.astype(np.uint32))
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight words, paired little end first
-    const = _INIT_B
-    state = []
-    for j in range(8):
-        value = pool[j % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        state.append((value ^ (value >> 16)).astype(np.uint64))
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        (state[2 * m] | state[2 * m + 1] << 32).tolist() for m in range(4)
-    )
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps from 0
-        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        pcg = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+    const = _hash_constants(_INIT_A, _MULT_A, 4 * max(4, words), 5)
+    key = (indices.astype(np.uint32)[:, None] ^ const[:4]) * const[1:]
+    key ^= key >> 16
+    pool = np.random.SeedSequence(seed).pool * _MIX_MULT_L - key * _MIX_MULT_R
+    pool ^= pool >> 16
+    # generate_state(4, uint64): eight words from the pool words in turn,
+    # paired little end first
+    const = _hash_constants(_INIT_B, _MULT_B, 0, 9)
+    state = (np.tile(pool, 2) ^ const[:8]) * const[1:]
+    state ^= state >> 16
+    for row in state.astype("<u4").view("<u8").astype(np.uint64):
+        yield np.random.Generator(np.random.PCG64(_GeneratedState(row)))
 
 
 def _check_dims(dims) -> tuple[int, ...]:

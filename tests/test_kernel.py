@@ -170,6 +170,16 @@ def test_build_record_contract():
     assert build_record(reduce(wide, (1, 2)), wide, "haar_2x2x3").tau is None
 
 
+def test_build_record_rejects_a_parent_of_another_state():
+    """tau comes from the parent and c12 from rho, so rho must be the parent's
+    (1, 2) reduction."""
+    psi = haar_random_pure((2, 2, 2), substream(41, 0))
+    other = haar_random_pure((2, 2, 2), substream(41, 2))
+    for rho in (reduce(other, (1, 2)), reduce(psi, (1, 3)), reduce(psi, (2, 1))):
+        with pytest.raises(ValueError, match="reduction of the"):
+            build_record(rho, psi, "haar_2x2x2")
+
+
 def _reference(rho: np.ndarray, parent=None) -> dict:
     """Per-state values from the naive oracles alone."""
     link = realign_by_index(partial_transpose_by_index(rho, 2, 2, 2), 2, 2)

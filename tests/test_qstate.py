@@ -24,7 +24,7 @@ from permutangle import (
     substream,
     three_tangle,
 )
-from permutangle.qstate import haar_amplitudes, substreams
+from permutangle.qstate import haar_amplitudes, haar_draw, reduce_pure_stack, substreams
 from permutangle.families import (
     BELL_PHI_MINUS,
     BELL_PHI_PLUS,
@@ -94,7 +94,7 @@ class TestSubstream:
 class TestChunkStreams:
     """``substreams`` against numpy's own ``SeedSequence``, through ``substream``."""
 
-    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**128 + 3)
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**128 + 3, 2**192 + 1, 2**200 + 7)
     INDICES = (0, 1, 511, 512, 2**31, 2**32 - 1)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -114,6 +114,14 @@ class TestChunkStreams:
         for rng, index in zip(substreams(seed, indices), indices):
             np.testing.assert_array_equal(
                 rng.standard_normal(4), substream(seed, index).standard_normal(4))
+
+    def test_each_index_has_its_own_generator(self):
+        """Generators taken all at once and drawn from in reverse order still
+        give each index its own stream."""
+        rngs = list(substreams(5, self.INDICES))
+        for rng, index in reversed(list(zip(rngs, self.INDICES))):
+            np.testing.assert_array_equal(
+                rng.standard_normal(8), substream(5, index).standard_normal(8))
 
     @pytest.mark.parametrize("index", [-1, 2**32])
     def test_rejects_an_index_beyond_one_word(self, index):
@@ -151,10 +159,7 @@ class TestHaarSampling:
         # E[tr rho_1^2] = (d1 + d2) / (d1 d2 + 1) = 4/5 for a (2, 2) Haar state,
         # cross-checked against a coarse independent estimate before freezing.
         n = 100_000
-        total = 0.0
-        for i in range(n):
-            psi = haar_random_pure((2, 2), substream(2024, i))
-            total += reduce(psi, (1,)).purity()
+        total = _reduced_purities(2024, n).sum()
         assert total / n == pytest.approx(0.8, abs=0.005)
 
     def test_unitary_invariance_ks(self):
@@ -162,15 +167,8 @@ class TestHaarSampling:
         # one fixed unitary; statistic must stay under the 1% critical value.
         n = 10_000
         u = haar_random_unitary(4, substream(77, 0))
-        plain = np.empty(n)
-        rotated = np.empty(n)
-        for i in range(n):
-            psi = haar_random_pure((2, 2), substream(555, i))
-            plain[i] = reduce(psi, (1,)).purity()
-            psi2 = haar_random_pure((2, 2), substream(556, i))
-            rotated[i] = reduce(
-                PureState((2, 2), u @ psi2.amplitudes), (1,)
-            ).purity()
+        plain = _reduced_purities(555, n)
+        rotated = _reduced_purities(556, n, u)
         ks = _ks_two_sample(plain, rotated)
         critical = 1.628 * math.sqrt(2.0 / n)
         assert ks < critical
@@ -178,6 +176,17 @@ class TestHaarSampling:
     def test_haar_unitary_is_unitary(self):
         u = haar_random_unitary(4, RNG)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+def _reduced_purities(seed: int, n: int, u=None) -> np.ndarray:
+    """tr rho_1^2 of the (2, 2) Haar states ``haar_random_pure`` draws from
+    the substreams of samples 0..n-1, each first rotated by ``u`` if given."""
+    parts = np.array([haar_draw(4, rng) for rng in substreams(seed, range(n))])
+    amplitudes = haar_amplitudes(parts)
+    if u is not None:
+        amplitudes = amplitudes @ u.T
+    rho = reduce_pure_stack(amplitudes, (2, 2), (1,)).reshape(n, -1)
+    return np.vecdot(rho, rho).real
 
 
 def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
