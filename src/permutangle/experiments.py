@@ -35,7 +35,6 @@ from .qstate import (
     fixed_eigvecs_weights,
     haar_amplitudes,
     haar_draw,
-    haar_random_pure,
     mix_stack,
     perturb_pure_stack,
     projector_stack,
@@ -245,29 +244,50 @@ def perturbation_campaign(
     return _run_indexed(lambda rng, index: (rng.random(), noise(rng)), build, n, seed)
 
 
-def _separable_draw(rng: np.random.Generator, index: int) -> tuple[np.ndarray, str]:
+def _separable_draw(rng: np.random.Generator, index: int) -> tuple[str, Any]:
+    """Sample ``index``'s family tag and raw numbers; its state is built in a stack."""
     kind = index % 4
     if kind == 0:
         terms = int(rng.integers(1, 4))
         weights = rng.dirichlet(np.ones(terms))
-        rho = np.zeros((4, 4), dtype=complex)
-        for w in weights:
-            u = haar_random_pure((2,), rng).amplitudes
-            v = haar_random_pure((2,), rng).amplitudes
-            rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
-        return rho, "product_mix"
+        # the Haar blocks of u_1, v_1, u_2, ...: the stream of 2 * terms haar_draw(2) calls
+        return "product_mix", (weights, rng.standard_normal((2 * terms, 2, 2)))
     if kind == 1:
-        params = families.sample_params("cq_state", rng)
-        return families.state_stack("cq_state", **params), "cq_state"
+        return "cq_state", families.sample_params("cq_state", rng)
     if kind == 2:
-        state = families.state_stack("werner", p=rng.uniform(0.0, 1.0 / 3.0))
-        return state, "werner_separable"
+        return "werner_separable", (1.0 / 3.0) * rng.random()
     while True:
         p = rng.dirichlet(np.ones(4))
         if p.max() <= 0.5:
-            break
-    state = families.state_stack("bell_diagonal", p1=p[0], p2=p[1], p3=p[2], p4=p[3])
-    return state, "bell_diagonal_separable"
+            return "bell_diagonal_separable", p
+
+
+def _product_mixes(draws: list) -> np.ndarray:
+    """sum_t w_t |u_t><u_t| (x) |v_t><v_t| of each (weights, Haar blocks) draw,
+    one stack per term count, adding the terms in order."""
+    rho = np.zeros((len(draws), 4, 4), dtype=complex)
+    counts = np.array([len(weights) for weights, _ in draws])
+    for terms in np.unique(counts):
+        rows = np.flatnonzero(counts == terms)
+        weights = np.array([draws[row][0] for row in rows])
+        projectors = projector_stack(haar_amplitudes(np.array([draws[row][1] for row in rows])))
+        # np.kron of two 2x2 matrices is this broadcast product, reshaped
+        u, v = projectors[:, 0::2, :, None, :, None], projectors[:, 1::2, None, :, None, :]
+        kron = (u * v).reshape(len(rows), terms, 4, 4)
+        for t in range(terms):
+            rho[rows] += weights[:, t, None, None] * kron[:, t]
+    return rho
+
+
+#: separable family tag -> the stack of the states of a list of its draws
+_SEPARABLE_STACKS: dict[str, Callable[[list], np.ndarray]] = {
+    "product_mix": _product_mixes,
+    "cq_state": lambda draws: families.state_stack(
+        "cq_state", **{key: np.array([d[key] for d in draws]) for key in ("p", "a", "b")}),
+    "werner_separable": lambda ps: families.state_stack("werner", p=np.array(ps)),
+    "bell_diagonal_separable": lambda ps: families.state_stack(
+        "bell_diagonal", **dict(zip(("p1", "p2", "p3", "p4"), np.transpose(ps)))),
+}
 
 
 def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
@@ -278,9 +298,14 @@ def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
     spectrum inside [0, 1/2].
     """
 
-    def build(draws: list) -> tuple[np.ndarray, tuple[str, ...]]:
-        matrices, tags = zip(*draws)
-        return np.array(matrices), tags
+    def build(draws: list) -> tuple[np.ndarray, list[str]]:
+        tags = [tag for tag, _ in draws]
+        stack = np.empty((len(draws), 4, 4), dtype=complex)
+        for tag, states in _SEPARABLE_STACKS.items():
+            rows = [row for row, other in enumerate(tags) if other == tag]
+            if rows:
+                stack[rows] = states([draws[row][1] for row in rows])
+        return stack, tags
 
     return _run_indexed(_separable_draw, build, n, seed)
 

@@ -8,9 +8,9 @@ order. ``_evaluate`` is the one gate for family parameters, so
 returns the family's defining amplitude vector or matrix, which
 ``make_state`` wraps as a :class:`PureState` or :class:`DensityMatrix`
 without validating it again. The builders of the families that campaigns
-perturb (ansatz1, werner, mems1_purification) broadcast over arrays of
-parameter values, so ``state_stack`` builds a campaign chunk's states with
-the same formula. ``closed_form_measures``
+build (ansatz1, werner, mems1_purification, cq_state, bell_diagonal), and
+their domains, broadcast over arrays of parameter values, so ``state_stack``
+builds a campaign chunk's states with the same formula. ``closed_form_measures``
 returns the analytically known values for that family as a dict keyed by
 measure name; keys vary per family (cross-pair values like ``c13`` exist
 only for three-qubit families).
@@ -47,6 +47,8 @@ BELL_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2
 
 def _finite(value) -> bool:
     """False for a NaN or infinite number, also inside a vector or a complex value."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biufc":
+        return bool(np.isfinite(value).all())
     try:
         return cmath.isfinite(value)
     except OverflowError:  # an int beyond the float range
@@ -76,6 +78,13 @@ def _unit_interval(params, key, hi=1.0):
     return min(hi, max(0.0, value))
 
 
+def _first(values: np.ndarray, bad: np.ndarray):
+    """The first entry of ``values`` (a number, or a vector along the last
+    axis) where ``bad`` holds, as a Python float or a tuple of them."""
+    first = np.asarray(values)[bad][0]
+    return first.item() if first.ndim == 0 else tuple(first.tolist())
+
+
 def _interval(key: str, hi: float = 1.0) -> Callable[[Mapping], tuple[float]]:
     """The domain of a family with one parameter in [0, hi]."""
     return lambda params: (_unit_interval(params, key, hi),)
@@ -86,13 +95,18 @@ _CANONICAL = ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4", "theta")
 _WERNER_FIDUCIALS = {"phi+": BELL_PHI_PLUS, "psi-": BELL_PSI_MINUS}
 
 
-def _bell_diagonal_domain(params) -> tuple[float, float, float, float]:
-    ps = tuple(float(params[k]) for k in _BELL_WEIGHTS)
-    if any(p < -EDGE_TOL for p in ps):
-        raise DomainError(f"Bell-diagonal weights must be nonnegative, got {ps}")
-    if abs(sum(ps) - 1.0) > PARAM_SUM_TOL:
-        raise DomainError(f"Bell-diagonal weights must sum to 1, got sum {sum(ps)!r}")
-    return tuple(max(0.0, p) for p in ps)
+def _bell_diagonal_domain(params) -> tuple:
+    """The four weights; arrays of k values each are k states, checked at once."""
+    ps = np.array([params[k] for k in _BELL_WEIGHTS], dtype=float)
+    if ps.min() < -EDGE_TOL:
+        negative = (ps < -EDGE_TOL).any(axis=0)
+        raise DomainError(f"Bell-diagonal weights must be nonnegative, got {_first(ps.T, negative)}")
+    total = ps[0] + ps[1] + ps[2] + ps[3]
+    off = abs(total - 1.0) > PARAM_SUM_TOL
+    if off.any():
+        raise DomainError(f"Bell-diagonal weights must sum to 1, got sum {_first(total, off)!r}")
+    weights = np.maximum(0.0, ps)
+    return tuple(weights.tolist() if weights.ndim == 1 else weights)
 
 
 def _werner_domain(params) -> tuple[float, np.ndarray]:
@@ -171,23 +185,21 @@ def _ansatz2_domain(params) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
-def _bloch_qubit(vec: Sequence[float]) -> np.ndarray:
-    """The qubit state of a Bloch vector; one just outside the ball is projected onto it."""
-    x, y, z = (float(v) for v in vec)
-    norm2 = x * x + y * y + z * z
-    if norm2 > 1.0 + POSITIVITY_TOL:
-        raise DomainError(f"Bloch vector {(x, y, z)} lies outside the unit ball")
-    if norm2 > 1.0:
-        x, y, z = (v / math.sqrt(norm2) for v in (x, y, z))
-    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
-
-
-def _cq_state_domain(params) -> tuple[float, np.ndarray, np.ndarray]:
-    """p and the two qubit states that the Bloch vectors a and b describe."""
+def _cq_state_domain(params) -> tuple[float, np.ndarray]:
+    """p and the Bloch vectors a and b as one ``(2, ..., 3)`` array; a vector
+    just outside the unit ball is projected onto it."""
     p = _unit_interval(params, "p")
-    rho_a = _bloch_qubit(params.get("a", (0.0, 0.0, 1.0)))
-    rho_b = _bloch_qubit(params.get("b", (0.0, 0.0, -1.0)))
-    return p, rho_a, rho_b
+    v = np.array([params.get("a", (0.0, 0.0, 1.0)), params.get("b", (0.0, 0.0, -1.0))], dtype=float)
+    if v.shape[-1] != 3:
+        raise ValueError(f"a Bloch vector has 3 entries, got {v.shape[-1]}")
+    if isinstance(p, np.ndarray):  # a stack of p: ValueError when its size differs
+        np.broadcast_shapes(p.shape, v.shape[1:-1])
+    norm2 = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
+    outside = norm2 > 1.0 + POSITIVITY_TOL
+    if outside.any():
+        raise DomainError(f"Bloch vector {_first(v, outside)} lies outside the unit ball")
+    # v / 1.0 is v, so only a vector past the sphere moves
+    return p, v / np.sqrt(np.maximum(norm2, 1.0))[..., None]
 
 
 _BELL_PROJECTORS = tuple(
@@ -256,10 +268,21 @@ def _make_mems1_purification(c) -> np.ndarray:
     return amps
 
 
-def _make_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[:2, :2] = p * rho_a
-    rho[2:, 2:] = (1.0 - p) * rho_b
+def _make_cq_state(p, bloch: np.ndarray) -> np.ndarray:
+    """p |0><0| (x) rho_a + (1 - p) |1><1| (x) rho_b, rho_a and rho_b the
+    qubit states of the Bloch vectors a and b."""
+    x, iy, z = bloch[..., 0], 1j * bloch[..., 1], bloch[..., 2]
+    qubits = np.empty(x.shape + (2, 2), dtype=complex)
+    qubits[..., 0, 0] = 1.0 + z
+    qubits[..., 0, 1] = x - iy
+    qubits[..., 1, 0] = x + iy
+    qubits[..., 1, 1] = 1.0 - z
+    rho_a, rho_b = 0.5 * qubits
+    p = np.asarray(p)[..., None, None]
+    top = p * rho_a
+    rho = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
+    rho[..., :2, :2] = top
+    rho[..., 2:, 2:] = (1.0 - p) * rho_b
     return rho
 
 
@@ -355,7 +378,7 @@ def _closed_mems1_purification(c: float) -> dict:
     }
 
 
-def _closed_cq_state(p: float, rho_a: np.ndarray, rho_b: np.ndarray) -> dict:
+def _closed_cq_state(p: float, bloch: np.ndarray) -> dict:
     return {"r12": 0.0}
 
 
@@ -387,7 +410,7 @@ def _sample_canonical(rng: np.random.Generator, k: int) -> dict:
     lam = np.abs(rng.standard_normal(k))
     lam /= np.linalg.norm(lam)
     out = {name: float(v) for name, v in zip(_CANONICAL, lam)}
-    out["theta"] = rng.uniform(0.0, np.pi)
+    out["theta"] = np.pi * rng.random()
     return out
 
 
@@ -510,10 +533,12 @@ def state_stack(family: str, **params) -> np.ndarray:
     """The defining amplitude vector (three qubits) or density matrix (two
     qubits) of a family state, as a numpy array.
 
-    Given numpy arrays of k values for its parameters, a family whose builder
-    broadcasts (ansatz1, werner, mems1_purification) returns the ``(k, 8)``
-    or ``(k, 4, 4)`` stack of the k states, each row with the bits
-    :func:`make_state` gives it; the domain checks all the values at once.
+    Given numpy arrays of k values for its parameters (a ``(k, 3)`` array
+    for a stack of Bloch vectors), a family whose builder broadcasts
+    (ansatz1, werner, mems1_purification, cq_state, bell_diagonal) returns
+    the ``(k, 8)`` or ``(k, 4, 4)`` stack of the k states, each row with the
+    bits :func:`make_state` gives it; the domain checks all the values at
+    once, and a ``DomainError`` names the first row outside it.
     """
     return _evaluate("build", family, params)
 

@@ -380,8 +380,8 @@ def fixed_eigvecs_weights(rng: np.random.Generator) -> np.ndarray:
     The angles stay scalars: numpy's vectorized sin and cos can round
     differently from the scalar calls.
     """
-    theta = rng.uniform(0.0, np.pi)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
+    theta = np.pi * rng.random()
+    phi = 2.0 * np.pi * rng.random()
     st, ct = np.sin(theta), np.cos(theta)
     return np.array([ct**2, st**2 * np.cos(phi) ** 2, st**2 * np.sin(phi) ** 2])
 

@@ -172,6 +172,7 @@ class TestDomainValidation:
             ("cq_state", dict(p=0.5, a=(0.0, 0.0)), "wrong kind"),
             ("cq_state", dict(p=0.5, a="abc"), "wrong kind"),
             ("werner", dict(p="abc"), "wrong kind"),
+            ("cq_state", dict(p=np.array([0.5, 0.5]), a=np.zeros((3, 3))), "wrong kind"),
         ],
     )
     def test_parameters_checked_as_a_whole(self, family, params, message):
@@ -234,6 +235,7 @@ class TestStateStack:
 
     @pytest.mark.parametrize("family, key, extra", [
         ("ansatz1", "p", {}), ("werner", "p", {"bell": "psi-"}), ("mems1_purification", "c", {}),
+        ("cq_state", "p", {}),
     ])
     def test_rows_equal_make_state(self, family, key, extra):
         values = np.concatenate([[0.0, 1.0, 1.0 + 1e-13], np.random.default_rng(3).uniform(size=40)])
@@ -246,6 +248,37 @@ class TestStateStack:
     def test_one_value_outside_the_domain_rejects_the_stack(self):
         with pytest.raises(DomainError, match="p=1.5"):
             state_stack("ansatz1", p=np.array([0.2, 1.5, 0.3]))
+
+    @staticmethod
+    def _stacked(rows: list[dict]) -> dict:
+        return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+    @pytest.mark.parametrize("family, edge", [
+        # Bloch vectors past the sphere by less than the slack are projected onto it
+        ("cq_state", dict(p=1.0, a=(0.0, 0.0, -1.0 - 2e-10), b=(1.0 + 4e-10, 0.0, 0.0))),
+        ("bell_diagonal", dict(p1=-1e-13, p2=0.5, p3=0.5, p4=1e-13)),
+    ])
+    def test_rows_of_vector_parameters_equal_make_state(self, family, edge):
+        rows = [sample_params(family, substream(8, i)) for i in range(40)] + [edge]
+        stack = state_stack(family, **self._stacked(rows))
+        assert stack.shape == (len(rows), 4, 4)
+        for row, params in zip(stack, rows):
+            assert np.array_equal(row, make_state(family, **params).matrix)
+
+    @pytest.mark.parametrize("family, bad, message", [
+        ("cq_state", dict(p=0.5, a=(0.0, 1.5, 0.0), b=(0.0, 0.0, 1.0)),
+         r"Bloch vector \(0.0, 1.5, 0.0\) lies outside"),
+        ("bell_diagonal", dict(p1=0.7, p2=-0.2, p3=0.3, p4=0.2),
+         r"nonnegative, got \(0.7, -0.2, 0.3, 0.2\)"),
+        ("bell_diagonal", dict(p1=0.7, p2=0.2, p3=0.3, p4=0.2), "sum to 1, got sum 1.4"),
+        ("cq_state", dict(p=0.5, a=(math.nan, 0.0, 0.0), b=(0.0, 0.0, 1.0)),
+         r"(?s)parameter a=array\(.*nan.*\) is not finite"),
+    ])
+    def test_one_row_outside_the_domain_is_named(self, family, bad, message):
+        rows = [sample_params(family, substream(8, i)) for i in range(5)]
+        rows.insert(3, bad)
+        with pytest.raises(DomainError, match=message):
+            state_stack(family, **self._stacked(rows))
 
     def test_make_state_takes_one_value_per_parameter(self):
         with pytest.raises(DomainError):

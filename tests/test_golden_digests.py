@@ -4,8 +4,9 @@ Every command's output at a small size is hashed and compared with the
 committed manifest ``golden_digests.json``: figure bundles, sample and
 perturb records (CSV and JSON), the separable campaign, every boundary curve
 and the ``measure`` table of every family. The bits depend on the numpy
-build and the platform, so the manifest records both, and a host that
-differs fails rather than skips.
+version, the platform, the SIMD targets numpy dispatches to on this CPU and
+the BLAS and LAPACK numpy links, so the manifest records all four, and a host
+that differs fails rather than skips.
 
 Regenerate the manifest (and log the regeneration in CHANGES.md) with::
 
@@ -24,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from permutangle import experiments, families, substream
 from permutangle.cli import run
@@ -34,8 +36,17 @@ N_FIGURE = 256
 N_RECORDS = 300
 
 
-def _host() -> dict[str, str]:
-    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+def _host() -> dict:
+    """What decides the bits besides the code. ``__cpu_dispatch__`` is the wheel's
+    build-time target list; ``__cpu_features__`` says which of them this CPU runs."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return {
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.machine()}",
+        "simd_dispatch": [target for target in __cpu_dispatch__ if __cpu_features__[target]],
+        "blas_lapack": {lib: f"{deps[lib]['name']} {deps[lib]['version']}"
+                        for lib in ("blas", "lapack")},
+    }
 
 
 def _cli(out: Path, *argv: str) -> Path:
@@ -91,11 +102,27 @@ def digests(tmp: Path) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs(tmp).items()}
 
 
+def _host_differences(manifest: dict) -> list[str]:
+    """Each fact of this host that the manifest records otherwise, with both values."""
+    return [f"{key}: manifest {manifest.get(key)!r}, this host {value!r}"
+            for key, value in _host().items() if manifest.get(key) != value]
+
+
+def test_a_host_that_differs_is_named_with_both_values():
+    host = _host()
+    other = {**host, "simd_dispatch": ["X86_V2"],
+             "blas_lapack": {"blas": "mkl 1", "lapack": "mkl 1"}}
+    differ = _host_differences(other)
+    assert len(differ) == 2
+    assert "['X86_V2']" in differ[0] and repr(host["simd_dispatch"]) in differ[0]
+    assert "mkl 1" in differ[1] and repr(host["blas_lapack"]) in differ[1]
+
+
 def test_output_bytes_match_manifest(tmp_path):
     manifest = json.loads(MANIFEST.read_text())
-    made_on = {key: manifest[key] for key in _host()}
-    assert made_on == _host(), (
-        f"the manifest was made with {made_on}, this host has {_host()}; "
+    differ = _host_differences(manifest)
+    assert not differ, (
+        f"the manifest was made on another host ({'; '.join(differ)}); "
         "regenerate it on this host (see this module's docstring)"
     )
     got = digests(tmp_path)

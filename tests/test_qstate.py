@@ -358,12 +358,12 @@ class TestMixAndPerturb:
 
 
 class _Angles:
-    """Stands in for a Generator whose uniform draws are the given theta, phi."""
+    """Stands in for a Generator whose two U[0, 1) draws scale to the given theta, phi."""
 
     def __init__(self, theta, phi):
-        self._draws = iter((theta, phi))
+        self._draws = iter((theta / np.pi, phi / (2.0 * np.pi)))
 
-    def uniform(self, low, high):
+    def random(self):
         return next(self._draws)
 
 
