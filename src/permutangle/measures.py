@@ -8,16 +8,17 @@ The two-qubit measures have one implementation, the stacked kernel
 :func:`measure_stack`. It takes a ``(k, 4, 4)`` stack of states (and,
 optionally, their ``(k, 8)`` three-qubit pure parents) and runs each
 linear-algebra step once over the whole stack: one ``eigh`` for the ranks and
-the Wootters spectra (and one for the parents' (1, 3) reductions), one
-overlap SVD each, one ``eigvalsh`` of the partial transposes, one
-determinant of the links and one of the parents' single-qubit reductions.
-Every check (finite entries, Hermiticity, positivity, the clamp tolerance)
-still applies to each matrix; the scalar arithmetic that follows a step
-(|det|^(1/4), lambda_1 - lambda_2 - ..., the clamp) runs per value. The
-scalar ``concurrence``, ``negativity``, ``r12`` and ``three_tangle`` run the
-same steps on a stack of one, and numpy's stacked routines give each matrix
-the bits it gets alone, so a state measured by itself or inside a campaign
-chunk of any size gets identical values.
+the Wootters spectra, one overlap SVD, one ``eigvalsh`` of the partial
+transposes and one determinant of the links. The parents' 3-tangle needs no
+linear algebra: it is the Cayley hyperdeterminant of the amplitudes, one
+elementwise pass over the stack. Every check (finite entries, Hermiticity,
+positivity, the clamp tolerance) still applies to each matrix and value; the
+scalar arithmetic that follows a step (|det|^(1/4), lambda_1 - lambda_2 - ...,
+the clamp) runs per value. The scalar ``concurrence``, ``negativity``,
+``r12`` and ``three_tangle`` run the same steps on a stack of one, and
+numpy's stacked routines give each matrix the bits it gets alone, so a state
+measured by itself or inside a campaign chunk of any size gets identical
+values. The tangle's bits follow numpy's SIMD-dispatched complex multiply.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .qstate import (
     RANK_EPS,
     descending,
     eigh_psd,
-    reduce_pure_stack,
 )
 
 CLAMP_TOL = 1e-9
@@ -45,7 +45,6 @@ WITNESS_THRESHOLD = (1.0 / 3.0) ** 0.75
 #: sigma_y (x) sigma_y, the two-qubit spin flip, applied to a column vector:
 #: reverse the basis order and negate the |00> and |11> entries.
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
-_THREE_QUBITS = (2, 2, 2)
 
 
 def _clamp01(values: list[float], what: str = "measure") -> list[float]:
@@ -74,7 +73,7 @@ class StackMeasures(NamedTuple):
     c12: list[float]
     n12: list[float]
     r12: list[float]
-    #: Residual 3-tangle of each parent; None when no parents were given.
+    #: 3-tangle of each parent; None when no parents were given.
     tau: Optional[list[float]]
 
 
@@ -84,7 +83,7 @@ def measure_stack(rhos, parents=None) -> StackMeasures:
     ``rhos`` is a ``(k, 4, 4)`` stack of two-qubit density matrices. When
     ``parents`` is given, it is the ``(k, 8)`` stack of three-qubit pure
     states whose (1, 2) reductions they are, and ``tau`` holds their
-    residual tangles; otherwise ``tau`` is None.
+    3-tangles; otherwise ``tau`` is None.
     """
     rhos = matkernel.as_matrix(rhos, square=True, stack=True)
     if rhos.ndim != 3 or rhos.shape[1] != 4:
@@ -97,10 +96,7 @@ def measure_stack(rhos, parents=None) -> StackMeasures:
         if not np.isfinite(parents).all():
             raise ValueError("parent amplitudes contain non-finite entries")
     rank, c12 = _ranks_and_concurrences(rhos)
-    tau = None
-    if parents is not None:
-        c13 = _concurrences(reduce_pure_stack(parents, _THREE_QUBITS, (1, 3)))
-        tau = _residual_tangle(parents, c12, c13)
+    tau = None if parents is None else _tangles(parents)
     return StackMeasures(rank=rank, c12=c12, n12=_negativity(rhos), r12=_r12(rhos, 2), tau=tau)
 
 
@@ -108,11 +104,6 @@ def _ranks_and_concurrences(mats: np.ndarray) -> tuple[list[int], list[float]]:
     """Numerical ranks and concurrences of a stack of two-qubit states."""
     w, v = descending(*eigh_psd(mats))
     return (w > RANK_EPS).sum(axis=-1).tolist(), _wootters(w, v)
-
-
-def _concurrences(mats: np.ndarray) -> list[float]:
-    """Concurrences of a stack of two-qubit states."""
-    return _wootters(*descending(*eigh_psd(mats)))
 
 
 def _wootters(w: np.ndarray, v: np.ndarray) -> list[float]:
@@ -146,13 +137,22 @@ def _r12(mats: np.ndarray, d: int) -> list[float]:
     return _clamp01([d * abs(z) ** (1.0 / d**2) for z in det.tolist()], "r12")
 
 
-def _residual_tangle(parents: np.ndarray, c12: list[float], c13: list[float]) -> list[float]:
-    """tangle(1|23) - c12^2 - c13^2 with tangle(1|23) = 4 det(rho_1) (Coffman-Kundu-Wootters)."""
-    rho1 = reduce_pure_stack(parents, _THREE_QUBITS, (1,))
-    dets = matkernel.determinant(rho1).tolist()
-    return _clamp01(
-        [4.0 * z.real - a**2 - b**2 for z, a, b in zip(dets, c12, c13)], "three_tangle"
-    )
+def _tangles(parents: np.ndarray) -> list[float]:
+    """3-tangles 4 |d1 - 2 d2 + 4 d3| of a ``(k, 8)`` stack of three-qubit pure states.
+
+    d1 - 2 d2 + 4 d3 is the Cayley hyperdeterminant of the amplitudes
+    a_ijk (Coffman, Kundu and Wootters, PRA 61, 052306). The modulus is
+    ``np.hypot``, which has the bits of Python's ``abs``; numpy's dispatched
+    ``np.abs`` of a complex array does not.
+    """
+    a000, a001, a010, a011, a100, a101, a110, a111 = parents.T
+    # the four products of amplitudes at complementary indices
+    p0, p1, p2, p3 = a000 * a111, a001 * a110, a010 * a101, a100 * a011
+    d1 = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+    d2 = p0 * p3 + p0 * p2 + p0 * p1 + p3 * p2 + p3 * p1 + p2 * p1
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    h = d1 - 2.0 * d2 + 4.0 * d3
+    return _clamp01((4.0 * np.hypot(h.real, h.imag)).tolist(), "three_tangle")
 
 
 def r12(rho: DensityMatrix) -> float:
@@ -197,7 +197,7 @@ def concurrence(rho: DensityMatrix) -> float:
     Equals 2|ad - bc| on pure states a|00> + b|01> + c|10> + d|11>.
     """
     _require_two_qubits(rho, "concurrence")
-    return _concurrences(rho.matrix[None])[0]
+    return _wootters(*descending(*eigh_psd(rho.matrix[None])))[0]
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -215,14 +215,13 @@ def pure_concurrence(psi: PureState) -> float:
 
 
 def three_tangle(psi: PureState) -> float:
-    """Residual tripartite entanglement of a three-qubit pure state.
+    """3-tangle of a three-qubit pure state (Coffman, Kundu and Wootters).
 
-    tangle(1|23) - c12^2 - c13^2, with tangle(1|23) = 4*det(rho_1). The value
-    is invariant under qubit permutations.
+    4 |d1 - 2 d2 + 4 d3|, four times the modulus of the Cayley
+    hyperdeterminant of the amplitudes. It equals the residual tangle
+    4 det(rho_1) - c12^2 - c13^2 and is invariant under qubit permutations
+    and local unitaries.
     """
-    if psi.dims != _THREE_QUBITS:
+    if psi.dims != (2, 2, 2):
         raise DimensionError(f"three_tangle needs a (2, 2, 2) pure state, got {psi.dims}")
-    parents = psi.amplitudes[None]
-    pairs = [reduce_pure_stack(parents, _THREE_QUBITS, keep) for keep in ((1, 2), (1, 3))]
-    c12_c13 = _concurrences(np.concatenate(pairs))
-    return _residual_tangle(parents, c12_c13[:1], c12_c13[1:])[0]
+    return _tangles(psi.amplitudes[None])[0]

@@ -263,6 +263,21 @@ def test_scalar_measures_are_batches_of_one():
         assert three_tangle(psi) == m.tau[i]
 
 
+def test_tau_independent_of_stack_size():
+    """tau takes numpy's SIMD-dispatched complex products, so its bits must not
+    depend on where a state falls in a stack: each size splits the stack into
+    chunks that end at a different point of the vector loop."""
+    parents = np.stack([haar_random_pure((2, 2, 2), substream(4096, i)).amplitudes
+                        for i in range(4096)])
+    rhos = reduce_pure_stack(parents, (2, 2, 2), (1, 2))
+    whole = measure_stack(rhos, parents).tau
+    assert whole == [three_tangle(PureState((2, 2, 2), p)) for p in parents]
+    for size in (2, 3, 5, 7, 9, 13, 511):
+        chunked = [tau for s in range(0, len(parents), size)
+                   for tau in measure_stack(rhos[s:s + size], parents[s:s + size]).tau]
+        assert chunked == whole, size
+
+
 @pytest.mark.parametrize("family", FAMILY_TAGS)
 def test_numeric_measures_equal_scalar_measures(family):
     """``numeric_measures`` measures a family state in one stacked call; each

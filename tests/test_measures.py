@@ -144,7 +144,7 @@ class TestThreeTangle:
         for i in range(50):
             params = sample_params("w_class", substream(17, i))
             psi = make_state("w_class", **params)
-            assert three_tangle(psi) <= 1e-8
+            assert three_tangle(psi) <= 1e-12
 
     def test_canonical_closed_form(self):
         psi = make_state(
@@ -158,7 +158,14 @@ class TestThreeTangle:
         t = psi.amplitudes.reshape(2, 2, 2)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
             permuted = PureState((2, 2, 2), np.transpose(t, perm).reshape(-1))
-            assert abs(three_tangle(permuted) - base) <= 1e-8
+            assert abs(three_tangle(permuted) - base) <= 1e-12
+
+    def test_local_unitary_invariance(self):
+        for _ in range(2000):
+            psi = haar_random_pure((2, 2, 2), RNG)
+            u1, u2, u3 = (haar_random_unitary(2, RNG) for _ in range(3))
+            rotated = PureState((2, 2, 2), kron(kron(u1, u2), u3) @ psi.amplitudes)
+            assert abs(three_tangle(rotated) - three_tangle(psi)) <= 1e-12
 
     def test_rejects_other_dims(self):
         with pytest.raises(DimensionError):
