@@ -1,16 +1,16 @@
 """Reproduction campaigns: scatter datasets, perturbation sweeps, region checks.
 
-Every campaign runs on :func:`_run_indexed`, in chunks of ``CHUNK_SIZE``
-samples in index order. A campaign is a pair of steps. ``draw(rng, i)``
-takes sample ``i``'s raw numbers from ``rng``, its own generator of the
-stream of ``(seed, i)`` (:func:`permutangle.qstate.substreams` seeds a whole
-chunk's generators from one hash). Then
-``build(draws)`` turns a chunk's draws into one stack of states with the
-stacked forms of the scalar constructors, and one call of the stacked kernel
-:func:`permutangle.measures.measure_stack` measures it; a pure (2, 2, 2)
-state is its own tangle parent. Each state of a stack gets the bits it gets
-alone, and :func:`build_record` is a batch of one of the same step, so
-output is byte-identical regardless of chunk size.
+A campaign is a tuple of sample kinds, and sample ``i`` is of kind
+``kinds[i % len(kinds)]``. A kind's ``draw(rng)`` takes one sample's raw
+numbers from its own generator of the stream of ``(seed, i)``
+(:func:`permutangle.qstate.substreams` seeds a whole chunk's generators from
+one hash), and its ``build(draws)`` turns a list of draws into one stack of
+states with the stacked forms of the scalar constructors. :func:`_run_indexed`
+builds each kind's share of a chunk of ``CHUNK_SIZE`` samples as one stack,
+and one call of :func:`permutangle.measures.measure_stack` measures the
+chunk; a pure (2, 2, 2) state is its own tangle parent. Each state of a stack
+gets the bits it gets alone, and :func:`build_record` is a batch of one of
+the same step, so output is byte-identical regardless of chunk size.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import json
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -53,12 +53,13 @@ EPSILON = 0.51
 MAX_OFFENDERS = 10
 
 
-@dataclass(frozen=True)
-class MeasureRecord:
-    """The measures of one campaign sample, as stored in records CSV/JSON.
+class MeasureRecord(NamedTuple):
+    """The measures of one campaign sample: a stored row without its index.
 
-    ``tau`` is present only when the record descends from a three-qubit pure
-    parent; otherwise it is None (an empty CSV field, a JSON null).
+    The fields are the records CSV/JSON columns after ``index``, in file
+    order. ``tau`` is present only when the record descends from a
+    three-qubit pure parent; otherwise it is None (an empty CSV field, a
+    JSON null).
     """
 
     rank: int
@@ -107,30 +108,25 @@ def build_record(
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"records are defined for two qubits, got dims {rho.dims}")
-    parents = None
+    stack = rho.matrix[None]
     if parent is not None and parent.dims == (2, 2, 2):
-        parents = parent.amplitudes[None]
-        if not np.array_equal(rho.matrix, reduce_pure_stack(parents, (2, 2, 2), (1, 2))[0]):
+        stack = parent.amplitudes[None]  # measured through its reduction, which is rho
+        if not np.array_equal(rho.matrix, reduce_pure_stack(stack, (2, 2, 2), (1, 2))[0]):
             raise ValueError("rho is not the (1, 2) reduction of the (2, 2, 2) parent")
-    return _measure(rho.matrix[None], [family], parents)[0]
+    return _measure(stack, [family])[0]
 
 
-def _measure(
-    stack: np.ndarray, tags: Sequence[str], parents: Optional[np.ndarray] = None
-) -> list[MeasureRecord]:
+def _measure(stack: np.ndarray, tags: Sequence[str]) -> list[MeasureRecord]:
     """Records of a stack of states from one :func:`measure_stack` call.
 
     ``stack`` is a ``(k, 4, 4)`` stack of two-qubit density matrices, or a
     ``(k, 4 d)`` stack of pure states over (2, 2, d), measured through their
     (1, 2) reductions. Pure states over (2, 2, 2) are their own parents, so
-    their records carry tau; otherwise ``parents`` is the ``(k, 8)`` stack
-    of the states' parents, or None.
+    their records carry tau.
     """
+    parents = stack if stack.shape[1:] == (8,) else None
     if stack.ndim == 2:
-        dims = (2, 2, stack.shape[1] // 4)
-        if dims == (2, 2, 2):
-            parents = stack
-        stack = reduce_pure_stack(stack, dims, (1, 2))
+        stack = reduce_pure_stack(stack, (2, 2, stack.shape[1] // 4), (1, 2))
     m = measure_stack(stack, parents)
     taus = [None] * len(tags) if m.tau is None else m.tau
     return list(map(MeasureRecord, m.rank, m.c12, m.n12, m.r12, taus, tags))
@@ -143,26 +139,36 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _run_indexed(
-    draw: Callable[[np.random.Generator, int], Any],
-    build: Callable[[list], tuple[np.ndarray, Sequence[str]]],
-    n: int,
-    seed: int,
-) -> list[MeasureRecord]:
+class _Kind(NamedTuple):
+    """A kind of campaign sample: family tag, one sample's draw, the stack of a list of draws."""
+
+    tag: str
+    draw: Callable[[np.random.Generator], Any]
+    build: Callable[[list], np.ndarray]
+
+
+def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> list[MeasureRecord]:
     """Records of samples 0..n-1, measured in chunks of ``CHUNK_SIZE`` in index order.
 
-    Sample ``i`` is ``draw(rng, i)``, with ``rng`` the substream of
-    ``(seed, i)``. A chunk's draws go to ``build``, which returns the stack
-    of their states and their family tags (see :func:`_measure`).
+    Sample ``i`` is of kind ``kinds[i % len(kinds)]`` and draws from the
+    substream of ``(seed, i)``. Each kind's share of a chunk is built as one
+    stack and written into the chunk's stack (see :func:`_measure`).
     """
     seed = _check_seed(seed)
     if not 1 <= n <= 2**32:  # an index is a spawn key of one 32-bit word
         raise DomainError(f"sample count must be in 1..2**32, got {n}")
+    m = len(kinds)
     records: list[MeasureRecord] = []
     for start in range(0, n, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, n))
-        draws = [draw(rng, i) for rng, i in zip(substreams(seed, chunk), chunk)]
-        records += _measure(*build(draws))
+        draws = [kinds[i % m].draw(rng) for rng, i in zip(substreams(seed, chunk), chunk)]
+        # kind j's samples sit at every m-th place of the chunk
+        shares = [(slice((j - start) % m, None, m), kind) for j, kind in enumerate(kinds)]
+        parts = [(rows, kind.build(draws[rows])) for rows, kind in shares if draws[rows]]
+        stack = np.empty((len(draws), *parts[0][1].shape[1:]), dtype=complex)
+        for rows, part in parts:
+            stack[rows] = part
+        records += _measure(stack, [kinds[i % m].tag for i in chunk])
     return records
 
 
@@ -178,14 +184,13 @@ def scatter(dims: Sequence[int], n: int, seed: int) -> list[MeasureRecord]:
     family = "haar_" + "x".join(str(d) for d in dims)
     size = math.prod(dims)
 
-    def build(parts: list) -> tuple[np.ndarray, list[str]]:
+    def build(parts: list) -> np.ndarray:
         amplitudes = haar_amplitudes(np.array(parts))
         # a (2, 2) state is measured as |psi><psi|: a reduction over a
         # one-dimensional factor would round differently
-        stack = projector_stack(amplitudes) if len(dims) == 2 else amplitudes
-        return stack, [family] * len(parts)
+        return projector_stack(amplitudes) if len(dims) == 2 else amplitudes
 
-    return _run_indexed(lambda rng, index: haar_draw(size, rng), build, n, seed)
+    return _run_indexed((_Kind(family, lambda rng: haar_draw(size, rng), build),), n, seed)
 
 
 _ANSATZ1_EIGVECS = np.column_stack(
@@ -237,29 +242,21 @@ def perturbation_campaign(
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     noise, states = _PERTURBATIONS[kind]
 
-    def build(draws: list) -> tuple[np.ndarray, list[str]]:
+    def build(draws: list) -> np.ndarray:
         base, noises = map(np.array, zip(*draws))
-        return states(base, noises, epsilon), [kind] * len(draws)
+        return states(base, noises, epsilon)
 
-    return _run_indexed(lambda rng, index: (rng.random(), noise(rng)), build, n, seed)
+    return _run_indexed((_Kind(kind, lambda rng: (rng.random(), noise(rng)), build),), n, seed)
 
 
-def _separable_draw(rng: np.random.Generator, index: int) -> tuple[str, Any]:
-    """Sample ``index``'s family tag and raw numbers; its state is built in a stack."""
-    kind = index % 4
-    if kind == 0:
-        terms = int(rng.integers(1, 4))
-        weights = rng.dirichlet(np.ones(terms))
-        # the Haar blocks of u_1, v_1, u_2, ...: the stream of 2 * terms haar_draw(2) calls
-        return "product_mix", (weights, rng.standard_normal((2 * terms, 2, 2)))
-    if kind == 1:
-        return "cq_state", families.sample_params("cq_state", rng)
-    if kind == 2:
-        return "werner_separable", (1.0 / 3.0) * rng.random()
-    while True:
-        p = rng.dirichlet(np.ones(4))
-        if p.max() <= 0.5:
-            return "bell_diagonal_separable", p
+#: Dirichlet concentrations of 1 to 4 equal weights, built once
+_FLAT = {k: np.ones(k) for k in range(1, 5)}
+
+
+def _product_mix_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    terms = int(rng.integers(1, 4))
+    # the Haar blocks of u_1, v_1, u_2, ...: the stream of 2 * terms haar_draw(2) calls
+    return rng.dirichlet(_FLAT[terms]), rng.standard_normal((2 * terms, 2, 2))
 
 
 def _product_mixes(draws: list) -> np.ndarray:
@@ -279,15 +276,25 @@ def _product_mixes(draws: list) -> np.ndarray:
     return rho
 
 
-#: separable family tag -> the stack of the states of a list of its draws
-_SEPARABLE_STACKS: dict[str, Callable[[list], np.ndarray]] = {
-    "product_mix": _product_mixes,
-    "cq_state": lambda draws: families.state_stack(
-        "cq_state", **{key: np.array([d[key] for d in draws]) for key in ("p", "a", "b")}),
-    "werner_separable": lambda ps: families.state_stack("werner", p=np.array(ps)),
-    "bell_diagonal_separable": lambda ps: families.state_stack(
-        "bell_diagonal", **dict(zip(("p1", "p2", "p3", "p4"), np.transpose(ps)))),
-}
+def _bell_diagonal_separable_draw(rng: np.random.Generator) -> np.ndarray:
+    while True:
+        p = rng.dirichlet(_FLAT[4])
+        if p.max() <= 0.5:
+            return p
+
+
+#: The separable campaign's kinds, cycled in this order.
+_SEPARABLE = (
+    _Kind("product_mix", _product_mix_draw, _product_mixes),
+    _Kind("cq_state", lambda rng: families.sample_params("cq_state", rng),
+          lambda draws: families.state_stack(
+              "cq_state", **{key: np.array([d[key] for d in draws]) for key in ("p", "a", "b")})),
+    _Kind("werner_separable", lambda rng: (1.0 / 3.0) * rng.random(),
+          lambda ps: families.state_stack("werner", p=np.array(ps))),
+    _Kind("bell_diagonal_separable", _bell_diagonal_separable_draw,
+          lambda ps: families.state_stack(
+              "bell_diagonal", **dict(zip(("p1", "p2", "p3", "p4"), np.transpose(ps))))),
+)
 
 
 def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
@@ -297,17 +304,7 @@ def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
     states, separable Werner states (p <= 1/3), and Bell-diagonal states with
     spectrum inside [0, 1/2].
     """
-
-    def build(draws: list) -> tuple[np.ndarray, list[str]]:
-        tags = [tag for tag, _ in draws]
-        stack = np.empty((len(draws), 4, 4), dtype=complex)
-        for tag, states in _SEPARABLE_STACKS.items():
-            rows = [row for row, other in enumerate(tags) if other == tag]
-            if rows:
-                stack[rows] = states([draws[row][1] for row in rows])
-        return stack, tags
-
-    return _run_indexed(_separable_draw, build, n, seed)
+    return _run_indexed(_SEPARABLE, n, seed)
 
 
 # --------------------------------------------------------------------------
@@ -458,22 +455,21 @@ def _of_type(*types: type) -> Callable:
     return check
 
 
-#: A stored column's annotation -> (its CSV text, its parser from CSV text,
-#: the check of its JSON value).
+#: A stored column's type -> (its CSV text, its parser from CSV text, the
+#: check of its JSON value).
 _KINDS = {
-    "int": (str, int, _of_type(int)),
-    "float": (format_float, float, _of_type(int, float)),
-    "Optional[float]": (format_float, lambda text: float(text) if text else None,
-                        _of_type(int, float, type(None))),
-    "str": (str, str, _of_type(str)),
+    int: (str, int, _of_type(int)),
+    float: (format_float, float, _of_type(int, float)),
+    Optional[float]: (format_float, lambda text: float(text) if text else None,
+                      _of_type(int, float, type(None))),
+    str: (str, str, _of_type(str)),
 }
 #: The stored columns in file order: the record's position, then its fields.
-_FIELDS = ("index",) + tuple(f.name for f in fields(MeasureRecord))
+_FIELDS = ("index", *MeasureRecord._fields)
 _CSV_HEADER = ",".join(_FIELDS)
 _TO_TEXT, _FROM_TEXT, _FROM_JSON = zip(
-    _KINDS["int"], *(_KINDS[f.type] for f in fields(MeasureRecord))
+    _KINDS[int], *(_KINDS[t] for t in get_type_hints(MeasureRecord).values())
 )
-_values = operator.attrgetter(*_FIELDS[1:])
 _FAMILY_TAG = re.compile("[A-Za-z0-9_]+")
 
 
@@ -522,7 +518,7 @@ def _records(rows: Sequence[Sequence], parsers: Sequence[Callable]) -> list[Meas
 
 
 def records_csv_bytes(records: Iterable[MeasureRecord]) -> bytes:
-    rows = list(map(_values, records))
+    rows = list(records)
     columns = [range(len(rows)), *zip(*rows)]
     _check_families(columns[-1])
     texts = [map(to_text, column) for to_text, column in zip(_TO_TEXT, columns)]
@@ -551,7 +547,7 @@ def read_records_csv(source) -> list[MeasureRecord]:
 
 
 def records_to_json(records: Iterable[MeasureRecord]) -> str:
-    payload = [dict(zip(_FIELDS, (idx,) + _values(rec))) for idx, rec in enumerate(records)]
+    payload = [dict(zip(_FIELDS, (idx, *rec))) for idx, rec in enumerate(records)]
     _check_families([row["family"] for row in payload])
     return json.dumps(payload, indent=2)
 

@@ -394,7 +394,7 @@ def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]
 def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
     """A Bloch vector drawn uniformly from the unit ball."""
     v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))  # np.linalg.norm's formula for a real vector
     return tuple(v * rng.random() ** (1.0 / 3.0))
 
 
@@ -623,6 +623,8 @@ def _invert_increasing(f: Callable[[float], float], y: float) -> float:
         return hi
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # f(lo) < y <= f(hi): no further step moves lo or hi
+            break
         if f(mid) < y:
             lo = mid
         else:

@@ -108,8 +108,3 @@ def singular_values(m) -> np.ndarray:
     """
     a = as_matrix(m, stack=True)
     return np.linalg.svd(a, compute_uv=False)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product; output dimensions multiply."""
-    return np.kron(as_matrix(a), as_matrix(b))

@@ -52,7 +52,7 @@ from permutangle import (
     three_tangle,
     verify,
 )
-from permutangle.matkernel import determinant, kron
+from permutangle.matkernel import determinant
 
 SEED_222 = 1001
 SEED_223 = 1002
@@ -313,7 +313,7 @@ def test_criterion_9_local_unitary_invariance():
         base = np.array([r12(rho), concurrence(rho), negativity(rho)])
         rng = substream(2901, rank)
         for _ in range(1000):
-            u = kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            u = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
             rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
             now = np.array([r12(rotated), concurrence(rotated), negativity(rotated)])
             worst_measure = max(worst_measure, float(np.max(np.abs(now - base))))
@@ -325,11 +325,11 @@ def test_criterion_9_local_unitary_invariance():
     base3 = np.sort_complex(path_invariant_spectrum(psi3, (1, 2, 3)))
     rng = substream(2903, 0)
     for _ in range(1000):
-        u2 = kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+        u2 = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
         rot2 = PureState((2, 2), u2 @ psi2.amplitudes)
         spec2 = np.sort_complex(path_invariant_spectrum(rot2, (1, 2)))
-        u3 = kron(kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)),
-                  haar_random_unitary(2, rng))
+        u3 = np.kron(np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)),
+                     haar_random_unitary(2, rng))
         rot3 = PureState((2, 2, 2), u3 @ psi3.amplitudes)
         spec3 = np.sort_complex(path_invariant_spectrum(rot3, (1, 2, 3)))
         worst_spec = max(

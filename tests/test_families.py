@@ -406,6 +406,26 @@ class TestBoundaryCurves:
             [(_, back)] = boundary_curve("nr_rank3", [x])
             assert back == pytest.approx(n, abs=1e-9)
 
+    def test_rank3_curves_equal_the_full_bisection(self):
+        def bisect(f, y):  # 100 steps, without the stop once the bracket cannot shrink
+            lo, hi = 0.0, 1.0
+            if y <= f(lo):
+                return lo
+            if y >= f(hi):
+                return hi
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if f(mid) < y:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        for tag, r_bound in (("cr_rank3", cr_rank3_r_bound), ("nr_rank3", nr_rank3_r_bound)):
+            xs = [*map(float, curve_grid(tag, 10_001)), 5e-324, 1.0 - 1e-16]
+            want = [(x, 0.0 if x <= KNEE else bisect(r_bound, x)) for x in xs]
+            assert boundary_curve(tag, xs) == want
+
     def test_rank4_knee_and_top(self):
         pts = boundary_curve("cr_rank4", [KNEE, 1.0])
         assert pts[0][1] == pytest.approx(0.0, abs=1e-12)

@@ -16,7 +16,6 @@ from permutangle.matkernel import (
     determinant,
     eig_general,
     eig_hermitian,
-    kron,
     singular_values,
 )
 
@@ -161,24 +160,6 @@ class TestSingularValues:
     def test_descending(self):
         s = singular_values(random_complex_matrix(RNG, 6, 4))
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            kron(np.diag([2.0, 3.0]), np.diag([5.0, 7.0])), np.diag([10.0, 14.0, 15.0, 21.0])
-        )
-
-    def test_projector_placement(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = kron(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        np.testing.assert_allclose(out, expected)
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,7 +24,7 @@ from permutangle import (
     substream,
     three_tangle,
 )
-from permutangle.matkernel import kron, singular_values
+from permutangle.matkernel import singular_values
 
 RNG = np.random.default_rng(112358)
 
@@ -48,7 +48,7 @@ class TestR12:
     def test_product_state_vanishes(self):
         u = haar_random_pure((2,), RNG).amplitudes
         v = haar_random_pure((2,), RNG).amplitudes
-        rho = DensityMatrix((2, 2), kron(np.outer(u, u.conj()), np.outer(v, v.conj())))
+        rho = DensityMatrix((2, 2), np.kron(np.outer(u, u.conj()), np.outer(v, v.conj())))
         assert r12(rho) <= 1e-9
 
     def test_bell_diagonal_closed_form(self):
@@ -164,7 +164,7 @@ class TestThreeTangle:
         for _ in range(2000):
             psi = haar_random_pure((2, 2, 2), RNG)
             u1, u2, u3 = (haar_random_unitary(2, RNG) for _ in range(3))
-            rotated = PureState((2, 2, 2), kron(kron(u1, u2), u3) @ psi.amplitudes)
+            rotated = PureState((2, 2, 2), np.kron(np.kron(u1, u2), u3) @ psi.amplitudes)
             assert abs(three_tangle(rotated) - three_tangle(psi)) <= 1e-12
 
     def test_rejects_other_dims(self):
@@ -224,7 +224,7 @@ class TestCcnrAndEntropy:
     def test_product_state_ccnr(self):
         rho1 = np.array([[0.8, 0.1], [0.1, 0.2]])
         rho2 = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
-        rho = DensityMatrix((2, 2), kron(rho1, rho2))
+        rho = DensityMatrix((2, 2), np.kron(rho1, rho2))
         expected = math.sqrt(np.trace(rho1 @ rho1).real * np.trace(rho2 @ rho2).real)
         assert _ccnr(rho) == pytest.approx(expected, abs=1e-12)
         assert _ccnr(rho) <= 1.0
@@ -274,7 +274,7 @@ class TestLocalUnitaryInvariance:
         base = (r12(rho), concurrence(rho), negativity(rho))
         rng = substream(61, rank)
         for _ in range(50):
-            u = kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            u = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
             rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
             now = (r12(rotated), concurrence(rotated), negativity(rotated))
             assert max(abs(a - b) for a, b in zip(base, now)) <= 1e-9

@@ -24,7 +24,7 @@ from permutangle import (
     reduce,
     substream,
 )
-from permutangle.matkernel import eig_general, kron
+from permutangle.matkernel import eig_general
 
 RNG = np.random.default_rng(24680)
 
@@ -37,9 +37,9 @@ class TestPartialTranspose:
     def test_product_state_transposes_second_factor(self):
         b = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         rho_a = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
-        rho = DensityMatrix((2, 2), kron(rho_a, b))
-        np.testing.assert_allclose(partial_transpose(rho, 2), kron(rho_a, b.T), atol=1e-14)
-        np.testing.assert_allclose(partial_transpose(rho, 1), kron(rho_a.T, b), atol=1e-14)
+        rho = DensityMatrix((2, 2), np.kron(rho_a, b))
+        np.testing.assert_allclose(partial_transpose(rho, 2), np.kron(rho_a, b.T), atol=1e-14)
+        np.testing.assert_allclose(partial_transpose(rho, 1), np.kron(rho_a.T, b), atol=1e-14)
 
     def test_bell_state_minimum_eigenvalue(self):
         bell = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -112,14 +112,14 @@ class TestRealign:
         v = haar_random_pure((2,), RNG).amplitudes
         rho1 = np.outer(u, u.conj())
         rho2 = np.outer(v, v.conj())
-        rho = DensityMatrix((2, 2), kron(rho1, rho2))
+        rho = DensityMatrix((2, 2), np.kron(rho1, rho2))
         expected = np.outer(rho1.reshape(-1), rho2.reshape(-1).conj())
         np.testing.assert_allclose(link_transform(rho), expected, atol=1e-14)
 
     def test_outer_product_reconstructs_realigned_product_state(self):
         rho1 = np.array([[0.8, 0.1 + 0.3j], [0.1 - 0.3j, 0.2]])
         rho2 = np.array([[0.55, -0.2j], [0.2j, 0.45]])
-        rho = DensityMatrix((2, 2), kron(rho1, rho2))
+        rho = DensityMatrix((2, 2), np.kron(rho1, rho2))
         realigned_no_pt = realign(rho.matrix, (2, 2))
         expected = np.outer(rho1.reshape(-1), rho2.T.reshape(-1).conj())
         np.testing.assert_allclose(realigned_no_pt, expected, atol=1e-14)
@@ -138,7 +138,7 @@ class TestLinkProduct:
         u = haar_random_pure((2,), RNG).amplitudes
         rho1 = np.outer(u, u.conj())
         rho2 = np.array([[0.75, 0.1], [0.1, 0.25]])
-        rho = DensityMatrix((2, 2), kron(rho1, rho2))
+        rho = DensityMatrix((2, 2), np.kron(rho1, rho2))
         lp = link_product(rho)
         evals = np.linalg.eigvalsh(lp)
         assert np.sum(evals > 1e-12) == 1
@@ -160,7 +160,7 @@ class TestLinkProduct:
         rho = random_density_matrix(RNG, 3)
         base = np.sort(np.linalg.eigvalsh(link_product(rho)))
         for _ in range(25):
-            u = kron(haar_random_unitary(2, RNG), haar_random_unitary(2, RNG))
+            u = np.kron(haar_random_unitary(2, RNG), haar_random_unitary(2, RNG))
             rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
             vals = np.sort(np.linalg.eigvalsh(link_product(rotated)))
             assert np.max(np.abs(vals - base)) <= 1e-8
@@ -172,7 +172,7 @@ class TestLinkProduct:
         for w in weights:
             u = haar_random_pure((2,), rng).amplitudes
             v = haar_random_pure((2,), rng).amplitudes
-            rho += w * kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+            rho += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
         lp = link_product(DensityMatrix((2, 2), rho))
         assert np.linalg.eigvalsh(lp)[0] < 1e-10
 
@@ -206,8 +206,8 @@ class TestPathInvariants:
         psi = haar_random_pure((2, 2, 2), RNG)
         base = path_invariant_spectrum(psi, (1, 2, 3))
         for _ in range(20):
-            u = kron(kron(haar_random_unitary(2, RNG), haar_random_unitary(2, RNG)),
-                     haar_random_unitary(2, RNG))
+            u = np.kron(np.kron(haar_random_unitary(2, RNG), haar_random_unitary(2, RNG)),
+                        haar_random_unitary(2, RNG))
             rotated = PureState((2, 2, 2), u @ psi.amplitudes)
             spec = path_invariant_spectrum(rotated, (1, 2, 3))
             assert np.max(np.abs(np.sort_complex(spec) - np.sort_complex(base))) <= 1e-8
