@@ -17,6 +17,7 @@ product, so there is no wall-clock default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -189,10 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of this process: parsing leaves a parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage
         return int(exc.code or 0)
     try:

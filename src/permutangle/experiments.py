@@ -15,6 +15,8 @@ the same step, so output is byte-identical regardless of chunk size.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import json
 import math
 import operator
@@ -70,14 +72,20 @@ class MeasureRecord(NamedTuple):
     family: str
 
 
+#: The record of the tuple of its fields, built in C: namedtuple's ``_make``
+#: without its length check.
+_record = functools.partial(tuple.__new__, MeasureRecord)
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """Outcome of checking records against an analytic region.
 
     ``worst_margin`` is signed: the largest excess beyond the region over all
     records (negative values mean everything sat strictly inside). A record
-    with a non-finite measure has a NaN margin, which counts as a violation
-    and makes ``worst_margin`` NaN. ``violations == 0`` iff
+    with a non-finite measure, or with a finite one outside the domain of the
+    region's bound, has a NaN margin, which counts as a violation and makes
+    ``worst_margin`` NaN. ``violations == 0`` iff
     ``worst_margin <= tolerance``.
     """
 
@@ -129,7 +137,7 @@ def _measure(stack: np.ndarray, tags: Sequence[str]) -> list[MeasureRecord]:
         stack = reduce_pure_stack(stack, (2, 2, stack.shape[1] // 4), (1, 2))
     m = measure_stack(stack, parents)
     taus = [None] * len(tags) if m.tau is None else m.tau
-    return list(map(MeasureRecord, m.rank, m.c12, m.n12, m.r12, taus, tags))
+    return list(map(_record, zip(m.rank, m.c12, m.n12, m.r12, taus, tags)))
 
 
 def _check_seed(seed) -> int:
@@ -249,14 +257,10 @@ def perturbation_campaign(
     return _run_indexed((_Kind(kind, lambda rng: (rng.random(), noise(rng)), build),), n, seed)
 
 
-#: Dirichlet concentrations of 1 to 4 equal weights, built once
-_FLAT = {k: np.ones(k) for k in range(1, 5)}
-
-
 def _product_mix_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     terms = int(rng.integers(1, 4))
     # the Haar blocks of u_1, v_1, u_2, ...: the stream of 2 * terms haar_draw(2) calls
-    return rng.dirichlet(_FLAT[terms]), rng.standard_normal((2 * terms, 2, 2))
+    return rng.dirichlet(families.FLAT_DIRICHLET[terms]), rng.standard_normal((2 * terms, 2, 2))
 
 
 def _product_mixes(draws: list) -> np.ndarray:
@@ -278,7 +282,7 @@ def _product_mixes(draws: list) -> np.ndarray:
 
 def _bell_diagonal_separable_draw(rng: np.random.Generator) -> np.ndarray:
     while True:
-        p = rng.dirichlet(_FLAT[4])
+        p = rng.dirichlet(families.FLAT_DIRICHLET[4])
         if p.max() <= 0.5:
             return p
 
@@ -311,78 +315,27 @@ def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
 # region verification
 
 
-def _m_prop1(rec: MeasureRecord, tol: float) -> float:
-    return max(-rec.r12, rec.r12 - 1.0)
-
-
-def _m_cr_rank2(rec: MeasureRecord, tol: float) -> float:
-    return max(rec.c12 - rec.r12, rec.r12 - math.sqrt(rec.c12))
-
-
-def _m_cr_rank2_lower(rec: MeasureRecord, tol: float) -> float:
-    return rec.r12 - math.sqrt(rec.c12)
-
-
-def _m_cr_rank3(rec: MeasureRecord, tol: float) -> float:
-    if rec.c12 > tol:
-        return max(rec.c12 - rec.r12, rec.r12 - families.cr_rank3_r_bound(rec.c12))
-    return rec.r12 - WITNESS_THRESHOLD
-
-
-def _m_cr_rank4(rec: MeasureRecord, tol: float) -> float:
-    return max(rec.c12 - rec.r12, rec.r12 - families.rank4_r_bound(rec.c12))
-
-
-def _m_r_geq_c(rec: MeasureRecord, tol: float) -> float:
-    return rec.c12 - rec.r12
-
-
-def _m_nr_rank2(rec: MeasureRecord, tol: float) -> float:
-    return max(families.nr_rank2_n_lower(rec.r12) - rec.n12, rec.n12 - rec.r12)
-
-
-def _m_nr_rank2_lower(rec: MeasureRecord, tol: float) -> float:
-    return families.nr_rank2_n_lower(rec.r12) - rec.n12
-
-
-def _m_nr_rank3(rec: MeasureRecord, tol: float) -> float:
-    if rec.n12 > tol:
-        return max(rec.n12 - rec.r12, rec.r12 - families.nr_rank3_r_bound(rec.n12))
-    return rec.r12 - WITNESS_THRESHOLD
-
-
-def _m_nr_rank4(rec: MeasureRecord, tol: float) -> float:
-    return max(rec.n12 - rec.r12, rec.r12 - families.rank4_r_bound(rec.n12))
-
-
-def _m_witness(rec: MeasureRecord, tol: float) -> float:
-    return rec.r12 - WITNESS_THRESHOLD
-
-
-def _m_rc_tau(rec: MeasureRecord, tol: float) -> float:
-    return abs(rec.r12**4 - rec.c12**2 * (rec.c12**2 + rec.tau))
-
-
-def _m_m3ts_max(rec: MeasureRecord, tol: float) -> float:
-    return rec.tau - (1.0 - rec.c12**2)
-
-
-#: region tag -> (margin function, default tolerance, needs tau)
-_REGIONS: dict[str, tuple[Callable[[MeasureRecord, float], float], float, bool]] = {
-    "prop1": (_m_prop1, VIOLATION_TOL, False),
-    "cr_rank2": (_m_cr_rank2, VIOLATION_TOL, False),
-    "cr_rank2_lower": (_m_cr_rank2_lower, VIOLATION_TOL, False),
-    "cr_rank3": (_m_cr_rank3, VIOLATION_TOL, False),
-    "cr_rank4": (_m_cr_rank4, VIOLATION_TOL, False),
-    "r_geq_c": (_m_r_geq_c, VIOLATION_TOL, False),
-    "nr_rank2": (_m_nr_rank2, VIOLATION_TOL, False),
-    "nr_rank2_lower": (_m_nr_rank2_lower, VIOLATION_TOL, False),
-    "nr_rank3": (_m_nr_rank3, VIOLATION_TOL, False),
-    "nr_rank4": (_m_nr_rank4, VIOLATION_TOL, False),
-    "witness_separable": (_m_witness, VIOLATION_TOL, False),
-    "rc_tau_identity": (_m_rc_tau, IDENTITY_TOL, True),
-    "m3ts_max_tau": (_m_m3ts_max, IDENTITY_TOL, True),
+#: region tag -> its margin of (c12, n12, r12, tau, tol)
+_REGIONS: dict[str, Callable[..., float]] = {
+    "prop1": lambda c, n, r, t, tol: max(-r, r - 1.0),
+    "cr_rank2": lambda c, n, r, t, tol: max(c - r, r - math.sqrt(c)),
+    "cr_rank2_lower": lambda c, n, r, t, tol: r - math.sqrt(c),
+    "cr_rank3": lambda c, n, r, t, tol: (max(c - r, r - families.cr_rank3_r_bound(c))
+                                         if c > tol else r - WITNESS_THRESHOLD),
+    "cr_rank4": lambda c, n, r, t, tol: max(c - r, r - families.rank4_r_bound(c)),
+    "r_geq_c": lambda c, n, r, t, tol: c - r,
+    "nr_rank2": lambda c, n, r, t, tol: max(families.nr_rank2_n_lower(r) - n, n - r),
+    "nr_rank2_lower": lambda c, n, r, t, tol: families.nr_rank2_n_lower(r) - n,
+    "nr_rank3": lambda c, n, r, t, tol: (max(n - r, r - families.nr_rank3_r_bound(n))
+                                         if n > tol else r - WITNESS_THRESHOLD),
+    "nr_rank4": lambda c, n, r, t, tol: max(n - r, r - families.rank4_r_bound(n)),
+    "witness_separable": lambda c, n, r, t, tol: r - WITNESS_THRESHOLD,
+    "rc_tau_identity": lambda c, n, r, t, tol: abs(r**4 - c**2 * (c**2 + t)),
+    "m3ts_max_tau": lambda c, n, r, t, tol: t - (1.0 - c**2),
 }
+#: The tau identities: they need the tau field, and their tolerance is IDENTITY_TOL
+#: (VIOLATION_TOL for the rest).
+_TAU_REGIONS = ("rc_tau_identity", "m3ts_max_tau")
 
 REGION_TAGS = tuple(_REGIONS)
 
@@ -395,41 +348,50 @@ def verify(
     """Count records outside an analytic region beyond tolerance.
 
     Returns the signed worst margin along with up to ``MAX_OFFENDERS``
-    (index, margin) pairs for the worst offenders.
+    (index, margin) pairs for the worst offenders. A record with a
+    non-finite measure, or with a finite one outside the domain of the
+    region's bound (a square root or a fractional power of a negative
+    number, a power that overflows), has a NaN margin: a violation.
     """
     if region not in _REGIONS:
         raise DomainError(f"unknown region {region!r}; known: {REGION_TAGS}")
-    margin_fn, default_tol, needs_tau = _REGIONS[region]
-    tol = default_tol if tol is None else float(tol)
+    margin_fn, needs_tau = _REGIONS[region], region in _TAU_REGIONS
+    if tol is None:
+        tol = IDENTITY_TOL if needs_tau else VIOLATION_TOL
+    tol = float(tol)
     if not math.isfinite(tol):
         raise DomainError(f"tolerance must be finite, got tol={tol}")
     worst = -math.inf
     total = 0
     offenders: list[tuple[int, float]] = []
-    for idx, rec in enumerate(records):
-        if needs_tau and rec.tau is None:
-            raise ValueError(f"region {region!r} needs the tau field, record {idx} lacks it")
-        # x - x is 0.0 exactly when x is finite: a record with a non-finite
-        # measure gets a NaN margin, which counts as a violation
-        spread = (rec.c12 - rec.c12) + (rec.n12 - rec.n12) + (rec.r12 - rec.r12)
-        if rec.tau is not None:
-            spread += rec.tau - rec.tau
-        margin = margin_fn(rec, tol) if spread == 0.0 else math.nan
-        total += 1
+    for total, (_, c12, n12, r12, tau, _) in enumerate(records, 1):
+        # x - x is 0.0 exactly when x is finite: a non-finite measure gets a NaN margin
+        spread = (c12 - c12) + (n12 - n12) + (r12 - r12)
+        if tau is not None:
+            spread += tau - tau
+        elif needs_tau:
+            raise ValueError(f"region {region!r} needs the tau field, record {total - 1} lacks it")
+        try:
+            margin = margin_fn(c12, n12, r12, tau, tol) if spread == 0.0 else math.nan
+        except (ValueError, TypeError, OverflowError):  # outside the domain of the bound
+            margin = math.nan
         if margin > worst or margin != margin:  # a NaN margin stays the worst
             worst = margin
         if not margin <= tol:
-            offenders.append((idx, margin))
+            offenders.append((total - 1, margin))
     if total == 0:
         raise ValueError("no records to verify")
-    offenders.sort(key=lambda pair: (not math.isnan(pair[1]), -pair[1]))
+    # NaN margins first, then the rest from the largest, each in index order
+    worst_first = [pair for pair in offenders if pair[1] != pair[1]]
+    finite = [pair for pair in offenders if pair[1] == pair[1]]
+    worst_first += heapq.nlargest(MAX_OFFENDERS, finite, key=operator.itemgetter(1))
     return ViolationReport(
         region=region,
         tolerance=tol,
         total=total,
         violations=len(offenders),
         worst_margin=worst,
-        offenders=tuple(offenders[:MAX_OFFENDERS]),
+        offenders=tuple(worst_first[:MAX_OFFENDERS]),
     )
 
 
@@ -444,32 +406,57 @@ def format_float(value: Optional[float]) -> str:
     return format(float(value), ".17g")
 
 
-def _of_type(*types: type) -> Callable:
-    """A check that a JSON value has one of ``types`` (a bool is no int here)."""
+def _each(parse: Callable[[str], Any]) -> Callable[[Sequence[str]], list]:
+    """A CSV column's parser: ``parse`` of each text."""
+    return lambda column: list(map(parse, column))
 
-    def check(value):
-        if type(value) not in types:
+
+def _optional_floats(column: Sequence[str]) -> list[Optional[float]]:
+    """A CSV column's parser of optional floats: an empty text is None."""
+    if "" not in column:
+        return list(map(float, column))
+    return [float(text) if text else None for text in column]
+
+
+def _of_types(*types: type) -> Callable[[Sequence], Sequence]:
+    """A JSON column's check that each value has one of ``types`` (a bool is no int here).
+
+    A column whose set of value types lies inside ``types`` passes as it is.
+    """
+    allowed = frozenset(types)
+
+    def check(column):
+        if not allowed.issuperset(map(type, column)):
+            value = next(v for v in column if type(v) not in allowed)
             raise ValueError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
-        return value
+        return column
 
     return check
 
 
-#: A stored column's type -> (its CSV text, its parser from CSV text, the
-#: check of its JSON value).
+#: A stored column's type -> (its conversion in a ``%`` row template, the
+#: parser of its CSV texts, the check of its JSON values). ``%.17g`` spells a
+#: float (or an int) as :func:`format_float` does.
 _KINDS = {
-    int: (str, int, _of_type(int)),
-    float: (format_float, float, _of_type(int, float)),
-    Optional[float]: (format_float, lambda text: float(text) if text else None,
-                      _of_type(int, float, type(None))),
-    str: (str, str, _of_type(str)),
+    int: ("%d", _each(int), _of_types(int)),
+    float: ("%.17g", _each(float), _of_types(int, float)),
+    Optional[float]: ("%.17g", _optional_floats, _of_types(int, float, type(None))),
+    str: ("%s", list, _of_types(str)),
 }
 #: The stored columns in file order: the record's position, then its fields.
 _FIELDS = ("index", *MeasureRecord._fields)
 _CSV_HEADER = ",".join(_FIELDS)
-_TO_TEXT, _FROM_TEXT, _FROM_JSON = zip(
+_CONVERSIONS, _FROM_TEXT, _FROM_JSON = zip(
     _KINDS[int], *(_KINDS[t] for t in get_type_hints(MeasureRecord).values())
 )
+_TAU = _FIELDS.index("tau")
+#: A stored row's CSV line, and the line of a row without tau (``%.0s``
+#: spells None as an empty field).
+_CSV_ROW = ",".join(_CONVERSIONS) + "\n"
+_CSV_ROW_NO_TAU = ",".join((*_CONVERSIONS[:_TAU], "%.0s", *_CONVERSIONS[_TAU + 1:])) + "\n"
+#: A stored row's object as ``json.dumps(rows, indent=2)`` lays it out, each
+#: value's JSON text in a ``%s``.
+_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in _FIELDS) + "\n  }"
 _FAMILY_TAG = re.compile("[A-Za-z0-9_]+")
 
 
@@ -484,14 +471,14 @@ def _check_families(column: Sequence[str]) -> None:
         raise ValueError(f"record {position}: family {column[position]!r} is not of [A-Za-z0-9_]+")
 
 
-def _parse_column(name: str, parse: Callable, column: Sequence) -> list:
-    """``parse`` applied down a column; on a failure a second pass finds the record."""
+def _parse_column(name: str, parse: Callable[[Sequence], Sequence], column: Sequence) -> Sequence:
+    """``parse`` of a whole column; on a failure a pass over its values finds the record."""
     try:
-        return list(map(parse, column))
+        return parse(column)
     except ValueError:
         for position, value in enumerate(column):
             try:
-                parse(value)
+                parse([value])
             except ValueError as exc:
                 raise ValueError(f"record {position}: {name}: {exc}") from None
         raise
@@ -504,25 +491,31 @@ def _records(rows: Sequence[Sequence], parsers: Sequence[Callable]) -> list[Meas
     run 0..n-1 in order (so :func:`verify`'s offender indices are the stored
     ones); otherwise ``ValueError`` names a bad record. Ranges are for :func:`verify`.
     """
-    for position, row in enumerate(rows):
-        if len(row) != len(_FIELDS):
-            raise ValueError(f"record {position} has {len(row)} fields; expected {_CSV_HEADER}")
+    if set(map(len, rows)) - {len(_FIELDS)}:
+        position, row = next((p, row) for p, row in enumerate(rows) if len(row) != len(_FIELDS))
+        raise ValueError(f"record {position} has {len(row)} fields; expected {_CSV_HEADER}")
     if not rows:
         return []
     index, *columns = map(_parse_column, _FIELDS, parsers, zip(*rows))
     _check_families(columns[-1])
-    bad = [p for p, i in enumerate(index) if i != p]
-    if bad:
-        raise ValueError(f"record {bad[0]} has index {index[bad[0]]}; expected 0..n-1 in order")
-    return list(map(MeasureRecord, *columns))
+    if tuple(index) != tuple(range(len(index))):
+        bad = next(p for p, i in enumerate(index) if i != p)
+        raise ValueError(f"record {bad} has index {index[bad]}; expected 0..n-1 in order")
+    return list(map(_record, zip(*columns)))
+
+
+def _stored_columns(records: Iterable[MeasureRecord]) -> list[Sequence]:
+    """The records' stored columns, ``index`` first, after the family check."""
+    records = list(records)
+    columns = [range(len(records)), *zip(*records)]
+    _check_families(columns[-1])
+    return columns
 
 
 def records_csv_bytes(records: Iterable[MeasureRecord]) -> bytes:
-    rows = list(records)
-    columns = [range(len(rows)), *zip(*rows)]
-    _check_families(columns[-1])
-    texts = [map(to_text, column) for to_text, column in zip(_TO_TEXT, columns)]
-    return ("\n".join([_CSV_HEADER, *map(",".join, zip(*texts))]) + "\n").encode("utf-8")
+    lines = [(_CSV_ROW if row[_TAU] is not None else _CSV_ROW_NO_TAU) % row
+             for row in zip(*_stored_columns(records))]
+    return "".join([_CSV_HEADER, "\n", *lines]).encode("utf-8")
 
 
 def write_records_csv(records: Iterable[MeasureRecord], path) -> Path:
@@ -547,9 +540,16 @@ def read_records_csv(source) -> list[MeasureRecord]:
 
 
 def records_to_json(records: Iterable[MeasureRecord]) -> str:
-    payload = [dict(zip(_FIELDS, (idx, *rec))) for idx, rec in enumerate(records)]
-    _check_families([row["family"] for row in payload])
-    return json.dumps(payload, indent=2)
+    """The text of ``json.dumps(rows, indent=2)`` for the list of row objects.
+
+    The values are spelled by the json module, a column per ``json.dumps``
+    call without indent; no value's text holds ", ", so a split takes them apart.
+    """
+    columns = _stored_columns(records)
+    if not columns[0]:
+        return "[]"
+    texts = [json.dumps(list(column))[1:-1].split(", ") for column in columns]
+    return "[\n" + ",\n".join(map(_JSON_ROW.__mod__, zip(*texts))) + "\n]"
 
 
 def records_from_json(text: str) -> list[MeasureRecord]:
@@ -651,8 +651,7 @@ def curve_csv_bytes(tag: str, points: int) -> bytes:
         xs = families.curve_grid(tag, points)
         rows = families.boundary_curve(tag, xs)
         header = "r12,c12" if tag.startswith("cr_") else "r12,n12"
-    lines = [header] + [f"{format_float(x)},{format_float(y)}" for x, y in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "".join([header, "\n", *map("%.17g,%.17g\n".__mod__, rows)]).encode("utf-8")
 
 
 def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0) -> dict[str, Path]:

@@ -387,6 +387,10 @@ def _closed_cq_state(p: float, bloch: np.ndarray) -> dict:
 # suite, separable campaigns)
 
 
+#: Dirichlet concentrations of 1 to 4 equal weights, built once
+FLAT_DIRICHLET = {k: np.ones(k) for k in range(1, 5)}
+
+
 def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]:
     return lambda rng: {key: hi * rng.random()}
 
@@ -399,7 +403,7 @@ def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
 
 
 def _sample_x_state(rng: np.random.Generator) -> dict:
-    a, b, c, d = rng.dirichlet(np.ones(4))
+    a, b, c, d = rng.dirichlet(FLAT_DIRICHLET[4])
     w = rng.random() * math.sqrt(a * d) * np.exp(2j * np.pi * rng.random())
     z = rng.random() * math.sqrt(b * c) * np.exp(2j * np.pi * rng.random())
     return {"a": a, "b": b, "c": c, "d": d, "w": w, "z": z}
@@ -437,7 +441,7 @@ class _Family(NamedTuple):
 _FAMILIES: dict[str, _Family] = {
     "bell_diagonal": _Family(
         _bell_diagonal_domain, _bell_mixture, _closed_bell_diagonal,
-        lambda rng: dict(zip(_BELL_WEIGHTS, rng.dirichlet(np.ones(4)))), _BELL_WEIGHTS),
+        lambda rng: dict(zip(_BELL_WEIGHTS, rng.dirichlet(FLAT_DIRICHLET[4]))), _BELL_WEIGHTS),
     "werner": _Family(
         _werner_domain, _make_werner, _closed_werner, _uniform("p"), ("p", "bell")),
     # mems1 is accepted on all of [0, 1]; it is maximally entangled at fixed
@@ -468,7 +472,8 @@ _FAMILIES: dict[str, _Family] = {
     "ansatz1": _Family(_interval("p"), _make_ansatz1, _closed_ansatz1, _uniform("p"), ("p",)),
     "ansatz2": _Family(
         _ansatz2_domain, _make_ansatz2, _closed_ansatz2,
-        lambda rng: dict(zip(("alpha", "beta"), rng.dirichlet(np.ones(3)))), ("alpha", "beta")),
+        lambda rng: dict(zip(("alpha", "beta"), rng.dirichlet(FLAT_DIRICHLET[3]))),
+        ("alpha", "beta")),
     "mems1_purification": _Family(
         _interval("c"), _make_mems1_purification, _closed_mems1_purification, _uniform("c"),
         ("c",)),

@@ -13,12 +13,13 @@ transposes and one determinant of the links. The parents' 3-tangle needs no
 linear algebra: it is the Cayley hyperdeterminant of the amplitudes, one
 elementwise pass over the stack. Every check (finite entries, Hermiticity,
 positivity, the clamp tolerance) still applies to each matrix and value; the
-scalar arithmetic that follows a step (|det|^(1/4), lambda_1 - lambda_2 - ...,
-the clamp) runs per value. The scalar ``concurrence``, ``negativity``,
-``r12`` and ``three_tangle`` run the same steps on a stack of one, and
-numpy's stacked routines give each matrix the bits it gets alone, so a state
-measured by itself or inside a campaign chunk of any size gets identical
-values. The tangle's bits follow numpy's SIMD-dispatched complex multiply.
+scalar arithmetic that follows a step (|det|^(1/4), lambda_1 - lambda_2 - ...)
+runs per value, and the clamp passes a value already in (0, 1] through as it
+is. The scalar ``concurrence``, ``negativity``, ``r12`` and ``three_tangle``
+run the same steps on a stack of one, and numpy's stacked routines give each
+matrix the bits it gets alone, so a state measured by itself or inside a
+campaign chunk of any size gets identical values. The tangle's bits follow
+numpy's SIMD-dispatched complex multiply.
 """
 
 from __future__ import annotations
@@ -50,14 +51,17 @@ _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 def _clamp01(values: list[float], what: str = "measure") -> list[float]:
     """Each value clamped into [0, 1], after checking it lies within ``CLAMP_TOL``.
 
-    A value further out (or not a number) raises ``ValueError``.
+    A value in (0, 1] passes through as it is and +-0.0 gives 0.0, both what
+    ``min(1.0, max(0.0, value))`` gives; any other value takes the check. A
+    value further out (or not a number) raises ``ValueError``.
     """
-    out = []
-    for value in values:
-        if not -CLAMP_TOL <= value <= 1.0 + CLAMP_TOL:
-            raise ValueError(f"{what} value {value!r} outside [0, 1] beyond tolerance {CLAMP_TOL}")
-        out.append(min(1.0, max(0.0, value)))
-    return out
+    return [v if 0.0 < v <= 1.0 else 0.0 if v == 0.0 else _clamp_edge(v, what) for v in values]
+
+
+def _clamp_edge(value: float, what: str) -> float:
+    if not -CLAMP_TOL <= value <= 1.0 + CLAMP_TOL:
+        raise ValueError(f"{what} value {value!r} outside [0, 1] beyond tolerance {CLAMP_TOL}")
+    return min(1.0, max(0.0, value))
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str) -> DensityMatrix:
@@ -134,7 +138,8 @@ def _negativity(rhos: np.ndarray) -> list[float]:
 
 def _r12(mats: np.ndarray, d: int) -> list[float]:
     det = matkernel.determinant(realign(partial_transpose(mats, 2, dims=(d, d)), (d, d)))
-    return _clamp01([d * abs(z) ** (1.0 / d**2) for z in det.tolist()], "r12")
+    power = 1.0 / d**2
+    return _clamp01([d * abs(z) ** power for z in det.tolist()], "r12")
 
 
 def _tangles(parents: np.ndarray) -> list[float]:

@@ -276,6 +276,23 @@ class TestVerifyCommand:
         code, _, _ = _run(capsys, "verify", "--region", "cr_rank2", "--input", "/no/such.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("region, row", [
+        ("cr_rank2", "0,2,-2,0.1,0.5,,x"),  # sqrt(c12) of a negative c12
+        ("cr_rank2_lower", "0,2,-2,0.1,0.5,,x"),
+        ("cr_rank4", "0,2,-2,0.1,0.5,,x"),  # ((2 c12 + 1) / 3) ** 0.75 is complex
+        ("nr_rank4", "0,2,0.1,-2,0.5,,x"),
+        ("nr_rank2", "0,2,0.1,0.1,1e200,,x"),  # (1 - r12) ** 2 overflows
+        ("rc_tau_identity", "0,2,0.1,0.1,1e200,0.5,x"),
+    ])
+    def test_finite_record_outside_the_bound_domain_is_a_violation(self, capsys, tmp_path,
+                                                                  region, row):
+        path = tmp_path / "recs.csv"
+        path.write_text(f"index,rank,c12,n12,r12,tau,family\n{row}\n")
+        code, out, err = _run(capsys, "verify", "--region", region, "--input", str(path))
+        report = json.loads(out)
+        assert (code, err) == (1, "")
+        assert report["violations"] == 1 and report["offenders"][0][0] == 0
+
 
 class TestFigureCommand:
     def test_figure_bundle(self, capsys, tmp_path):
@@ -305,6 +322,13 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert _run(capsys, "sample", "--frobnicate", "1")[0] == 2
+
+    def test_usage_error_then_clean_verify(self, capsys, tmp_path):
+        path = tmp_path / "recs.csv"
+        path.write_text("index,rank,c12,n12,r12,tau,family\n0,2,0.25,0.25,0.4,,x\n")
+        assert _run(capsys, "verify", "--region", "no_region", "--input", str(path))[0] == 2
+        code, out, err = _run(capsys, "verify", "--region", "cr_rank2", "--input", str(path))
+        assert (code, err) == (0, "") and json.loads(out)["violations"] == 0
 
     def test_workers_flag_is_gone(self, capsys):
         argv = ("sample", "--dims", "2,2,2", "--n", "10", "--seed", "1", "--workers", "2")

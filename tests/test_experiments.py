@@ -2,11 +2,15 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutangle import (
+    CURVE_TAGS,
+    REGION_TAGS,
+    WITNESS_THRESHOLD,
     DimensionError,
     DomainError,
     MeasureRecord,
@@ -21,6 +25,15 @@ from permutangle import (
     separable_campaign,
     verify,
     write_records_csv,
+)
+from permutangle.experiments import curve_csv_bytes
+from permutangle.families import (
+    boundary_curve,
+    cr_rank3_r_bound,
+    curve_grid,
+    nr_rank2_n_lower,
+    nr_rank3_r_bound,
+    rank4_r_bound,
 )
 
 
@@ -400,3 +413,119 @@ class TestVerifyNonFinite:
 
         path = write_records_csv([_rec(r12=0.5, c12=0.3), _rec(r12=math.nan)], tmp_path / "r.csv")
         assert run(["verify", "--region", "cr_rank2", "--input", str(path)]) == 1
+
+
+# --------------------------------------------------------------------------
+# the record path's fast forms against references written out here
+
+_FIELDS = ("index", "rank", "c12", "n12", "r12", "tau", "family")
+_EDGE_RECORDS = [
+    _rec(c12=math.nan, n12=math.inf, r12=-math.inf, tau=0.5),
+    _rec(c12=-0.0, n12=5e-324, r12=1 - 2**-53, tau=None),
+    _rec(c12=1, n12=0, r12=0.25, tau=1, family="int_in_float_columns"),
+    _rec(c12=0.1, n12=0.2, r12=0.3, tau=-0.0),
+    _rec(rank=4, c12=1e-300, n12=1e300, r12=1 / 3, tau=None, family="F_9"),
+]
+
+
+def _reference_csv(records) -> bytes:
+    def text(value):
+        return "" if value is None else format(float(value), ".17g")
+
+    lines = [",".join(_FIELDS)]
+    lines += [",".join([str(i), str(rec.rank), *map(text, rec[1:5]), rec.family])
+              for i, rec in enumerate(records)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_json(records) -> str:
+    return json.dumps([dict(zip(_FIELDS, (i, *rec))) for i, rec in enumerate(records)], indent=2)
+
+
+class TestWritersMatchReferences:
+    @pytest.mark.parametrize("case", ["edges", "single", "empty", "scatter_222", "separable"])
+    def test_records(self, case):
+        records = {
+            "edges": _EDGE_RECORDS,
+            "single": _EDGE_RECORDS[1:2],
+            "empty": [],
+            "scatter_222": scatter((2, 2, 2), 200, seed=4),
+            "separable": separable_campaign(200, seed=4),
+        }[case]
+        assert records_csv_bytes(records) == _reference_csv(records)
+        assert records_to_json(records) == _reference_json(records)
+        assert records_to_json(iter(records)) == _reference_json(records)
+
+    @pytest.mark.parametrize("tag", [*CURVE_TAGS, "m3ts_tau"])
+    @pytest.mark.parametrize("points", [2, 512])
+    def test_curves(self, tag, points):
+        if tag == "m3ts_tau":
+            xs = np.linspace(0.0, 1.0, points)
+            rows, header = [(x, 1.0 - x * x) for x in xs], "c12,tau"
+        else:
+            rows = boundary_curve(tag, curve_grid(tag, points))
+            header = "r12,c12" if tag.startswith("cr_") else "r12,n12"
+        lines = [header] + [f"{format(float(x), '.17g')},{format(float(y), '.17g')}"
+                            for x, y in rows]
+        assert curve_csv_bytes(tag, points) == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("field, value", [("rank", True), ("c12", "0.5"), ("index", 1234.0)])
+def test_json_reader_names_one_wrong_typed_value_among_many(field, value):
+    rows = json.loads(records_to_json([_rec(r12=k / 2000) for k in range(2000)]))
+    rows[1234][field] = value
+    with pytest.raises(ValueError, match=f"^record 1234: {field}: "):
+        records_from_json(json.dumps(rows))
+
+
+def _reference_margin(region, rec, tol):
+    c, n, r, t = rec.c12, rec.n12, rec.r12, rec.tau
+    if region in ("cr_rank3", "nr_rank3"):
+        v, bound = (c, cr_rank3_r_bound) if region == "cr_rank3" else (n, nr_rank3_r_bound)
+        return max(v - r, r - bound(v)) if v > tol else r - WITNESS_THRESHOLD
+    return {
+        "prop1": lambda: max(-r, r - 1.0),
+        "cr_rank2": lambda: max(c - r, r - math.sqrt(c)),
+        "cr_rank2_lower": lambda: r - math.sqrt(c),
+        "cr_rank4": lambda: max(c - r, r - rank4_r_bound(c)),
+        "r_geq_c": lambda: c - r,
+        "nr_rank2": lambda: max(nr_rank2_n_lower(r) - n, n - r),
+        "nr_rank2_lower": lambda: nr_rank2_n_lower(r) - n,
+        "nr_rank4": lambda: max(n - r, r - rank4_r_bound(n)),
+        "witness_separable": lambda: r - WITNESS_THRESHOLD,
+        "rc_tau_identity": lambda: abs(r**4 - c**2 * (c**2 + t)),
+        "m3ts_max_tau": lambda: t - (1.0 - c**2),
+    }[region]()
+
+
+def _reference_verify(records, region, tol):
+    """One record at a time: a non-finite measure gives a NaN margin; NaN
+    offenders first, then by falling margin, each in index order."""
+    worst, offenders = -math.inf, []
+    for idx, rec in enumerate(records):
+        values = [rec.c12, rec.n12, rec.r12] + ([] if rec.tau is None else [rec.tau])
+        finite = all(math.isfinite(v) for v in values)
+        margin = _reference_margin(region, rec, tol) if finite else math.nan
+        if math.isnan(margin) or margin > worst:
+            worst = margin
+        if not margin <= tol:
+            offenders.append((idx, margin))
+    offenders.sort(key=lambda pair: (not math.isnan(pair[1]), -pair[1]))
+    return worst, len(offenders), offenders[:10]
+
+
+@pytest.mark.parametrize("region", REGION_TAGS)
+@pytest.mark.parametrize("tol", [None, -0.05])
+def test_verify_equals_the_reference_loop(region, tol):
+    needs_tau = region in ("rc_tau_identity", "m3ts_max_tau")
+    records = scatter((2, 2, 2), 300, seed=8)
+    if not needs_tau:
+        records += separable_campaign(300, seed=8)
+    records += [records[0]._replace(c12=math.nan), records[1]._replace(r12=math.inf),
+                records[2]._replace(tau=-math.inf), records[3]._replace(n12=math.nan)]
+    report = verify(records, region, tol)
+    worst, violations, offenders = _reference_verify(records, region, report.tolerance)
+    assert report.total == len(records)
+    assert report.violations == violations
+    assert str(report.worst_margin) == str(worst)  # NaN too
+    assert [(i, str(m)) for i, m in report.offenders] == [(i, str(m)) for i, m in offenders]

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from permutangle import (
     three_tangle,
 )
 from permutangle.matkernel import singular_values
+from permutangle.measures import CLAMP_TOL, _clamp01
 
 RNG = np.random.default_rng(112358)
 
@@ -278,3 +280,26 @@ class TestLocalUnitaryInvariance:
             rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
             now = (r12(rotated), concurrence(rotated), negativity(rotated))
             assert max(abs(a - b) for a, b in zip(base, now)) <= 1e-9
+
+
+class TestClamp:
+    """The clamp's pass-through gives the bits of min(1.0, max(0.0, v))."""
+
+    @staticmethod
+    def _bits(value):
+        return struct.pack("<d", value)
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+        1.0 + CLAMP_TOL, -CLAMP_TOL,
+    ])
+    def test_equals_min_max(self, value):
+        assert [self._bits(v) for v in _clamp01([value, value])] == (
+            [self._bits(min(1.0, max(0.0, value)))] * 2)
+
+    @pytest.mark.parametrize("value", [1.0 + 2 * CLAMP_TOL, math.nan, math.inf, -math.inf])
+    def test_out_of_tolerance_raises(self, value):
+        message = f"r12 value {value!r} outside [0, 1] beyond tolerance {CLAMP_TOL}"
+        with pytest.raises(ValueError) as info:
+            _clamp01([0.5, value], "r12")
+        assert str(info.value) == message
