@@ -4,8 +4,10 @@ A campaign is a tuple of sample kinds, and sample ``i`` is of kind
 ``kinds[i % len(kinds)]``. A kind's ``draw(rng)`` takes one sample's raw
 numbers from its own generator of the stream of ``(seed, i)``
 (:func:`permutangle.qstate.substreams` seeds a whole chunk's generators from
-one hash), and its ``build(draws)`` turns a list of draws into one stack of
-states with the stacked forms of the scalar constructors. :func:`_run_indexed`
+one hash). Flat Dirichlet weights are unit exponentials over their sum
+(:func:`permutangle.families.flat_dirichlet`, ``rng.dirichlet``'s bits while numpy's
+gamma(1) is its exponential). ``build(draws)`` turns a list of draws into one
+stack of states with the stacked forms of the scalar constructors. :func:`_run_indexed`
 builds each kind's share of a chunk of ``CHUNK_SIZE`` samples as one stack,
 and one call of :func:`permutangle.measures.measure_stack` measures the
 chunk; a pure (2, 2, 2) state is its own tangle parent. Each state of a stack
@@ -260,7 +262,7 @@ def perturbation_campaign(
 def _product_mix_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     terms = int(rng.integers(1, 4))
     # the Haar blocks of u_1, v_1, u_2, ...: the stream of 2 * terms haar_draw(2) calls
-    return rng.dirichlet(families.FLAT_DIRICHLET[terms]), rng.standard_normal((2 * terms, 2, 2))
+    return families.flat_dirichlet(rng, terms), rng.standard_normal((2 * terms, 2, 2))
 
 
 def _product_mixes(draws: list) -> np.ndarray:
@@ -282,8 +284,8 @@ def _product_mixes(draws: list) -> np.ndarray:
 
 def _bell_diagonal_separable_draw(rng: np.random.Generator) -> np.ndarray:
     while True:
-        p = rng.dirichlet(families.FLAT_DIRICHLET[4])
-        if p.max() <= 0.5:
+        p = families.flat_dirichlet(rng, 4)
+        if max(p.tolist()) <= 0.5:
             return p
 
 

@@ -13,7 +13,8 @@ their domains, broadcast over arrays of parameter values, so ``state_stack``
 builds a campaign chunk's states with the same formula. ``closed_form_measures``
 returns the analytically known values for that family as a dict keyed by
 measure name; keys vary per family (cross-pair values like ``c13`` exist
-only for three-qubit families).
+only for three-qubit families). ``flat_dirichlet`` draws unit exponentials over their sum, numpy's
+Dirichlet bits while numpy's gamma(1) is its exponential (the manifest's numpy version pins it).
 """
 
 from __future__ import annotations
@@ -387,8 +388,13 @@ def _closed_cq_state(p: float, bloch: np.ndarray) -> dict:
 # suite, separable campaigns)
 
 
-#: Dirichlet concentrations of 1 to 4 equal weights, built once
-FLAT_DIRICHLET = {k: np.ones(k) for k in range(1, 5)}
+def flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k weights uniform on the simplex: ``rng.dirichlet(np.ones(k))``, written out."""
+    e = rng.standard_exponential(k)
+    acc = 0.0
+    for x in e.tolist():
+        acc += x
+    return e * (1.0 / acc)
 
 
 def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]:
@@ -398,12 +404,13 @@ def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]
 def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
     """A Bloch vector drawn uniformly from the unit ball."""
     v = rng.standard_normal(3)
-    v /= math.sqrt(v.dot(v))  # np.linalg.norm's formula for a real vector
-    return tuple(v * rng.random() ** (1.0 / 3.0))
+    norm, scale = math.sqrt(v.dot(v)), rng.random() ** (1.0 / 3.0)  # norm: np.linalg.norm's formula
+    x, y, z = v.tolist()
+    return x / norm * scale, y / norm * scale, z / norm * scale
 
 
 def _sample_x_state(rng: np.random.Generator) -> dict:
-    a, b, c, d = rng.dirichlet(FLAT_DIRICHLET[4])
+    a, b, c, d = flat_dirichlet(rng, 4)
     w = rng.random() * math.sqrt(a * d) * np.exp(2j * np.pi * rng.random())
     z = rng.random() * math.sqrt(b * c) * np.exp(2j * np.pi * rng.random())
     return {"a": a, "b": b, "c": c, "d": d, "w": w, "z": z}
@@ -441,7 +448,7 @@ class _Family(NamedTuple):
 _FAMILIES: dict[str, _Family] = {
     "bell_diagonal": _Family(
         _bell_diagonal_domain, _bell_mixture, _closed_bell_diagonal,
-        lambda rng: dict(zip(_BELL_WEIGHTS, rng.dirichlet(FLAT_DIRICHLET[4]))), _BELL_WEIGHTS),
+        lambda rng: dict(zip(_BELL_WEIGHTS, flat_dirichlet(rng, 4))), _BELL_WEIGHTS),
     "werner": _Family(
         _werner_domain, _make_werner, _closed_werner, _uniform("p"), ("p", "bell")),
     # mems1 is accepted on all of [0, 1]; it is maximally entangled at fixed
@@ -472,7 +479,7 @@ _FAMILIES: dict[str, _Family] = {
     "ansatz1": _Family(_interval("p"), _make_ansatz1, _closed_ansatz1, _uniform("p"), ("p",)),
     "ansatz2": _Family(
         _ansatz2_domain, _make_ansatz2, _closed_ansatz2,
-        lambda rng: dict(zip(("alpha", "beta"), rng.dirichlet(FLAT_DIRICHLET[3]))),
+        lambda rng: dict(zip(("alpha", "beta"), flat_dirichlet(rng, 3))),
         ("alpha", "beta")),
     "mems1_purification": _Family(
         _interval("c"), _make_mems1_purification, _closed_mems1_purification, _uniform("c"),
@@ -620,20 +627,31 @@ def nr_rank2_n_lower(r: float) -> float:
 
 
 def _invert_increasing(f: Callable[[float], float], y: float) -> float:
-    """Solve f(x) = y for increasing f on [0, 1] by bisection."""
+    """Solve f(x) = y for increasing f on [0, 1]: the midpoint of the adjacent
+    floats lo < hi with f(lo) < y <= f(hi), the pair bisection ends on."""
     lo, hi = 0.0, 1.0
-    if y <= f(lo):
+    glo, ghi = f(lo) - y, f(hi) - y
+    if glo >= 0.0:
         return lo
-    if y >= f(hi):
+    if ghi <= 0.0:
         return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # f(lo) < y <= f(hi): no further step moves lo or hi
-            break
-        if f(mid) < y:
-            lo = mid
+    while hi - lo > 4.0 * math.ulp(hi):
+        # a secant step, then a probe as far past the root, to close the bracket from both sides
+        slope = (ghi - glo) / (hi - lo)
+        x = lo - glo / slope
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        g = f(x) - y
+        lo, glo, hi, ghi = (x, g, hi, ghi) if g < 0.0 else (lo, glo, x, g)
+        x -= 2.0 * g / slope + math.copysign(2.0 * math.ulp(x), g)
+        if lo < x < hi:
+            g = f(x) - y
+            lo, glo, hi, ghi = (x, g, hi, ghi) if g < 0.0 else (lo, glo, x, g)
+    while (x := math.nextafter(lo, hi)) < hi:  # walk the last few floats
+        if f(x) < y:
+            lo = x
         else:
-            hi = mid
+            hi = x
     return 0.5 * (lo + hi)
 
 
@@ -680,14 +698,14 @@ def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float
     """Evaluate an analytic boundary curve on the given abscissae.
 
     Abscissae are the r12 values; ordinates are c12 or n12 depending on the
-    curve family. Out-of-domain abscissae raise :class:`DomainError`.
+    curve family. Out-of-domain and NaN abscissae raise :class:`DomainError`.
     """
     lo, hi = curve_domain(curve)
     fn = _CURVES[curve][0]
     out = []
     for x in grid:
         x = float(x)
-        if x < lo - EDGE_TOL or x > hi + EDGE_TOL:
+        if not lo - EDGE_TOL <= x <= hi + EDGE_TOL:  # NaN fails too
             raise DomainError(f"abscissa {x} outside domain [{lo}, {hi}] of {curve}")
         out.append((x, fn(min(hi, max(lo, x)))))
     return out

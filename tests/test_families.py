@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutangle import (
+    CURVE_TAGS,
     DomainError,
     FAMILY_TAGS,
     PureState,
@@ -24,6 +25,8 @@ from permutangle import (
 )
 from permutangle.families import (
     BELL_PHI_PLUS,
+    _random_bloch,
+    flat_dirichlet,
     state_stack,
     cr_rank3_r_bound,
     nr_rank2_n_lower,
@@ -285,6 +288,27 @@ class TestStateStack:
             make_state("werner", p=np.array([0.2, 0.3]))
 
 
+class TestSamplers:
+    """The hand-rolled draws have the bits and stream use of the numpy calls they replace."""
+
+    def test_flat_dirichlet_equals_numpy_dirichlet(self):
+        for seed in range(10_000):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(1, 5):
+                want = ref.dirichlet(np.ones(k))
+                assert flat_dirichlet(ours, k).tobytes() == want.tobytes(), (seed, k)
+                assert ours.random() == ref.random(), (seed, k)
+
+    def test_random_bloch_equals_the_numpy_formula(self):
+        ours, ref = substream(15, 0), substream(15, 0)
+        for _ in range(20_000):
+            v = ref.standard_normal(3)
+            v /= math.sqrt(v.dot(v))
+            want = tuple(v * ref.random() ** (1.0 / 3.0))
+            assert _random_bloch(ours) == want
+        assert ours.random() == ref.random()
+
+
 class TestEntryPointsAgree:
     """make_state, closed_form_measures and numeric_measures accept the same
     parameters: all three succeed or all three raise DomainError."""
@@ -449,6 +473,12 @@ class TestBoundaryCurves:
             boundary_curve("cr_rank4", [0.2])
         with pytest.raises(DomainError):
             boundary_curve("no_such_curve", [0.5])
+
+    @pytest.mark.parametrize("tag", CURVE_TAGS)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_abscissa_is_rejected(self, tag, x):
+        with pytest.raises(DomainError, match="abscissa"):
+            boundary_curve(tag, [0.5 if tag.endswith("rank4") else 0.0, x])
 
     def test_rank4_grid_example(self):
         xs = curve_grid("cr_rank4", 3)
