@@ -113,8 +113,12 @@ def build_record(
 
     Such a parent must be the state ``rho`` is the (1, 2) reduction of, as
     :func:`~permutangle.qstate.reduce` gives it; otherwise ``ValueError``.
-    A batch of one of the campaigns' records step, so it reproduces their
-    records bit for bit.
+    Its record takes rank and c12 from the parent's amplitudes, through the
+    decomposition of ``rho`` into the parent's two branches (Wootters,
+    PRL 80, 2245; Hughston, Jozsa and Wootters, PLA 183, 14): c12 agrees
+    with :func:`~permutangle.measures.concurrence` of ``rho`` to rounding,
+    and is exactly 0 when ``rho`` is a pure product. A batch of one of the
+    campaigns' records step, so it reproduces their records bit for bit.
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"records are defined for two qubits, got dims {rho.dims}")

@@ -569,19 +569,26 @@ def sample_params(family: str, rng: np.random.Generator) -> dict:
     return _family(family).sample(rng)
 
 
+#: Qubit orders that bring the pairs (1, 2), (1, 3) and (2, 3) to the front.
+_PAIRS_FIRST = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
 def numeric_measures(family: str, **params) -> dict[str, float]:
     """The same measures computed numerically from the constructed state.
 
     For three-qubit pure families this includes all pairwise values and the
     tangle; for two-qubit families it is {c12, n12, r12}, plus tau when the
     state has rank <= 2. Either way one stacked kernel call measures the
-    pairs, so each value has the bits of the scalar measure of that pair.
+    pairs, so each value has the bits of a batch of one of that pair. A pure
+    state is passed with its qubits permuted so that pair (a, b) is the (1, 2)
+    reduction of its parent, which gives the pair's concurrence from the
+    parent's amplitudes; tau is the unpermuted parent's.
     """
     state = make_state(family, **params)
     if isinstance(state, PureState):  # every pure family is over (2, 2, 2)
-        parent = state.amplitudes[None]
-        pairs = [reduce_pure_stack(parent, (2, 2, 2), keep) for keep in ((1, 2), (1, 3), (2, 3))]
-        m = measure_stack(np.concatenate(pairs))
+        cube = state.amplitudes.reshape(2, 2, 2)
+        parents = np.stack([cube.transpose(axes).reshape(8) for axes in _PAIRS_FIRST])
+        m = measure_stack(reduce_pure_stack(parents, (2, 2, 2), (1, 2)), parents)
         return {
             "c12": m.c12[0],
             "n12": m.n12[0],
@@ -590,7 +597,7 @@ def numeric_measures(family: str, **params) -> dict[str, float]:
             "r13": m.r12[1],
             "c23": m.c12[2],
             "r23": m.r12[2],
-            "tau": three_tangle(state),
+            "tau": m.tau[0],
         }
     m = measure_stack(state.matrix[None])
     out = {"c12": m.c12[0], "n12": m.n12[0], "r12": m.r12[0]}

@@ -7,19 +7,24 @@ further out indicates a bug upstream and raises instead of being hidden.
 The two-qubit measures have one implementation, the stacked kernel
 :func:`measure_stack`. It takes a ``(k, 4, 4)`` stack of states (and,
 optionally, their ``(k, 8)`` three-qubit pure parents) and runs each
-linear-algebra step once over the whole stack: one ``eigh`` for the ranks and
-the Wootters spectra, one overlap SVD, one ``eigvalsh`` of the partial
-transposes and one determinant of the links. The parents' 3-tangle needs no
-linear algebra: it is the Cayley hyperdeterminant of the amplitudes, one
-elementwise pass over the stack. Every check (finite entries, Hermiticity,
-positivity, the clamp tolerance) still applies to each matrix and value; the
-scalar arithmetic that follows a step (|det|^(1/4), lambda_1 - lambda_2 - ...)
-runs per value, and the clamp passes a value already in (0, 1] through as it
-is. The scalar ``concurrence``, ``negativity``, ``r12`` and ``three_tangle``
-run the same steps on a stack of one, and numpy's stacked routines give each
-matrix the bits it gets alone, so a state measured by itself or inside a
-campaign chunk of any size gets identical values. The tangle's bits follow
-numpy's SIMD-dispatched complex multiply.
+linear-algebra step once over the whole stack: one ``eigvalsh`` of the
+partial transposes, one determinant of the links and, for a stack without
+parents, one ``eigh`` for the ranks and the Wootters spectra and one overlap
+SVD. With parents, the ranks, the concurrences and the 3-tangles need no
+linear algebra: each is one elementwise pass over the amplitudes. The
+concurrence is that of the decomposition of the reduction into the parent's
+two branches (Wootters, PRL 80, 2245; Hughston, Jozsa and Wootters, PLA 183,
+14), and the 3-tangle is the Cayley hyperdeterminant. Every check (finite
+entries, Hermiticity, positivity, the clamp tolerance) still applies to each
+matrix and value, except that a parent's reduction is positive by
+construction and is not diagonalized; the scalar arithmetic that follows a
+step (|det|^(1/4), lambda_1 - lambda_2 - ...) runs per value, and the clamp
+passes a value already in (0, 1] through as it is. The scalar
+``concurrence``, ``negativity``, ``r12`` and ``three_tangle`` run the same
+steps on a stack of one, and numpy's stacked routines give each matrix the
+bits it gets alone, so a state measured by itself or inside a campaign chunk
+of any size gets identical values. The bits of the values taken from the
+parents follow numpy's SIMD-dispatched complex multiply.
 """
 
 from __future__ import annotations
@@ -87,7 +92,13 @@ def measure_stack(rhos, parents=None) -> StackMeasures:
     ``rhos`` is a ``(k, 4, 4)`` stack of two-qubit density matrices. When
     ``parents`` is given, it is the ``(k, 8)`` stack of three-qubit pure
     states whose (1, 2) reductions they are, and ``tau`` holds their
-    3-tangles; otherwise ``tau`` is None.
+    3-tangles; otherwise ``tau`` is None. ``n12`` and ``r12`` are measured
+    on ``rhos``. ``rank`` and ``c12`` come from the spectra of ``rhos`` and
+    Wootters' 4x4 overlaps or, with parents, from the parents' amplitudes
+    (:func:`_parent_ranks_and_concurrences`), which give a pure product
+    reduction ``c12 = 0`` exactly. The two routes agree to rounding, not bit
+    for bit; a batch of one of either route gives a state the bits it gets
+    in a stack.
     """
     rhos = matkernel.as_matrix(rhos, square=True, stack=True)
     if rhos.ndim != 3 or rhos.shape[1] != 4:
@@ -99,8 +110,10 @@ def measure_stack(rhos, parents=None) -> StackMeasures:
             raise DimensionError(f"expected a ({k}, 8) stack of parents, got {parents.shape}")
         if not np.isfinite(parents).all():
             raise ValueError("parent amplitudes contain non-finite entries")
-    rank, c12 = _ranks_and_concurrences(rhos)
-    tau = None if parents is None else _tangles(parents)
+    if parents is None:
+        (rank, c12), tau = _ranks_and_concurrences(rhos), None
+    else:
+        (rank, c12), tau = _parent_ranks_and_concurrences(parents), _tangles(parents)
     return StackMeasures(rank=rank, c12=c12, n12=_negativity(rhos), r12=_r12(rhos, 2), tau=tau)
 
 
@@ -158,6 +171,51 @@ def _tangles(parents: np.ndarray) -> list[float]:
     d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
     h = d1 - 2.0 * d2 + 4.0 * d3
     return _clamp01((4.0 * np.hypot(h.real, h.imag)).tolist(), "three_tangle")
+
+
+def _parent_ranks_and_concurrences(parents: np.ndarray) -> tuple[list[int], list[float]]:
+    """Ranks and concurrences of the (1, 2) reductions of a ``(k, 8)`` stack of pure states.
+
+    The branches phi_k = (a_00k, a_01k, a_10k, a_11k) of a parent decompose
+    its reduction as rho_12 = |phi_0><phi_0| + |phi_1><phi_1|. Wootters'
+    lambdas are the singular values of the overlap matrix of any
+    decomposition (Wootters, PRL 80, 2245), and two decompositions differ by
+    a unitary (Hughston, Jozsa and Wootters, PLA 183, 14), so they are those
+    of the 2x2 complex symmetric M = [[A, B], [B, D]] with
+    M_kl = phi_k^T (sigma_y x sigma_y) phi_l, up to a common sign. Then
+    c12 = s1 - s2 = (s1^2 - s2^2) / (s1 + s2)
+        = hypot(|A|^2 - |D|^2, 2 |conj(A) B + conj(B) D|)
+          / sqrt(|A|^2 + 2 |B|^2 + |D|^2 + 2 |AD - B^2|).
+    The numerator keeps its absolute accuracy at c12 = 0, where the textbook
+    sqrt(|M|^2 - 2 |det M|) loses half the digits. M = 0 (a pure product
+    reduction, such as that of |000>) gives c12 = 0 rather than 0/0.
+
+    The rank counts the eigenvalues of the Gram matrix G = [phi_0 phi_1]^dagger
+    [phi_0 phi_1] above ``RANK_EPS``; G has rho_12's nonzero spectrum,
+    lambda_max = (g00 + g11 + hypot(g00 - g11, 2 |g01|)) / 2 and
+    lambda_min = det G / lambda_max. Every modulus is ``np.hypot``, as in
+    :func:`_tangles`.
+    """
+    a000, a001, a010, a011, a100, a101, a110, a111 = parents.T
+    overlap_a = 2.0 * (a000 * a110 - a010 * a100)
+    overlap_d = 2.0 * (a001 * a111 - a011 * a101)
+    overlap_b = a000 * a111 + a110 * a001 - a010 * a101 - a100 * a011
+    sq_a, sq_b, sq_d = (np.hypot(z.real, z.imag) ** 2 for z in (overlap_a, overlap_b, overlap_d))
+    cross = overlap_a.conj() * overlap_b + overlap_b.conj() * overlap_d
+    det_m = overlap_a * overlap_d - overlap_b * overlap_b
+    num = np.hypot(sq_a - sq_d, 2.0 * np.hypot(cross.real, cross.imag))
+    den = np.sqrt(sq_a + 2.0 * sq_b + sq_d + 2.0 * np.hypot(det_m.real, det_m.imag))
+    c12 = num / np.where(den > 0.0, den, 1.0)
+
+    sq = parents.real * parents.real + parents.imag * parents.imag
+    g00 = sq[:, 0] + sq[:, 2] + sq[:, 4] + sq[:, 6]
+    g11 = sq[:, 1] + sq[:, 3] + sq[:, 5] + sq[:, 7]
+    g01 = a000.conj() * a001 + a010.conj() * a011 + a100.conj() * a101 + a110.conj() * a111
+    abs_g01 = np.hypot(g01.real, g01.imag)
+    lam_max = 0.5 * (g00 + g11 + np.hypot(g00 - g11, 2.0 * abs_g01))
+    lam_min = (g00 * g11 - abs_g01 * abs_g01) / np.where(lam_max > 0.0, lam_max, 1.0)
+    rank = (lam_max > RANK_EPS).astype(int) + (lam_min > RANK_EPS)
+    return rank.tolist(), _clamp01(c12.tolist(), "concurrence")
 
 
 def r12(rho: DensityMatrix) -> float:

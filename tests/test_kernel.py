@@ -4,9 +4,10 @@ Pins the kernel four ways: campaign bytes do not depend on the chunk size,
 a campaign sample rebuilt alone from the scalar constructors and measured
 alone (``build_record`` and the scalar functions) gets the record of the
 campaign's stacked build, ``numeric_measures`` gets the bits of the scalar
-functions, and every value agrees with the naive per-state oracles of
-``conftest``. A bad matrix anywhere in a stack raises what the scalar call
-raises on it.
+functions (of a record with a parent, for a pure state's concurrences), and
+every value agrees with the naive per-state oracles of ``conftest``. Rank and
+c12 taken from (2, 2, 2) parents agree with the ``eigh`` route to 1e-12. A
+bad matrix anywhere in a stack raises what the scalar call raises on it.
 """
 
 import math
@@ -252,24 +253,71 @@ def test_kernel_matches_oracles_across_ranks_and_families():
 
 
 def test_scalar_measures_are_batches_of_one():
+    """n12, r12 and tau of a parent stack have the scalar functions' bits; rank
+    and c12 come from the parents, and have the bits of a batch of one."""
     psis = [haar_random_pure((2, 2, 2), RNG) for _ in range(9)]
     rhos = [reduce(psi, (1, 2)) for psi in psis]
     m = measure_stack(np.stack([rho.matrix for rho in rhos]), np.stack([p.amplitudes for p in psis]))
     for i, (psi, rho) in enumerate(zip(psis, rhos)):
-        assert concurrence(rho) == m.c12[i]
+        alone = measure_stack(rho.matrix[None], psi.amplitudes[None])
+        assert alone.c12 == [m.c12[i]]
+        assert alone.rank == [m.rank[i]]
+        assert build_record(rho, psi, "haar_2x2x2")[:2] == (m.rank[i], m.c12[i])
         assert negativity(rho) == m.n12[i]
         assert r12(rho) == m.r12[i]
         assert rho.rank() == m.rank[i]
         assert three_tangle(psi) == m.tau[i]
 
 
+def _haar_parent_stack(seed, n=4096):
+    parents = np.stack([haar_random_pure((2, 2, 2), substream(seed, i)).amplitudes
+                        for i in range(n)])
+    return reduce_pure_stack(parents, (2, 2, 2), (1, 2)), parents
+
+
+def test_parent_route_agrees_with_the_eigh_route():
+    """rank and c12 from the parents' branches are those of the reductions'
+    spectra and Wootters' 4x4 overlap."""
+    rhos, parents = _haar_parent_stack(4097)
+    m = measure_stack(rhos, parents)
+    eigh_route = measure_stack(rhos)
+    assert m.rank == eigh_route.rank == [2] * len(parents)
+    assert max(map(abs, np.subtract(m.c12, eigh_route.c12))) <= 1e-12
+    for i in range(0, len(parents), 64):
+        rho = DensityMatrix((2, 2), rhos[i])
+        assert abs(m.c12[i] - concurrence(rho)) <= 1e-12
+        assert m.rank[i] == rho.rank()
+
+
+def test_parent_route_on_edge_states():
+    """A pure product reduction has M = 0 and c12 exactly 0, not 0/0."""
+    zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    ghz = (np.kron(np.kron(zero, zero), zero) + np.kron(np.kron(one, one), one)) / math.sqrt(2)
+    w_state = np.zeros(8)
+    w_state[[1, 2, 4]] = 1 / math.sqrt(3)
+    noise = random_complex_matrix(RNG, 1, 8)[0]
+    noisy_ghz = ghz + 1e-12 * noise
+    parents = np.array([
+        np.kron(np.kron(zero, zero), zero),
+        np.kron(BELL_PHI_PLUS, zero),
+        ghz,
+        w_state,
+        noisy_ghz / np.linalg.norm(noisy_ghz),
+    ], dtype=complex)
+    rhos = reduce_pure_stack(parents, (2, 2, 2), (1, 2))
+    m = measure_stack(rhos, parents)
+    assert m.c12[0] == m.c12[2] == 0.0  # |000> and GHZ
+    assert m.rank[:4] == [1, 1, 2, 2]
+    assert abs(m.c12[1] - 1.0) <= 1e-15  # |Phi+>|0>, whose amplitudes are rounded
+    assert abs(m.c12[3] - 2.0 / 3.0) <= 1e-15
+    assert abs(m.c12[4] - measure_stack(rhos[4:]).c12[0]) <= 1e-15
+
+
 def test_tau_independent_of_stack_size():
     """tau takes numpy's SIMD-dispatched complex products, so its bits must not
     depend on where a state falls in a stack: each size splits the stack into
     chunks that end at a different point of the vector loop."""
-    parents = np.stack([haar_random_pure((2, 2, 2), substream(4096, i)).amplitudes
-                        for i in range(4096)])
-    rhos = reduce_pure_stack(parents, (2, 2, 2), (1, 2))
+    rhos, parents = _haar_parent_stack(4096)
     whole = measure_stack(rhos, parents).tau
     assert whole == [three_tangle(PureState((2, 2, 2), p)) for p in parents]
     for size in (2, 3, 5, 7, 9, 13, 511):
@@ -278,10 +326,24 @@ def test_tau_independent_of_stack_size():
         assert chunked == whole, size
 
 
+def test_parent_c12_and_rank_independent_of_stack_size():
+    """c12 and rank from the parents take SIMD-dispatched complex products,
+    ``np.hypot`` and ``sqrt``; their bits must not depend on the stack size."""
+    rhos, parents = _haar_parent_stack(4096)
+    whole = measure_stack(rhos, parents)
+    for size in (2, 3, 5, 7, 9, 13, 511):
+        parts = [measure_stack(rhos[s:s + size], parents[s:s + size])
+                 for s in range(0, len(parents), size)]
+        assert [c for part in parts for c in part.c12] == whole.c12, size
+        assert [r for part in parts for r in part.rank] == whole.rank, size
+
+
 @pytest.mark.parametrize("family", FAMILY_TAGS)
 def test_numeric_measures_equal_scalar_measures(family):
     """``numeric_measures`` measures a family state in one stacked call; each
-    value has the bits of the scalar measure of the reduced pair."""
+    value has the bits of the scalar measure of the reduced pair, or, for the
+    concurrences of a pure state's pairs, of that pair's record with the
+    state as its parent, qubits a and b first."""
     for i in range(50):
         params = sample_params(family, substream(4242, i))
         state = make_state(family, **params)
@@ -289,7 +351,11 @@ def test_numeric_measures_equal_scalar_measures(family):
             want = {"n12": negativity(reduce(state, (1, 2))), "tau": three_tangle(state)}
             for a, b in ((1, 2), (1, 3), (2, 3)):
                 pair = reduce(state, (a, b))
-                want[f"c{a}{b}"], want[f"r{a}{b}"] = concurrence(pair), r12(pair)
+                order = (a - 1, b - 1, 3 - (a - 1) - (b - 1))
+                parent = PureState((2, 2, 2), state.amplitudes.reshape(2, 2, 2).transpose(order))
+                want[f"c{a}{b}"] = build_record(pair, parent, family).c12
+                want[f"r{a}{b}"] = r12(pair)
+                assert abs(want[f"c{a}{b}"] - concurrence(pair)) <= 1e-12
         else:
             want = {"c12": concurrence(state), "n12": negativity(state), "r12": r12(state)}
             if state.rank() == 2:
