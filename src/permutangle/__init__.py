@@ -12,6 +12,7 @@ from .errors import DegenerateStateError, DimensionError, DomainError, Hermitici
 from .experiments import (
     MeasureRecord,
     PERTURBATION_KINDS,
+    Records,
     REGION_TAGS,
     ViolationReport,
     build_record,

@@ -13,19 +13,27 @@ and one call of :func:`permutangle.measures.measure_stack` measures the
 chunk; a pure (2, 2, 2) state is its own tangle parent. Each state of a stack
 gets the bits it gets alone, and :func:`build_record` is a batch of one of
 the same step, so output is byte-identical regardless of chunk size.
+
+Records stay columns from the kernel to the files: a campaign extends six
+column lists with the kernel's lists chunk by chunk and returns them as a
+:class:`Records` value, the writers format from its columns, the readers
+return columns and :func:`verify` walks them. A :class:`MeasureRecord` row is
+made only when one is asked for, so held records are six tuples of untracked
+values to the cyclic garbage collector, not a tracked row each.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 import math
 import operator
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -79,6 +87,54 @@ class MeasureRecord(NamedTuple):
 _record = functools.partial(tuple.__new__, MeasureRecord)
 
 
+class Records:
+    """Campaign records held as six columns, in :class:`MeasureRecord` field order.
+
+    ``columns`` holds tuples of the ranks, c12, n12, r12, tau (None where a
+    record has none) and family tags; their items are the values of the
+    kernel's or a reader's lists, bits and all. A tuple of numbers, strings
+    and None is untracked by the cyclic garbage collector once a collection
+    has seen it, so held records add nothing to later collections, whatever
+    their number. ``len``, indexing, slicing, iteration and ``+``/``+=`` with
+    other records or a list of rows work as on a list of
+    :class:`MeasureRecord` rows; a row is made when it is asked for.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: Iterable):
+        """Records of six columns of equal length; none gives no records."""
+        self.columns = tuple(map(tuple, columns)) or ((),) * len(MeasureRecord._fields)
+
+    @classmethod
+    def of(cls, records: Iterable[MeasureRecord]) -> Records:
+        """``records`` itself, or the columns of an iterable of rows."""
+        if isinstance(records, Records):
+            return records
+        return cls(*zip(*records))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(*(column[i] for column in self.columns))
+        return _record(column[i] for column in self.columns)
+
+    def __iter__(self) -> Iterator[MeasureRecord]:
+        return map(_record, zip(*self.columns))
+
+    def __add__(self, other: Iterable[MeasureRecord]) -> Records:
+        return Records(*map(operator.add, self.columns, Records.of(other).columns))
+
+    def __iadd__(self, other: Iterable[MeasureRecord]) -> Records:
+        self.columns = (self + other).columns
+        return self
+
+    def __eq__(self, other) -> bool:
+        return self.columns == other.columns if isinstance(other, Records) else NotImplemented
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """Outcome of checking records against an analytic region.
@@ -127,23 +183,22 @@ def build_record(
         stack = parent.amplitudes[None]  # measured through its reduction, which is rho
         if not np.array_equal(rho.matrix, reduce_pure_stack(stack, (2, 2, 2), (1, 2))[0]):
             raise ValueError("rho is not the (1, 2) reduction of the (2, 2, 2) parent")
-    return _measure(stack, [family])[0]
+    return _record(column[0] for column in _measure(stack, [family]))
 
 
-def _measure(stack: np.ndarray, tags: Sequence[str]) -> list[MeasureRecord]:
-    """Records of a stack of states from one :func:`measure_stack` call.
+def _measure(stack: np.ndarray, tags: list[str]) -> list[list]:
+    """The record columns of a stack of states from one :func:`measure_stack` call.
 
     ``stack`` is a ``(k, 4, 4)`` stack of two-qubit density matrices, or a
     ``(k, 4 d)`` stack of pure states over (2, 2, d), measured through their
-    (1, 2) reductions. Pure states over (2, 2, 2) are their own parents, so
-    their records carry tau.
+    (1, 2) reductions. Pure states over (2, 2, 2) are their own parents, which
+    the kernel reduces itself, so their records carry tau.
     """
-    parents = stack if stack.shape[1:] == (8,) else None
-    if stack.ndim == 2:
+    if stack.ndim == 2 and stack.shape[1] != 8:
         stack = reduce_pure_stack(stack, (2, 2, stack.shape[1] // 4), (1, 2))
-    m = measure_stack(stack, parents)
+    m = measure_stack(stack)
     taus = [None] * len(tags) if m.tau is None else m.tau
-    return list(map(_record, zip(m.rank, m.c12, m.n12, m.r12, taus, tags)))
+    return [m.rank, m.c12, m.n12, m.r12, taus, tags]
 
 
 def _check_seed(seed) -> int:
@@ -151,6 +206,13 @@ def _check_seed(seed) -> int:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative int, got {seed!r}")
     return int(seed)
+
+
+def _check_count(n: int) -> None:
+    """A campaign's sample count, which must be in 1..2**32: an index is a
+    spawn key of one 32-bit word."""
+    if not 1 <= n <= 2**32:
+        raise DomainError(f"sample count must be in 1..2**32, got {n}")
 
 
 class _Kind(NamedTuple):
@@ -161,7 +223,7 @@ class _Kind(NamedTuple):
     build: Callable[[list], np.ndarray]
 
 
-def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> list[MeasureRecord]:
+def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> Records:
     """Records of samples 0..n-1, measured in chunks of ``CHUNK_SIZE`` in index order.
 
     Sample ``i`` is of kind ``kinds[i % len(kinds)]`` and draws from the
@@ -169,10 +231,9 @@ def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> list[MeasureRecor
     stack and written into the chunk's stack (see :func:`_measure`).
     """
     seed = _check_seed(seed)
-    if not 1 <= n <= 2**32:  # an index is a spawn key of one 32-bit word
-        raise DomainError(f"sample count must be in 1..2**32, got {n}")
+    _check_count(n)
     m = len(kinds)
-    records: list[MeasureRecord] = []
+    columns: list[list] = [[] for _ in MeasureRecord._fields]
     for start in range(0, n, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, n))
         draws = [kinds[i % m].draw(rng) for rng, i in zip(substreams(seed, chunk), chunk)]
@@ -182,11 +243,13 @@ def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> list[MeasureRecor
         stack = np.empty((len(draws), *parts[0][1].shape[1:]), dtype=complex)
         for rows, part in parts:
             stack[rows] = part
-        records += _measure(stack, [kinds[i % m].tag for i in chunk])
-    return records
+        tags = [kinds[i % m].tag for i in chunk]
+        for column, values in zip(columns, _measure(stack, tags)):
+            column.extend(values)
+    return Records(*columns)
 
 
-def scatter(dims: Sequence[int], n: int, seed: int) -> list[MeasureRecord]:
+def scatter(dims: Sequence[int], n: int, seed: int) -> Records:
     """Haar-random states reduced to qubits (1, 2), measured one record each.
 
     dims (2, 2) samples two-qubit pure states directly (rank-1 records);
@@ -240,7 +303,7 @@ PERTURBATION_KINDS = tuple(_PERTURBATIONS)
 
 def perturbation_campaign(
     kind: str, n: int, seed: int, epsilon: float = EPSILON
-) -> list[MeasureRecord]:
+) -> Records:
     """Randomly perturbed boundary-family states, one record per sample.
 
     * ``ansatz1_fig4``: rank-3 Bell mixture plus a random state with the same
@@ -307,7 +370,7 @@ _SEPARABLE = (
 )
 
 
-def separable_campaign(n: int, seed: int) -> list[MeasureRecord]:
+def separable_campaign(n: int, seed: int) -> Records:
     """Constructed-separable states for the witness check.
 
     Cycles through product mixtures with at most 3 terms, classical-quantum
@@ -353,8 +416,9 @@ def verify(
 ) -> ViolationReport:
     """Count records outside an analytic region beyond tolerance.
 
-    Returns the signed worst margin along with up to ``MAX_OFFENDERS``
-    (index, margin) pairs for the worst offenders. A record with a
+    ``records`` is a :class:`Records` value or an iterable of rows. Returns
+    the signed worst margin along with up to ``MAX_OFFENDERS`` (index,
+    margin) pairs for the worst offenders. A record with a
     non-finite measure, or with a finite one outside the domain of the
     region's bound (a square root or a fractional power of a negative
     number, a power that overflows), has a NaN margin: a violation.
@@ -367,10 +431,11 @@ def verify(
     tol = float(tol)
     if not math.isfinite(tol):
         raise DomainError(f"tolerance must be finite, got tol={tol}")
+    _, c12s, n12s, r12s, taus, _ = Records.of(records).columns
     worst = -math.inf
     total = 0
     offenders: list[tuple[int, float]] = []
-    for total, (_, c12, n12, r12, tau, _) in enumerate(records, 1):
+    for total, (c12, n12, r12, tau) in enumerate(zip(c12s, n12s, r12s, taus), 1):
         # x - x is 0.0 exactly when x is finite: a non-finite measure gets a NaN margin
         spread = (c12 - c12) + (n12 - n12) + (r12 - r12)
         if tau is not None:
@@ -490,32 +555,26 @@ def _parse_column(name: str, parse: Callable[[Sequence], Sequence], column: Sequ
         raise
 
 
-def _records(rows: Sequence[Sequence], parsers: Sequence[Callable]) -> list[MeasureRecord]:
-    """Records from rows of column values in file order, parsed a column at a time.
+def _records(columns: Sequence[Sequence], parsers: Sequence[Callable]) -> Records:
+    """Records from the stored columns in file order, each parsed as a whole.
 
-    Every row must hold every field, every field must parse and the index must
-    run 0..n-1 in order (so :func:`verify`'s offender indices are the stored
-    ones); otherwise ``ValueError`` names a bad record. Ranges are for :func:`verify`.
+    Every field must parse and the index must run 0..n-1 in order (so
+    :func:`verify`'s offender indices are the stored ones); otherwise
+    ``ValueError`` names a bad record. Ranges are for :func:`verify`.
     """
-    if set(map(len, rows)) - {len(_FIELDS)}:
-        position, row = next((p, row) for p, row in enumerate(rows) if len(row) != len(_FIELDS))
-        raise ValueError(f"record {position} has {len(row)} fields; expected {_CSV_HEADER}")
-    if not rows:
-        return []
-    index, *columns = map(_parse_column, _FIELDS, parsers, zip(*rows))
+    index, *columns = map(_parse_column, _FIELDS, parsers, columns)
     _check_families(columns[-1])
-    if tuple(index) != tuple(range(len(index))):
+    if index != list(range(len(index))):
         bad = next(p for p, i in enumerate(index) if i != p)
         raise ValueError(f"record {bad} has index {index[bad]}; expected 0..n-1 in order")
-    return list(map(_record, zip(*columns)))
+    return Records(*columns)
 
 
 def _stored_columns(records: Iterable[MeasureRecord]) -> list[Sequence]:
-    """The records' stored columns, ``index`` first, after the family check."""
-    records = list(records)
-    columns = [range(len(records)), *zip(*records)]
+    """The stored columns of records or of rows, ``index`` first, after the family check."""
+    columns = Records.of(records).columns
     _check_families(columns[-1])
-    return columns
+    return [range(len(columns[0])), *columns]
 
 
 def records_csv_bytes(records: Iterable[MeasureRecord]) -> bytes:
@@ -530,10 +589,13 @@ def write_records_csv(records: Iterable[MeasureRecord], path) -> Path:
     return path
 
 
-def read_records_csv(source) -> list[MeasureRecord]:
+def read_records_csv(source) -> Records:
     """Parse a records CSV produced by :func:`write_records_csv`.
 
-    The index column must run 0..n-1 in order; see :func:`_records`.
+    Blank lines are skipped. Every other line after the header must hold the
+    seven fields, and the index column must run 0..n-1 in order; see
+    :func:`_records`. The body is split at its commas once, so field ``k``
+    of line ``j`` is item ``7 j + k``.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -542,7 +604,14 @@ def read_records_csv(source) -> list[MeasureRecord]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"bad records CSV header: {lines[0] if lines else '<empty>'!r}")
-    return _records([ln.split(",") for ln in lines[1:]], _FROM_TEXT)
+    body = lines[1:]
+    commas = [ln.count(",") for ln in body]  # one fewer than the line's fields
+    if commas.count(len(_FIELDS) - 1) != len(commas):
+        position = next(p for p, count in enumerate(commas) if count != len(_FIELDS) - 1)
+        raise ValueError(f"record {position} has {commas[position] + 1} fields; "
+                         f"expected {_CSV_HEADER}")
+    fields = ",".join(body).split(",") if body else []
+    return _records([fields[k::len(_FIELDS)] for k in range(len(_FIELDS))], _FROM_TEXT)
 
 
 def records_to_json(records: Iterable[MeasureRecord]) -> str:
@@ -558,7 +627,7 @@ def records_to_json(records: Iterable[MeasureRecord]) -> str:
     return "[\n" + ",\n".join(map(_JSON_ROW.__mod__, zip(*texts))) + "\n]"
 
 
-def records_from_json(text: str) -> list[MeasureRecord]:
+def records_from_json(text: str) -> Records:
     """Parse :func:`records_to_json` output; indices must run 0..n-1 in order."""
     try:
         rows = json.loads(text)
@@ -570,7 +639,7 @@ def records_from_json(text: str) -> list[MeasureRecord]:
     for position, row in enumerate(rows):
         if not isinstance(row, dict) or row.keys() != keys:
             raise ValueError(f"record {position} must be an object with the fields {_CSV_HEADER}")
-    return _records(list(map(operator.itemgetter(*_FIELDS), rows)), _FROM_JSON)
+    return _records([list(map(operator.itemgetter(name), rows)) for name in _FIELDS], _FROM_JSON)
 
 
 # --------------------------------------------------------------------------
@@ -671,11 +740,13 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
         raise DomainError(f"unknown figure id {fig_id}; known: 1..11")
     fig = _FIGURES[fig_id]
     seed = _check_seed(seed)
+    if n is not None:
+        _check_count(n)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
 
-    records: list[MeasureRecord] = []
+    records = Records()
     config: dict = {"figure": fig_id, "seed": seed, "curve_points": CURVE_POINTS}
     if fig.scatter is not None:
         count = fig.n if n is None else int(n)
@@ -704,9 +775,10 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
 
     reports = []
     for region, family_filter in fig.regions:
-        subset = records if family_filter is None else [
-            r for r in records if r.family == family_filter
-        ]
+        subset = records
+        if family_filter is not None:
+            keep = [family == family_filter for family in records.columns[-1]]
+            subset = Records(*(itertools.compress(col, keep) for col in records.columns))
         report = verify(subset, region).to_dict()
         if family_filter is not None:
             report["family_filter"] = family_filter

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import WITNESS_THRESHOLD, measure_stack, three_tangle
-from .qstate import DensityMatrix, PureState, purify, reduce_pure_stack
+from .qstate import DensityMatrix, PureState, purify
 from .qstate import _trusted_dm, _trusted_pure
 
 PARAM_SUM_TOL = 1e-9
@@ -588,7 +588,7 @@ def numeric_measures(family: str, **params) -> dict[str, float]:
     if isinstance(state, PureState):  # every pure family is over (2, 2, 2)
         cube = state.amplitudes.reshape(2, 2, 2)
         parents = np.stack([cube.transpose(axes).reshape(8) for axes in _PAIRS_FIRST])
-        m = measure_stack(reduce_pure_stack(parents, (2, 2, 2), (1, 2)), parents)
+        m = measure_stack(parents)
         return {
             "c12": m.c12[0],
             "n12": m.n12[0],

@@ -5,8 +5,9 @@ asserting the raw value lies within ``CLAMP_TOL`` of that interval; a value
 further out indicates a bug upstream and raises instead of being hidden.
 
 The two-qubit measures have one implementation, the stacked kernel
-:func:`measure_stack`. It takes a ``(k, 4, 4)`` stack of states (and,
-optionally, their ``(k, 8)`` three-qubit pure parents) and runs each
+:func:`measure_stack`. It takes a ``(k, 4, 4)`` stack of states, or a
+``(k, 8)`` stack of three-qubit pure parents whose (1, 2) reductions it
+takes and measures, and runs each
 linear-algebra step once over the whole stack: one ``eigvalsh`` of the
 partial transposes, one determinant of the links and, for a stack without
 parents, one ``eigh`` for the ranks and the Wootters spectra and one overlap
@@ -42,6 +43,7 @@ from .qstate import (
     RANK_EPS,
     descending,
     eigh_psd,
+    reduce_pure_stack,
 )
 
 CLAMP_TOL = 1e-9
@@ -86,30 +88,31 @@ class StackMeasures(NamedTuple):
     tau: Optional[list[float]]
 
 
-def measure_stack(rhos, parents=None) -> StackMeasures:
+def measure_stack(states) -> StackMeasures:
     """Rank, concurrence, negativity, r12 and 3-tangle of a stack of two-qubit states.
 
-    ``rhos`` is a ``(k, 4, 4)`` stack of two-qubit density matrices. When
-    ``parents`` is given, it is the ``(k, 8)`` stack of three-qubit pure
-    states whose (1, 2) reductions they are, and ``tau`` holds their
-    3-tangles; otherwise ``tau`` is None. ``n12`` and ``r12`` are measured
-    on ``rhos``. ``rank`` and ``c12`` come from the spectra of ``rhos`` and
-    Wootters' 4x4 overlaps or, with parents, from the parents' amplitudes
-    (:func:`_parent_ranks_and_concurrences`), which give a pure product
-    reduction ``c12 = 0`` exactly. The two routes agree to rounding, not bit
-    for bit; a batch of one of either route gives a state the bits it gets
-    in a stack.
+    ``states`` is a ``(k, 4, 4)`` stack of two-qubit density matrices, or a
+    ``(k, 8)`` stack of three-qubit pure parents, measured through their
+    (1, 2) reductions, which the kernel takes itself; ``tau`` holds the
+    parents' 3-tangles, and is None for density matrices. ``n12`` and
+    ``r12`` are measured on the two-qubit states. ``rank`` and ``c12`` come
+    from their spectra and Wootters' 4x4 overlaps or, for parents, from the
+    parents' amplitudes (:func:`_parent_ranks_and_concurrences`), which give
+    a pure product reduction ``c12 = 0`` exactly. The two routes agree to
+    rounding, not bit for bit; a batch of one of either route gives a state
+    the bits it gets in a stack.
     """
-    rhos = matkernel.as_matrix(rhos, square=True, stack=True)
-    if rhos.ndim != 3 or rhos.shape[1] != 4:
-        raise DimensionError(f"expected a (k, 4, 4) stack of two-qubit states, got {rhos.shape}")
-    k = len(rhos)
+    states = np.asarray(states, dtype=complex)
+    parents = states if states.ndim == 2 else None
     if parents is not None:
-        parents = np.asarray(parents, dtype=complex)
-        if parents.shape != (k, 8):
-            raise DimensionError(f"expected a ({k}, 8) stack of parents, got {parents.shape}")
+        if parents.shape[1] != 8:
+            raise DimensionError(f"expected a (k, 8) stack of parents, got {parents.shape}")
         if not np.isfinite(parents).all():
             raise ValueError("parent amplitudes contain non-finite entries")
+        states = reduce_pure_stack(parents, (2, 2, 2), (1, 2))
+    rhos = matkernel.as_matrix(states, square=True, stack=True)
+    if rhos.ndim != 3 or rhos.shape[1] != 4:
+        raise DimensionError(f"expected a (k, 4, 4) stack of two-qubit states, got {rhos.shape}")
     if parents is None:
         (rank, c12), tau = _ranks_and_concurrences(rhos), None
     else:

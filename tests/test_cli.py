@@ -315,6 +315,15 @@ class TestFigureCommand:
         assert "error" in err
         assert not (tmp_path / "fig1_scatter.csv").exists()
 
+    @pytest.mark.parametrize("n", ["-3", "0", str(2**32 + 1)])
+    @pytest.mark.parametrize("fig_id", ["6", "11"])
+    def test_bad_sample_count_of_a_curves_only_figure_exits_2(self, capsys, tmp_path, fig_id, n):
+        """A figure without a scatter checks --n as a scatter figure does."""
+        code, out, err = _run(capsys, "figure", "--id", fig_id, "--n", n, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "sample count" in err, err
+        assert not list(tmp_path.iterdir())
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from permutangle import (
     DimensionError,
     DomainError,
     MeasureRecord,
+    Records,
     ViolationReport,
     figure_dataset,
     perturbation_campaign,
@@ -116,6 +118,58 @@ class TestCampaigns:
             "bell_diagonal_separable",
         }
         assert all(r.c12 <= 1e-12 for r in recs)
+
+
+class TestRecords:
+    """Records held as columns give the rows a list of rows gives."""
+
+    ROWS = [_rec(rank=k % 4 + 1, c12=k / 7, n12=k / 11, r12=k / 5,
+                 tau=None if k % 3 else k / 13, family=f"f{k % 2}") for k in range(9)]
+
+    def test_row_access_equals_the_list_of_rows(self):
+        rows = self.ROWS
+        records = Records.of(rows)
+        assert len(records) == len(rows) and bool(records) and not Records()
+        assert list(records) == rows
+        assert [records[i] for i in range(-len(rows), len(rows))] == rows + rows
+        assert {type(row) for row in records} == {type(records[0])} == {MeasureRecord}
+        for part in (slice(2, 5), slice(None, None, 2), slice(None, 0), slice(-3, None)):
+            assert records[part] == Records.of(rows[part])
+            assert list(records[part]) == rows[part]
+        with pytest.raises(IndexError):
+            records[len(rows)]
+
+    def test_concatenation_equals_the_list_of_rows(self):
+        rows = self.ROWS
+        records = Records.of(rows)
+        assert list(records + rows[:4]) == rows + rows[:4]
+        assert list(records + Records.of(rows[4:])) == rows + rows[4:]
+        assert list(records) == rows  # + leaves both operands as they were
+        same = records
+        records += [rows[0]._replace(c12=math.nan), rows[1]._replace(tau=-math.inf)]
+        records += Records.of(rows[:2])
+        assert records is same
+        assert list(records) == rows + [records[-4], records[-3]] + rows[:2]
+        assert math.isnan(records[-4].c12) and records[-3].tau == -math.inf
+        assert records != Records.of(rows) and records[:len(rows)] == Records.of(rows)
+
+    def test_campaign_records_are_rows_of_their_columns(self):
+        records = separable_campaign(70, seed=5) + scatter((2, 2, 2), 30, seed=5)
+        assert len(records) == 100
+        assert list(records[64:80]) == list(records)[64:80]
+        assert list(zip(*records)) == list(records.columns)
+
+    def test_held_records_add_no_tracked_object_per_record(self):
+        """Held records are columns of untracked values, which a collection
+        untracks as well, whatever their number."""
+        scatter((2, 2), 10, seed=3), separable_campaign(10, seed=3)  # lasting first-call state
+        gc.collect()
+        before = len(gc.get_objects())
+        held = [scatter((2, 2), 5000, seed=3), separable_campaign(5000, seed=3)]
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert not any(gc.is_tracked(column) for records in held for column in records.columns)
+        assert sum(map(len, held)) == 10_000
 
 
 class TestVerify:
@@ -259,6 +313,23 @@ class TestSerialization:
         text = records_csv_bytes([_rec()]).decode() + row + "\n"
         with pytest.raises(ValueError, match="record 1"):
             read_records_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("fields", [6, 8])
+    def test_csv_reader_names_a_record_with_the_wrong_field_count(self, fields):
+        """The one split of the body keeps naming the record and its field count."""
+        lines = records_csv_bytes([_rec(r12=k / 2000) for k in range(2000)]).decode().splitlines()
+        cells = lines[1235].split(",")
+        lines[1235] = ",".join(cells[:6] if fields == 6 else cells + ["extra"])
+        with pytest.raises(ValueError, match=f"^record 1234 has {fields} fields; expected "
+                                             "index,rank,c12,n12,r12,tau,family$"):
+            read_records_csv(io.StringIO("\n".join(lines)))
+
+    def test_csv_reader_takes_crlf_and_blank_lines(self):
+        recs = separable_campaign(9, seed=1) + scatter((2, 2, 2), 9, seed=1)
+        lines = records_csv_bytes(recs).decode().splitlines()
+        text = "\r\n".join([lines[0], "", *lines[1:5], "  ", "\t", *lines[5:], "", ""])
+        assert read_records_csv(io.StringIO(text)) == recs
+        assert read_records_csv(io.StringIO(lines[0] + "\r\n\r\n")) == Records()
 
     @pytest.mark.parametrize("family", ["a,b", "x\ny", "", "a b", "tag\r", "é"])
     def test_family_outside_identifier_characters_rejected(self, family):
@@ -524,6 +595,7 @@ def test_verify_equals_the_reference_loop(region, tol):
     records += [records[0]._replace(c12=math.nan), records[1]._replace(r12=math.inf),
                 records[2]._replace(tau=-math.inf), records[3]._replace(n12=math.nan)]
     report = verify(records, region, tol)
+    assert repr(verify(list(records), region, tol)) == repr(report)  # a list of rows
     worst, violations, offenders = _reference_verify(records, region, report.tolerance)
     assert report.total == len(records)
     assert report.violations == violations

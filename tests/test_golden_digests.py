@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from permutangle import experiments, families, substream
@@ -129,6 +130,26 @@ def test_output_bytes_match_manifest(tmp_path):
     want = manifest["digests"]
     changed = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
     assert not changed, f"{len(changed)} outputs changed bytes: {changed}"
+
+
+@pytest.mark.parametrize("size", [1, 7, 512])
+def test_campaign_bytes_match_manifest_at_any_chunk_size(monkeypatch, size):
+    """Records gathered a chunk at a time are written with the manifest's bytes."""
+    manifest = json.loads(MANIFEST.read_text())
+    assert not _host_differences(manifest)
+    monkeypatch.setattr(experiments, "CHUNK_SIZE", size)
+    got = {
+        "separable_campaign": experiments.records_csv_bytes(
+            experiments.separable_campaign(N_RECORDS, SEED)),
+        "sample --dims 2,2,2 --format csv": experiments.records_csv_bytes(
+            experiments.scatter((2, 2, 2), N_RECORDS, SEED)),
+        "sample --dims 2,2,3 --format json": (experiments.records_to_json(
+            experiments.scatter((2, 2, 3), N_RECORDS, SEED)) + "\n").encode(),
+        "perturb --kind mems1_fig8 --format csv": experiments.records_csv_bytes(
+            experiments.perturbation_campaign("mems1_fig8", N_RECORDS, SEED)),
+    }
+    for name, data in got.items():
+        assert hashlib.sha256(data).hexdigest() == manifest["digests"][name], name
 
 
 if __name__ == "__main__":

@@ -231,7 +231,7 @@ def test_kernel_matches_oracles_with_parents():
     parents += [ghz, w_state, product, make_state("m3ts", c12=0.6).amplitudes]
     parents = np.array(parents, dtype=complex)
     rhos = np.stack([reduce(PureState((2, 2, 2), p), (1, 2)).matrix for p in parents])
-    m = measure_stack(rhos, parents)
+    m = measure_stack(parents)
     _check_against_oracles(rhos, m, parents)
     assert m.tau[-4] == pytest.approx(1.0, abs=1e-12)  # GHZ
     assert m.tau[-3] == pytest.approx(0.0, abs=1e-12)  # W
@@ -257,9 +257,9 @@ def test_scalar_measures_are_batches_of_one():
     and c12 come from the parents, and have the bits of a batch of one."""
     psis = [haar_random_pure((2, 2, 2), RNG) for _ in range(9)]
     rhos = [reduce(psi, (1, 2)) for psi in psis]
-    m = measure_stack(np.stack([rho.matrix for rho in rhos]), np.stack([p.amplitudes for p in psis]))
+    m = measure_stack(np.stack([p.amplitudes for p in psis]))
     for i, (psi, rho) in enumerate(zip(psis, rhos)):
-        alone = measure_stack(rho.matrix[None], psi.amplitudes[None])
+        alone = measure_stack(psi.amplitudes[None])
         assert alone.c12 == [m.c12[i]]
         assert alone.rank == [m.rank[i]]
         assert build_record(rho, psi, "haar_2x2x2")[:2] == (m.rank[i], m.c12[i])
@@ -279,7 +279,7 @@ def test_parent_route_agrees_with_the_eigh_route():
     """rank and c12 from the parents' branches are those of the reductions'
     spectra and Wootters' 4x4 overlap."""
     rhos, parents = _haar_parent_stack(4097)
-    m = measure_stack(rhos, parents)
+    m = measure_stack(parents)
     eigh_route = measure_stack(rhos)
     assert m.rank == eigh_route.rank == [2] * len(parents)
     assert max(map(abs, np.subtract(m.c12, eigh_route.c12))) <= 1e-12
@@ -305,7 +305,7 @@ def test_parent_route_on_edge_states():
         noisy_ghz / np.linalg.norm(noisy_ghz),
     ], dtype=complex)
     rhos = reduce_pure_stack(parents, (2, 2, 2), (1, 2))
-    m = measure_stack(rhos, parents)
+    m = measure_stack(parents)
     assert m.c12[0] == m.c12[2] == 0.0  # |000> and GHZ
     assert m.rank[:4] == [1, 1, 2, 2]
     assert abs(m.c12[1] - 1.0) <= 1e-15  # |Phi+>|0>, whose amplitudes are rounded
@@ -317,22 +317,22 @@ def test_tau_independent_of_stack_size():
     """tau takes numpy's SIMD-dispatched complex products, so its bits must not
     depend on where a state falls in a stack: each size splits the stack into
     chunks that end at a different point of the vector loop."""
-    rhos, parents = _haar_parent_stack(4096)
-    whole = measure_stack(rhos, parents).tau
+    _, parents = _haar_parent_stack(4096)
+    whole = measure_stack(parents).tau
     assert whole == [three_tangle(PureState((2, 2, 2), p)) for p in parents]
     for size in (2, 3, 5, 7, 9, 13, 511):
         chunked = [tau for s in range(0, len(parents), size)
-                   for tau in measure_stack(rhos[s:s + size], parents[s:s + size]).tau]
+                   for tau in measure_stack(parents[s:s + size]).tau]
         assert chunked == whole, size
 
 
 def test_parent_c12_and_rank_independent_of_stack_size():
     """c12 and rank from the parents take SIMD-dispatched complex products,
     ``np.hypot`` and ``sqrt``; their bits must not depend on the stack size."""
-    rhos, parents = _haar_parent_stack(4096)
-    whole = measure_stack(rhos, parents)
+    _, parents = _haar_parent_stack(4096)
+    whole = measure_stack(parents)
     for size in (2, 3, 5, 7, 9, 13, 511):
-        parts = [measure_stack(rhos[s:s + size], parents[s:s + size])
+        parts = [measure_stack(parents[s:s + size])
                  for s in range(0, len(parents), size)]
         assert [c for part in parts for c in part.c12] == whole.c12, size
         assert [r for part in parts for r in part.rank] == whole.rank, size
@@ -433,12 +433,11 @@ def test_bad_matrix_in_stack_raises_like_scalar_call(make_bad, scalar, error):
 
 def test_bad_parent_in_stack():
     parents = np.stack([haar_random_pure((2, 2, 2), RNG).amplitudes for _ in range(4)])
-    rhos = reduce_pure_stack(parents, (2, 2, 2), (1, 2))
+    with pytest.raises(DimensionError):  # pure states over (2, 2, 3) are not parents
+        measure_stack(np.concatenate([parents, parents[:, :4]], axis=1))
     parents[2, 5] = np.inf
     with pytest.raises(ValueError):
-        measure_stack(rhos, parents)
-    with pytest.raises(DimensionError):
-        measure_stack(rhos, parents[:3])
+        measure_stack(parents)
     with pytest.raises(DimensionError):
         measure_stack(np.ones((3, 9, 9)))
 
