@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test of its parameter checks."""
+
+import numpy as np
+
+
+def is_int(value) -> bool:
+    """True for an int or a numpy integer; a bool, a float such as 2.0 or a
+    string is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class DimensionError(ValueError):

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 import numpy as np
 
 from . import families
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, is_int
 from .measures import WITNESS_THRESHOLD, measure_stack
 from .qstate import (
     DensityMatrix,
@@ -202,17 +202,18 @@ def _measure(stack: np.ndarray, tags: list[str]) -> list[list]:
 
 
 def _check_seed(seed) -> int:
-    """A campaign seed, which must be a non-negative int."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """A campaign seed, which must be a non-negative int (not a bool)."""
+    if not is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a non-negative int, got {seed!r}")
     return int(seed)
 
 
-def _check_count(n: int) -> None:
-    """A campaign's sample count, which must be in 1..2**32: an index is a
-    spawn key of one 32-bit word."""
-    if not 1 <= n <= 2**32:
-        raise DomainError(f"sample count must be in 1..2**32, got {n}")
+def _check_count(n) -> int:
+    """A campaign's sample count, which must be an int (not a bool) in
+    1..2**32: an index is a spawn key of one 32-bit word."""
+    if not (is_int(n) and 1 <= n <= 2**32):
+        raise DomainError(f"sample count must be an int in 1..2**32, got {n!r}")
+    return int(n)
 
 
 class _Kind(NamedTuple):
@@ -230,8 +231,7 @@ def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> Records:
     substream of ``(seed, i)``. Each kind's share of a chunk is built as one
     stack and written into the chunk's stack (see :func:`_measure`).
     """
-    seed = _check_seed(seed)
-    _check_count(n)
+    seed, n = _check_seed(seed), _check_count(n)
     m = len(kinds)
     columns: list[list] = [[] for _ in MeasureRecord._fields]
     for start in range(0, n, CHUNK_SIZE):
@@ -719,6 +719,7 @@ _FIGURES: dict[int, _FigureSpec] = {
 def curve_csv_bytes(tag: str, points: int) -> bytes:
     """A boundary curve (or the m3ts tau curve) on ``points`` grid points as CSV."""
     if tag == "m3ts_tau":
+        families._check_points(points)
         xs = np.linspace(0.0, 1.0, points)
         rows = [(x, 1.0 - x * x) for x in xs]
         header = "c12,tau"
@@ -741,7 +742,7 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
     fig = _FIGURES[fig_id]
     seed = _check_seed(seed)
     if n is not None:
-        _check_count(n)
+        n = _check_count(n)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -749,7 +750,7 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
     records = Records()
     config: dict = {"figure": fig_id, "seed": seed, "curve_points": CURVE_POINTS}
     if fig.scatter is not None:
-        count = fig.n if n is None else int(n)
+        count = fig.n if n is None else n
         config["n"] = count
         mode = fig.scatter[0]
         if mode == "haar":

@@ -21,7 +21,10 @@ Operations in this package that produce states satisfying the invariants by
 construction (partial traces, convex mixtures, normalized vectors, family
 builders) wrap their outputs without validating them again; every
 eigendecomposition of a state (``rank``, :func:`purify`, the measures'
-kernel) goes through :func:`eigh_psd`, which certifies positivity.
+kernel) goes through :func:`eigh_psd`, which takes it from ``matkernel.eigh``
+and certifies positivity. Like every eigen-, singular-value and determinant
+call in the package, it reaches LAPACK only through ``matkernel``; the QR of
+:func:`haar_random_unitary` is the one LAPACK call made elsewhere.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from . import matkernel
 from .errors import DegenerateStateError, DimensionError, DomainError, HermiticityError
 from .matkernel import HERMITICITY_TOL
 
@@ -194,7 +198,7 @@ def eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ``ValueError`` when an eigenvalue lies below ``-PSD_TOL``.
     """
-    w, v = np.linalg.eigh(m)
+    w, v = matkernel.eigh(m)
     lowest = float(w[..., 0].min())
     if not lowest >= -PSD_TOL:
         where = "" if w.ndim == 1 else f" (matrix {int(w[..., 0].argmin())} of the stack)"

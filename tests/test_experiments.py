@@ -96,7 +96,7 @@ class TestCampaigns:
         with pytest.raises(DomainError, match="epsilon"):
             perturbation_campaign("werner_fig5", 5, seed=0, epsilon=eps)
 
-    @pytest.mark.parametrize("seed", [-1, 2.0, "7", None])
+    @pytest.mark.parametrize("seed", [-1, 2.0, "7", None, True, False])
     def test_campaigns_reject_a_seed_that_is_not_a_non_negative_int(self, seed):
         for run in (lambda: scatter((2, 2, 2), 3, seed),
                     lambda: perturbation_campaign("werner_fig5", 3, seed),
@@ -107,6 +107,17 @@ class TestCampaigns:
     def test_sample_count_beyond_one_word_of_spawn_key_rejected(self):
         with pytest.raises(DomainError, match="sample count"):
             scatter((2, 2, 2), 2**32 + 1, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+    def test_campaigns_reject_a_sample_count_that_is_not_an_int(self, n):
+        for run in (lambda: scatter((2, 2, 2), n, 1),
+                    lambda: perturbation_campaign("werner_fig5", n, 1),
+                    lambda: separable_campaign(n, 1)):
+            with pytest.raises(DomainError, match="sample count"):
+                run()
+
+    def test_numpy_integer_count_and_seed_are_ints(self):
+        assert scatter((2, 2, 2), np.int64(3), np.uint32(1)) == scatter((2, 2, 2), 3, 1)
 
     def test_separable_campaign_families(self):
         recs = separable_campaign(80, seed=6)
@@ -435,6 +446,16 @@ class TestFigureDatasets:
         assert curve[0] == "r12,c12"
         assert len(curve) == 513
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_int_sample_count_writes_nothing(self, tmp_path, n):
+        with pytest.raises(DomainError, match="sample count"):
+            figure_dataset(1, tmp_path, n=n, seed=1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_sample_count_is_recorded_as_int(self, tmp_path):
+        meta = json.loads(figure_dataset(1, tmp_path, n=np.int64(3), seed=1)["meta"].read_text())
+        assert meta["config"]["n"] == 3
+
     def test_fig6_is_curves_only(self, tmp_path):
         written = figure_dataset(6, tmp_path)
         assert "scatter" not in written
@@ -539,6 +560,12 @@ class TestWritersMatchReferences:
         lines = [header] + [f"{format(float(x), '.17g')},{format(float(y), '.17g')}"
                             for x, y in rows]
         assert curve_csv_bytes(tag, points) == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("tag", ["cr_rank3", "m3ts_tau"])
+    @pytest.mark.parametrize("points", [2.5, True, 1, 0, -3])
+    def test_curve_needs_an_int_of_at_least_two_points(self, tag, points):
+        with pytest.raises(DomainError, match="grid points"):
+            curve_csv_bytes(tag, points)
 
 
 @pytest.mark.parametrize("field, value", [("rank", True), ("c12", "0.5"), ("index", 1234.0)])

@@ -480,6 +480,11 @@ class TestBoundaryCurves:
         with pytest.raises(DomainError, match="abscissa"):
             boundary_curve(tag, [0.5 if tag.endswith("rank4") else 0.0, x])
 
+    @pytest.mark.parametrize("points", [2.5, 3.0, True, "3", 1])
+    def test_grid_needs_an_int_of_at_least_two_points(self, points):
+        with pytest.raises(DomainError, match="grid points"):
+            curve_grid("cr_rank2_upper", points)
+
     def test_rank4_grid_example(self):
         xs = curve_grid("cr_rank4", 3)
         np.testing.assert_allclose(xs, [KNEE, (KNEE + 1) / 2, 1.0], atol=1e-15)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,18 +9,22 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import cofactor_determinant, random_complex_matrix
 from permutangle import (
+    DensityMatrix,
     DimensionError,
     HermiticityError,
     haar_random_unitary,
     make_state,
     partial_transpose,
 )
+from permutangle import matkernel
 from permutangle.matkernel import (
     determinant,
     eig_general,
     eig_hermitian,
+    eigh,
     singular_values,
 )
+from permutangle.qstate import PSD_TOL, eigh_psd
 
 RNG = np.random.default_rng(987654)
 
@@ -174,3 +181,89 @@ def test_det_multiplicative_property(a, b):
 @given(_complex_square(4))
 def test_singular_product_matches_det(m):
     assert abs(np.prod(singular_values(m)) - abs(determinant(m))) <= 1e-10
+
+
+def _hermitian_stack(k):
+    m = RNG.standard_normal((k, 4, 4)) + 1j * RNG.standard_normal((k, 4, 4))
+    return m + m.conj().swapaxes(-1, -2)
+
+
+class TestDispatch:
+    """The kernels call numpy's gufuncs themselves: each result has the bits of
+    numpy's public routine on the complex input."""
+
+    @pytest.mark.parametrize("k", [None, 1, 512])
+    def test_bits_of_numpy_linalg(self, k):
+        h = _hermitian_stack(1 if k is None else k)
+        g = RNG.standard_normal(h.shape) + 1j * RNG.standard_normal(h.shape)
+        if k is None:
+            h, g = h[0], g[0]
+        w, v = eigh(h)
+        want_w, want_v = np.linalg.eigh(h)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.array_equal(eig_hermitian(h), np.linalg.eigvalsh(h))
+        assert np.array_equal(determinant(g), np.linalg.det(g))
+        assert np.array_equal(singular_values(g), np.linalg.svd(g, compute_uv=False))
+        for m in g.reshape(-1, 4, 4)[:8]:
+            vals = np.linalg.eigvals(m)
+            assert np.array_equal(eig_general(m), vals[np.lexsort((vals.imag, vals.real))])
+
+    def test_real_input_gets_the_bits_of_its_complex_cast(self):
+        h = RNG.standard_normal((4, 4))
+        h = h + h.T
+        c = h.astype(complex)
+        assert np.array_equal(eig_hermitian(h), np.linalg.eigvalsh(c))
+        assert all(map(np.array_equal, eigh(h), np.linalg.eigh(c)))
+        assert determinant(h) == np.linalg.det(c)
+        assert np.array_equal(singular_values(h[:3]), np.linalg.svd(c[:3], compute_uv=False))
+        vals = np.linalg.eigvals(c)
+        assert np.array_equal(eig_general(h), vals[np.lexsort((vals.imag, vals.real))])
+
+    def test_rectangular_singular_values(self):
+        g = RNG.standard_normal((512, 3, 5)) + 1j * RNG.standard_normal((512, 3, 5))
+        assert np.array_equal(singular_values(g), np.linalg.svd(g, compute_uv=False))
+
+    @pytest.mark.parametrize(
+        "gufunc, signature",
+        [(matkernel._EIGH, "D->dD"), (matkernel._EIGVALSH, "D->d"), (matkernel._SVD, "D->d")],
+    )
+    def test_lapack_failure_raises_linalg_error(self, gufunc, signature):
+        """as_matrix rejects NaN first; below it, LAPACK's failure raises as in numpy."""
+        nan = np.full((1, 4, 4), np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            matkernel._lapack(gufunc, signature, nan)
+
+    def test_eigh_checks_its_input(self):
+        with pytest.raises(DimensionError):
+            eigh(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            eigh(np.full((2, 2), np.inf))
+
+    def test_eigh_psd_still_certifies_positivity(self):
+        u = haar_random_unitary(4, RNG)
+        low = u @ np.diag([0.5, 0.5 + 2 * PSD_TOL, 0.0, -2 * PSD_TOL]) @ u.conj().T
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            eigh_psd(low)
+        with pytest.raises(ValueError, match="matrix 1 of the stack"):
+            eigh_psd(np.stack([np.eye(4) / 4, low]))
+        rho = DensityMatrix((2, 2), np.eye(4) / 4)
+        assert np.array_equal(eigh_psd(rho.matrix)[0], np.linalg.eigh(rho.matrix)[0])
+
+
+_LAPACK_USE = re.compile(
+    r"_umath_linalg|linalg\.(?:eigh|eigvalsh|svd|det|eigvals)\b"
+    r"|from\s+numpy\.linalg\s+import|from\s+numpy\s+import\s+linalg"
+)
+
+
+def test_matkernel_is_the_only_module_that_reaches_lapack_spectra():
+    """No module but matkernel names numpy's linalg gufuncs or calls (or
+    imports) numpy.linalg's eigh, eigvalsh, svd, det or eigvals."""
+    package = Path(matkernel.__file__).parent
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py")) if path.name != "matkernel.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _LAPACK_USE.search(line)
+    ]
+    assert offenders == []
