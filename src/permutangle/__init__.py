@@ -10,6 +10,7 @@ Monte-Carlo campaigns with region verification.
 
 from .errors import DegenerateStateError, DimensionError, DomainError, HermiticityError
 from .experiments import (
+    FIGURE_IDS,
     MeasureRecord,
     PERTURBATION_KINDS,
     Records,

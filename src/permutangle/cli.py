@@ -172,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("figure", help="dataset bundle for one figure")
-    p.add_argument("--id", type=int, required=True, choices=range(1, 12),
-                   metavar="{1..11}")
+    p.add_argument("--id", type=int, required=True, choices=experiments.FIGURE_IDS)
     p.add_argument("--out", default="figures", help="output directory (default: figures)")
     p.add_argument("--n", type=int, default=None,
                    help="scatter sample count (default: per-figure standard size)")
@@ -201,7 +200,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError and DimensionError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

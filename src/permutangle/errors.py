@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer test of its parameter checks."""
+"""Exception types shared across the package, and the integer checks of its parameters."""
 
 import numpy as np
 
@@ -6,7 +6,18 @@ import numpy as np
 def is_int(value) -> bool:
     """True for an int or a numpy integer; a bool, a float such as 2.0 or a
     string is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # an exact int, the common case, takes one type test
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
+
+
+def check_int(value, what: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int, once :func:`is_int` accepts it and it lies in
+    ``lo..hi`` (no upper end for ``hi=None``); else ``DomainError`` naming ``what``."""
+    if not (is_int(value) and lo <= value and (hi is None or value <= hi)):
+        span = f"of at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise DomainError(f"{what} must be an int {span}, got {value!r}")
+    return int(value)
 
 
 class DimensionError(ValueError):

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 import numpy as np
 
 from . import families
-from .errors import DimensionError, DomainError, is_int
+from .errors import DimensionError, DomainError, check_int, is_int
 from .measures import WITNESS_THRESHOLD, measure_stack
 from .qstate import (
     DensityMatrix,
@@ -55,6 +55,8 @@ from .qstate import (
 )
 
 CHUNK_SIZE = 512
+#: The largest sample count: a sample index is a spawn key of one 32-bit word.
+MAX_SAMPLES = 2**32
 VIOLATION_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 
@@ -201,21 +203,6 @@ def _measure(stack: np.ndarray, tags: list[str]) -> list[list]:
     return [m.rank, m.c12, m.n12, m.r12, taus, tags]
 
 
-def _check_seed(seed) -> int:
-    """A campaign seed, which must be a non-negative int (not a bool)."""
-    if not is_int(seed) or seed < 0:
-        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
-    return int(seed)
-
-
-def _check_count(n) -> int:
-    """A campaign's sample count, which must be an int (not a bool) in
-    1..2**32: an index is a spawn key of one 32-bit word."""
-    if not (is_int(n) and 1 <= n <= 2**32):
-        raise DomainError(f"sample count must be an int in 1..2**32, got {n!r}")
-    return int(n)
-
-
 class _Kind(NamedTuple):
     """A kind of campaign sample: family tag, one sample's draw, the stack of a list of draws."""
 
@@ -229,9 +216,10 @@ def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> Records:
 
     Sample ``i`` is of kind ``kinds[i % len(kinds)]`` and draws from the
     substream of ``(seed, i)``. Each kind's share of a chunk is built as one
-    stack and written into the chunk's stack (see :func:`_measure`).
+    stack and written into the chunk's stack (see :func:`_measure`). The
+    seed is checked by :func:`permutangle.qstate.substreams`.
     """
-    seed, n = _check_seed(seed), _check_count(n)
+    n = check_int(n, "sample count", 1, MAX_SAMPLES)
     m = len(kinds)
     columns: list[list] = [[] for _ in MeasureRecord._fields]
     for start in range(0, n, CHUNK_SIZE):
@@ -255,9 +243,10 @@ def scatter(dims: Sequence[int], n: int, seed: int) -> Records:
     dims (2, 2) samples two-qubit pure states directly (rank-1 records);
     (2, 2, k) samples tripartite pure states whose reduction has rank <= k.
     """
-    dims = tuple(int(d) for d in dims)
-    if dims not in SCATTER_DIMS:
+    dims = tuple(dims)
+    if not (all(map(is_int, dims)) and dims in SCATTER_DIMS):
         raise DimensionError(f"unsupported scatter dims {dims}; supported: {SCATTER_DIMS}")
+    dims = tuple(map(int, dims))
     family = "haar_" + "x".join(str(d) for d in dims)
     size = math.prod(dims)
 
@@ -714,13 +703,13 @@ _FIGURES: dict[int, _FigureSpec] = {
     ),
     11: _FigureSpec(curves=("nr_rank2_upper", "nr_rank2_lower", "nr_rank3", "nr_rank4")),
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def curve_csv_bytes(tag: str, points: int) -> bytes:
     """A boundary curve (or the m3ts tau curve) on ``points`` grid points as CSV."""
     if tag == "m3ts_tau":
-        families._check_points(points)
-        xs = np.linspace(0.0, 1.0, points)
+        xs = np.linspace(0.0, 1.0, check_int(points, "grid points", 2))
         rows = [(x, 1.0 - x * x) for x in xs]
         header = "c12,tau"
     else:
@@ -737,12 +726,11 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
     ``fig<k>_curve_<tag>.csv`` on a 512-point grid, and ``fig<k>_meta.json``
     recording the configuration and region-violation summaries.
     """
-    if fig_id not in _FIGURES:
-        raise DomainError(f"unknown figure id {fig_id}; known: 1..11")
+    fig_id = check_int(fig_id, "figure id", FIGURE_IDS[0], FIGURE_IDS[-1])
     fig = _FIGURES[fig_id]
-    seed = _check_seed(seed)
+    seed = check_int(seed, "seed", 0)
     if n is not None:
-        n = _check_count(n)
+        n = check_int(n, "sample count", 1, MAX_SAMPLES)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, is_int
+from .errors import DomainError, check_int
 from .measures import WITNESS_THRESHOLD, measure_stack, three_tangle
 from .qstate import DensityMatrix, PureState, purify
 from .qstate import _trusted_dm, _trusted_pure
@@ -693,17 +693,10 @@ def curve_domain(curve: str) -> tuple[float, float]:
     return _CURVES[curve][1]
 
 
-def _check_points(points) -> None:
-    """A curve's grid size, which must be an int (not a bool) of at least 2."""
-    if not (is_int(points) and points >= 2):
-        raise DomainError(f"need an int of at least 2 grid points, got {points!r}")
-
-
 def curve_grid(curve: str, points: int) -> np.ndarray:
-    """Evenly spaced abscissae covering the curve's domain."""
+    """``points`` (an int of at least 2) evenly spaced abscissae covering the curve's domain."""
     lo, hi = curve_domain(curve)
-    _check_points(points)
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, check_int(points, "grid points", 2))
 
 
 def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float]]:

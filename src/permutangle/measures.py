@@ -117,7 +117,8 @@ def measure_stack(states) -> StackMeasures:
         (rank, c12), tau = _ranks_and_concurrences(rhos), None
     else:
         (rank, c12), tau = _parent_ranks_and_concurrences(parents), _tangles(parents)
-    return StackMeasures(rank=rank, c12=c12, n12=_negativity(rhos), r12=_r12(rhos, 2), tau=tau)
+    pts = partial_transpose(rhos, 2, dims=(2, 2))
+    return StackMeasures(rank=rank, c12=c12, n12=_negativity(pts), r12=_r12(pts, 2), tau=tau)
 
 
 def _ranks_and_concurrences(mats: np.ndarray) -> tuple[list[int], list[float]]:
@@ -147,13 +148,15 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> list[float]:
     return _clamp01([max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam], "concurrence")
 
 
-def _negativity(rhos: np.ndarray) -> list[float]:
-    evals = matkernel.eig_hermitian(partial_transpose(rhos, 2, dims=(2, 2)))
+def _negativity(pts: np.ndarray) -> list[float]:
+    """Negativities of a stack of two-qubit states, from their partial transposes."""
+    evals = matkernel.eig_hermitian(pts)
     return _clamp01([max(0.0, -2.0 * x) for x in evals[..., 0].tolist()], "negativity")
 
 
-def _r12(mats: np.ndarray, d: int) -> list[float]:
-    det = matkernel.determinant(realign(partial_transpose(mats, 2, dims=(d, d)), (d, d)))
+def _r12(pts: np.ndarray, d: int) -> list[float]:
+    """r12 of a stack of (d, d) states, from their partial transposes."""
+    det = matkernel.determinant(realign(pts, (d, d)))
     power = 1.0 / d**2
     return _clamp01([d * abs(z) ** power for z in det.tolist()], "r12")
 
@@ -235,12 +238,11 @@ def r12(rho: DensityMatrix) -> float:
     structurally zero) link evaluate to O(eps^(1/4)) ~ 1e-4 in double
     precision.
     """
-    if len(rho.dims) != 2:
-        raise DimensionError(f"expected a bipartite state, got dims {rho.dims}")
+    pt = partial_transpose(rho)  # a DimensionError for a state that is not bipartite
     d1, d2 = rho.dims
     if d1 != d2:
         raise DimensionError(f"r12 requires equal local dimensions, got {rho.dims}")
-    return _r12(rho.matrix[None], d1)[0]
+    return _r12(pt[None], d1)[0]
 
 
 def r12_via_singular_values(rho: DensityMatrix) -> float:
@@ -269,7 +271,7 @@ def concurrence(rho: DensityMatrix) -> float:
 def negativity(rho: DensityMatrix) -> float:
     """Two-qubit negativity max{0, -2 * min eigenvalue of the partial transpose}."""
     _require_two_qubits(rho, "negativity")
-    return _negativity(rho.matrix[None])[0]
+    return _negativity(partial_transpose(rho)[None])[0]
 
 
 def pure_concurrence(psi: PureState) -> float:

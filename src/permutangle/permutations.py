@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matkernel
-from .errors import DimensionError
+from .errors import DimensionError, is_int
 from .qstate import DensityMatrix, State, reduce
 
 
@@ -44,12 +44,9 @@ def partial_transpose(rho, subsystem: int = 2, dims: Sequence[int] | None = None
         d1, d2 = _bipartite_dims(rho)
         mat = rho.matrix
     else:
-        if dims is None or len(dims) != 2:
-            raise DimensionError("plain-matrix input needs explicit bipartite dims")
-        d1, d2 = map(int, dims)
-        mat = _square_over(rho, d1, d2)
-    if subsystem not in (1, 2):
-        raise DimensionError(f"subsystem must be 1 or 2, got {subsystem}")
+        mat, d1, d2 = _square_over(rho, dims)
+    if not (is_int(subsystem) and subsystem in (1, 2)):
+        raise DimensionError(f"subsystem must be the int 1 or 2, got {subsystem!r}")
     t = mat.reshape(mat.shape[:-2] + (d1, d2, d1, d2))
     t = t.swapaxes(-3, -1) if subsystem == 2 else t.swapaxes(-4, -2)
     return t.reshape(mat.shape)
@@ -61,19 +58,22 @@ def realign(m: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     Output has shape (d1^2, d2^2) per matrix; it is square iff d1 == d2, in
     which case applying realign twice returns the input.
     """
-    d1, d2 = map(int, dims)
-    a = _square_over(m, d1, d2)
+    a, d1, d2 = _square_over(m, dims)
     lead = a.shape[:-2]
     t = a.reshape(lead + (d1, d2, d1, d2)).swapaxes(-3, -2)
     return t.reshape(lead + (d1 * d1, d2 * d2))
 
 
-def _square_over(m, d1: int, d2: int) -> np.ndarray:
-    """``m`` as a complex (d1*d2)-square matrix, or a 3-D stack of them."""
+def _square_over(m, dims) -> tuple[np.ndarray, int, int]:
+    """``m`` as a complex (d1*d2)-square matrix, or a 3-D stack of them, and its
+    explicit bipartite split (d1, d2) as two ints (numpy integers too)."""
+    if dims is None or len(dims) != 2 or not (is_int(dims[0]) and is_int(dims[1])):
+        raise DimensionError(f"plain-matrix input needs explicit bipartite int dims, got {dims}")
+    d1, d2 = int(dims[0]), int(dims[1])
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-2:] != (d1 * d2, d1 * d2):
         raise DimensionError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
-    return a
+    return a, d1, d2
 
 
 def link_transform(rho: DensityMatrix) -> np.ndarray:
@@ -104,13 +104,13 @@ def path_invariant_spectrum(state: State, path: Sequence[int]) -> np.ndarray:
     factors compose with step 1 rightmost. The spectrum is invariant under
     local unitaries on every subsystem.
     """
-    labels = [int(p) for p in path]
+    labels = list(path)
     if len(labels) < 2:
         raise DimensionError("path must visit at least two subsystems")
     dims = state.dims
-    for lab in labels:
-        if lab < 1 or lab > len(dims):
-            raise DimensionError(f"path label {lab} out of range for dims {dims}")
+    if not all(is_int(lab) and 1 <= lab <= len(dims) for lab in labels):
+        raise DimensionError(f"path labels {tuple(labels)} must be ints in 1..{len(dims)}")
+    labels = list(map(int, labels))
     hops = list(zip(labels, labels[1:] + labels[:1]))
     for cur, nxt in hops:
         if dims[cur - 1] != dims[nxt - 1]:

@@ -37,7 +37,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import matkernel
-from .errors import DegenerateStateError, DimensionError, DomainError, HermiticityError
+from .errors import (DegenerateStateError, DimensionError, DomainError, HermiticityError,
+                     check_int, is_int)
 from .matkernel import HERMITICITY_TOL
 
 NORM_TOL = 1e-12
@@ -60,8 +61,9 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
     Identical arguments give a bit-identical stream regardless of host,
     process, or how many samples precede it (the stream key is a hash of
-    seed and index).
+    seed and index). Both are non-negative ints (a ``DomainError`` otherwise).
     """
+    seed, index = check_int(seed, "seed", 0), check_int(index, "stream index", 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
@@ -89,8 +91,12 @@ def substreams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generato
     ``generate_state(4, uint64)`` run for all the indices at once on uint32
     arrays, which wrap as the hash requires; numpy then seeds each index's
     own ``PCG64`` from its row. ``seed`` is a non-negative int and every
-    index lies in [0, 2**32), a spawn key of one word.
+    index an int in [0, 2**32), a spawn key of one word (a ``DomainError``
+    otherwise).
     """
+    seed = check_int(seed, "seed", 0)
+    if not all(map(is_int, indices)):
+        raise DomainError(f"stream indices must be ints, got {indices!r}")
     indices = np.asarray(indices, dtype=np.int64)
     if not ((indices >= 0) & (indices < _WORD)).all():
         raise DomainError("stream indices must lie in [0, 2**32)")
@@ -111,12 +117,11 @@ def substreams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generato
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) == 0:
-        raise DimensionError("dims must name at least one subsystem")
-    if any(d < 1 for d in dims):
-        raise DimensionError(f"invalid factor dimensions {dims}")
-    return dims
+    """``dims`` as a tuple of ints, once each is an int of at least 1 (numpy integers too)."""
+    dims = tuple(dims)
+    if not (dims and all(is_int(d) and d >= 1 for d in dims)):
+        raise DimensionError(f"dims must be one or more ints of at least 1, got {dims}")
+    return tuple(map(int, dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,14 +262,13 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _keep_positions(dims: tuple[int, ...], keep: Sequence[int]) -> list[int]:
-    positions = [int(k) - 1 for k in keep]
-    if len(positions) == 0:
-        raise DimensionError("keep must name at least one subsystem")
-    if len(set(positions)) != len(positions):
-        raise DimensionError(f"duplicate subsystem labels in {tuple(keep)}")
-    if any(p < 0 or p >= len(dims) for p in positions):
-        raise DimensionError(f"subsystem labels {tuple(keep)} out of range for dims {dims}")
-    return positions
+    """The 0-based positions of the distinct int labels ``keep``, each in 1..len(dims)."""
+    keep = tuple(keep)
+    if not (keep and all(is_int(k) and 1 <= k <= len(dims) for k in keep)):
+        raise DimensionError(f"keep must be one or more ints in 1..{len(dims)}, got {keep}")
+    if len(set(keep)) != len(keep):
+        raise DimensionError(f"duplicate subsystem labels in {keep}")
+    return [int(k) - 1 for k in keep]
 
 
 def reduce(state: State, keep: Sequence[int]) -> DensityMatrix:
