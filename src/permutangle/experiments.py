@@ -20,6 +20,10 @@ column lists with the kernel's lists chunk by chunk and returns them as a
 return columns and :func:`verify` walks them. A :class:`MeasureRecord` row is
 made only when one is asked for, so held records are six tuples of untracked
 values to the cyclic garbage collector, not a tracked row each.
+
+A figure bundle's boundary curves depend only on their tag and the
+``CURVE_POINTS`` grid, so each curve's CSV bytes are computed once per process,
+on first use, and every later bundle writes the same bytes.
 """
 
 from __future__ import annotations
@@ -105,8 +109,18 @@ class Records:
     __slots__ = ("columns",)
 
     def __init__(self, *columns: Iterable):
-        """Records of six columns of equal length; none gives no records."""
-        self.columns = tuple(map(tuple, columns)) or ((),) * len(MeasureRecord._fields)
+        """Records of six columns of equal length; none gives no records.
+
+        Any other count of columns, or columns of unequal lengths, raises
+        ``ValueError``: a row would lack fields, or a longer column's tail
+        would be lost to iteration.
+        """
+        columns = tuple(map(tuple, columns)) or ((),) * len(MeasureRecord._fields)
+        lengths = list(map(len, columns))
+        if len(lengths) != len(MeasureRecord._fields) or len(set(lengths)) != 1:
+            raise ValueError(f"records need {len(MeasureRecord._fields)} columns of equal "
+                             f"length, got columns of lengths {lengths}")
+        self.columns = columns
 
     @classmethod
     def of(cls, records: Iterable[MeasureRecord]) -> Records:
@@ -719,12 +733,26 @@ def curve_csv_bytes(tag: str, points: int) -> bytes:
     return "".join([header, "\n", *map("%.17g,%.17g\n".__mod__, rows)]).encode("utf-8")
 
 
+@functools.cache
+def _figure_curve_bytes(tag: str, points: int) -> bytes:
+    """:func:`curve_csv_bytes` of a figure's curve, computed once per process per tag.
+
+    :func:`figure_dataset` alone calls it, always with ``CURVE_POINTS``, so no
+    key is a float or bool that hashes as that int does; the public
+    :func:`curve_csv_bytes` stays uncached and checks ``points`` on every call.
+    """
+    return curve_csv_bytes(tag, points)
+
+
 def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0) -> dict[str, Path]:
     """Write the scatter, curve, and metadata files for one figure.
 
     Layout: ``fig<k>_scatter.csv`` (when the figure has a scatter),
     ``fig<k>_curve_<tag>.csv`` on a 512-point grid, and ``fig<k>_meta.json``
-    recording the configuration and region-violation summaries.
+    recording the configuration and region-violation summaries. A curve file
+    holds the bytes of ``curve_csv_bytes(tag, CURVE_POINTS)``, which are
+    those of ``permutangle curve --id <tag>``; they depend on no seed, so
+    each tag's are computed once per process and reused.
     """
     fig_id = check_int(fig_id, "figure id", FIGURE_IDS[0], FIGURE_IDS[-1])
     fig = _FIGURES[fig_id]
@@ -759,7 +787,7 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
 
     for tag in fig.curves:
         path = out_dir / f"fig{fig_id}_curve_{tag}.csv"
-        path.write_bytes(curve_csv_bytes(tag, CURVE_POINTS))
+        path.write_bytes(_figure_curve_bytes(tag, CURVE_POINTS))
         written[f"curve_{tag}"] = path
 
     reports = []

@@ -28,7 +28,9 @@ from permutangle import (
     verify,
     write_records_csv,
 )
-from permutangle.experiments import curve_csv_bytes
+from permutangle import experiments, families
+from permutangle.cli import run
+from permutangle.experiments import CURVE_POINTS, FIGURE_IDS, curve_csv_bytes
 from permutangle.families import (
     boundary_curve,
     cr_rank3_r_bound,
@@ -163,6 +165,28 @@ class TestRecords:
         assert list(records) == rows + [records[-4], records[-3]] + rows[:2]
         assert math.isnan(records[-4].c12) and records[-3].tau == -math.inf
         assert records != Records.of(rows) and records[:len(rows)] == Records.of(rows)
+
+    @pytest.mark.parametrize("columns", [
+        ([2], [0.5], [0.1], [0.6]),
+        ([2], [0.5], [0.1], [0.6], [None], ["a"], ["b"]),
+        ([2],),
+    ])
+    def test_other_than_six_columns_rejected(self, columns):
+        with pytest.raises(ValueError, match="6 columns of equal length"):
+            Records(*columns)
+
+    @pytest.mark.parametrize("columns", [
+        ([2, 2], [0.5], [0.1], [0.6], [None], ["a"]),
+        ([2], [0.5], [0.1], [0.6], [None], ["a", "b"]),
+        ([], [], [], [], [], ["a"]),
+    ])
+    def test_columns_of_unequal_lengths_rejected(self, columns):
+        with pytest.raises(ValueError, match=r"equal length.*lengths \["):
+            Records(*columns)
+
+    def test_no_columns_are_no_records(self):
+        assert Records() == Records([], [], [], [], [], []) == Records.of([])
+        assert len(Records()) == 0 and Records().columns == ((),) * 6
 
     def test_campaign_records_are_rows_of_their_columns(self):
         records = separable_campaign(70, seed=5) + scatter((2, 2, 2), 30, seed=5)
@@ -492,6 +516,55 @@ class TestFigureDatasets:
             figure_dataset(12, tmp_path)
 
 
+def _cli_curve_bytes(tag, tmp_path) -> bytes:
+    """The bytes ``permutangle curve --id <tag>`` writes with its default ``--points``."""
+    path = tmp_path / f"cli_{tag}.csv"
+    assert run(["curve", "--id", tag, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+class TestFigureCurveCache:
+    """A figure's curve files are computed once per process per tag and hold
+    the bytes the uncached :func:`curve_csv_bytes` and the CLI give."""
+
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_curve_files_equal_the_uncached_curves_cold_and_warm(self, fig_id, tmp_path):
+        experiments._figure_curve_bytes.cache_clear()
+        for state in ("cold", "warm"):
+            written = figure_dataset(fig_id, tmp_path / state, n=1, seed=2)
+            curves = {key[len("curve_"):]: path for key, path in written.items()
+                      if key.startswith("curve_")}
+            assert curves
+            for tag, path in curves.items():
+                assert path.name == f"fig{fig_id}_curve_{tag}.csv"
+                assert path.read_bytes() == curve_csv_bytes(tag, CURVE_POINTS)
+                if tag in CURVE_TAGS:  # m3ts_tau is no curve id of the CLI
+                    assert path.read_bytes() == _cli_curve_bytes(tag, tmp_path)
+
+    def test_each_curve_is_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(tag, xs):
+            calls.append(tag)
+            return boundary_curve(tag, xs)
+
+        monkeypatch.setattr(families, "boundary_curve", counted)
+        experiments._figure_curve_bytes.cache_clear()
+        first = figure_dataset(1, tmp_path / "a", n=1, seed=1)
+        second = figure_dataset(1, tmp_path / "b", n=1, seed=2)
+        assert sorted(calls) == ["cr_rank2_lower", "cr_rank2_upper"]
+        for key in ("curve_cr_rank2_upper", "curve_cr_rank2_lower"):
+            assert first[key].read_bytes() == second[key].read_bytes()
+
+    @pytest.mark.parametrize("points", [512.0, True])
+    def test_int_contract_survives_a_cached_curve(self, tmp_path, points):
+        experiments._figure_curve_bytes.cache_clear()
+        figure_dataset(6, tmp_path)  # caches its four curves, cr_rank3 among them
+        assert experiments._figure_curve_bytes.cache_info().currsize == 4
+        with pytest.raises(DomainError, match="grid points"):
+            curve_csv_bytes("cr_rank3", points)
+
+
 class TestVerifyNonFinite:
     def test_nan_margin_counts_as_violation(self):
         recs = [_rec(r12=0.5, c12=0.3), _rec(r12=math.nan, c12=0.3), _rec(r12=0.4, c12=0.2)]
@@ -501,8 +574,6 @@ class TestVerifyNonFinite:
         assert math.isnan(report.worst_margin)
 
     def test_nan_record_fails_cli_verify(self, tmp_path):
-        from permutangle.cli import run
-
         path = write_records_csv([_rec(r12=0.5, c12=0.3), _rec(r12=math.nan)], tmp_path / "r.csv")
         assert run(["verify", "--region", "cr_rank2", "--input", str(path)]) == 1
 
