@@ -50,8 +50,10 @@ def _parse_params(text: str) -> dict:
     for item in text.split(","):
         if "=" not in item:
             raise DomainError(f"bad parameter {item!r}; expected k=v")
-        key, value = item.split("=", 1)
-        params[key.strip()] = _parse_value(value.strip())
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in params:
+            raise DomainError(f"parameter {key!r} given more than once")
+        params[key] = _parse_value(value)
     return params
 
 

@@ -7,14 +7,19 @@ order. ``_evaluate`` is the one gate for family parameters, so
 ``numeric_measures`` accept the same ones. Builders trust their domain: each
 returns the family's defining amplitude vector or matrix, which
 ``make_state`` wraps as a :class:`PureState` or :class:`DensityMatrix`
-without validating it again. The builders of the families that campaigns
-build (ansatz1, werner, mems1_purification, cq_state, bell_diagonal), and
-their domains, broadcast over arrays of parameter values, so ``state_stack``
-builds a campaign chunk's states with the same formula. ``closed_form_measures``
-returns the analytically known values for that family as a dict keyed by
-measure name; keys vary per family (cross-pair values like ``c13`` exist
-only for three-qubit families). ``flat_dirichlet`` draws unit exponentials over their sum, numpy's
-Dirichlet bits while numpy's gamma(1) is its exponential (the manifest's numpy version pins it).
+without validating it again. Every domain bounds an interval parameter
+through one interval gate, ``_interval_gate``, and a set of weights that
+sums to 1 through one weights gate, ``_weights_gate``: a value at most
+``EDGE_TOL`` past an edge is clamped onto it. The builders of the families
+that campaigns build (ansatz1, werner, mems1_purification, cq_state,
+bell_diagonal), and their domains, broadcast over arrays of parameter
+values, so ``state_stack`` builds a campaign chunk's states with the same
+formula. ``closed_form_measures`` returns the analytically known values for
+that family as a dict keyed by measure name; keys vary per family
+(cross-pair values like ``c13`` exist only for three-qubit families).
+``flat_dirichlet`` draws unit exponentials over their sum, numpy's
+Dirichlet bits while numpy's gamma(1) is its exponential (the manifest's
+numpy version pins it).
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .qstate import DensityMatrix, PureState, purify
 from .qstate import _trusted_dm, _trusted_pure
 
 PARAM_SUM_TOL = 1e-9
-#: How far a parameter may lie past an edge of its interval; it is then clamped to the edge.
+#: How far a parameter may lie past an edge of its interval, or a weight below 0; it is then
+#: clamped onto the edge. ``_interval_gate`` and ``_weights_gate`` apply it to every family.
 EDGE_TOL = 1e-12
 #: How far a positivity bound may be exceeded; the value is then projected onto the bound.
 POSITIVITY_TOL = 1e-9
@@ -62,12 +68,12 @@ def _finite(value) -> bool:
 # domains and builders
 
 
-def _unit_interval(params, key, hi=1.0):
-    """``params[key]``, clamped to [0, hi] once it lies within ``EDGE_TOL`` of it.
+def _interval_gate(value, key: str, hi: float = 1.0):
+    """The interval gate: ``value`` clamped to [0, hi] once it lies within
+    ``EDGE_TOL`` of it; else DomainError naming ``key``.
 
     A numpy array holds a stack of values: all are checked in one comparison.
     """
-    value = params[key]
     if isinstance(value, np.ndarray):
         inside = (value >= -EDGE_TOL) & (value <= hi + EDGE_TOL)
         if not inside.all():
@@ -79,6 +85,30 @@ def _unit_interval(params, key, hi=1.0):
     return min(hi, max(0.0, value))
 
 
+def _weights_gate(weights: Sequence, what: str) -> tuple:
+    """The weights gate: ``weights`` with each one below 0 clamped to 0, once
+    none lies more than ``EDGE_TOL`` below 0 and they sum to 1 within
+    ``PARAM_SUM_TOL``; else DomainError naming ``what``.
+
+    Arrays of k values each are k states, checked at once.
+    """
+    if isinstance(weights[0], np.ndarray):
+        ws = np.array(weights, dtype=float)
+        negative, total = (ws < -EDGE_TOL).any(axis=0), sum(ws)
+        off = abs(total - 1.0) > PARAM_SUM_TOL
+        if negative.any():
+            raise DomainError(f"{what} must be nonnegative, got {_first(ws.T, negative)}")
+        if off.any():
+            raise DomainError(f"{what} must sum to 1, got sum {_first(total, off)!r}")
+        return tuple(np.maximum(0.0, ws))
+    ws = tuple(map(float, weights))
+    if (low := min(ws)) < -EDGE_TOL:
+        raise DomainError(f"{what} must be nonnegative, got {ws}")
+    if abs((total := sum(ws)) - 1.0) > PARAM_SUM_TOL:
+        raise DomainError(f"{what} must sum to 1, got sum {total!r}")
+    return ws if low > 0.0 else tuple([max(0.0, w) for w in ws])
+
+
 def _first(values: np.ndarray, bad: np.ndarray):
     """The first entry of ``values`` (a number, or a vector along the last
     axis) where ``bad`` holds, as a Python float or a tuple of them."""
@@ -88,7 +118,7 @@ def _first(values: np.ndarray, bad: np.ndarray):
 
 def _interval(key: str, hi: float = 1.0) -> Callable[[Mapping], tuple[float]]:
     """The domain of a family with one parameter in [0, hi]."""
-    return lambda params: (_unit_interval(params, key, hi),)
+    return lambda params: (_interval_gate(params[key], key, hi),)
 
 
 _BELL_WEIGHTS = ("p1", "p2", "p3", "p4")
@@ -98,20 +128,11 @@ _WERNER_FIDUCIALS = {"phi+": BELL_PHI_PLUS, "psi-": BELL_PSI_MINUS}
 
 def _bell_diagonal_domain(params) -> tuple:
     """The four weights; arrays of k values each are k states, checked at once."""
-    ps = np.array([params[k] for k in _BELL_WEIGHTS], dtype=float)
-    if ps.min() < -EDGE_TOL:
-        negative = (ps < -EDGE_TOL).any(axis=0)
-        raise DomainError(f"Bell-diagonal weights must be nonnegative, got {_first(ps.T, negative)}")
-    total = ps[0] + ps[1] + ps[2] + ps[3]
-    off = abs(total - 1.0) > PARAM_SUM_TOL
-    if off.any():
-        raise DomainError(f"Bell-diagonal weights must sum to 1, got sum {_first(total, off)!r}")
-    weights = np.maximum(0.0, ps)
-    return tuple(weights.tolist() if weights.ndim == 1 else weights)
+    return _weights_gate([params[k] for k in _BELL_WEIGHTS], "Bell-diagonal weights")
 
 
 def _werner_domain(params) -> tuple[float, np.ndarray]:
-    p = _unit_interval(params, "p")
+    p = _interval_gate(params["p"], "p")
     bell = str(params.get("bell", "phi+"))
     if bell not in _WERNER_FIDUCIALS:
         raise DomainError(f"werner fiducial must be 'phi+' or 'psi-', got {bell!r}")
@@ -127,59 +148,42 @@ def _within(value: complex, bound: float, what: str) -> complex:
 
 
 def _x_state_domain(params) -> tuple:
-    a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
+    diagonal = [float(params[k]) for k in ("a", "b", "c", "d")]
+    a, b, c, d = _weights_gate(diagonal, "x_state diagonal entries (a, b, c, d)")
     w, z = complex(params.get("w", 0.0)), complex(params.get("z", 0.0))
-    if min(a, b, c, d) < -EDGE_TOL:
-        raise DomainError("x_state diagonal entries must be nonnegative")
-    if abs(a + b + c + d - 1.0) > PARAM_SUM_TOL:
-        raise DomainError(f"x_state diagonal must sum to 1, got {a + b + c + d!r}")
-    a, b, c, d = (max(0.0, x) for x in (a, b, c, d))
     w = _within(w, math.sqrt(a * d), "sqrt(a*d) >= |w|")
     z = _within(z, math.sqrt(b * c), "sqrt(b*c) >= |z|")
     return a, b, c, d, w, z
 
 
-def _canonical_domain(params) -> tuple[float, ...]:
+def _canonical_domain(params, lambda4_hi: float = 1.0) -> tuple[float, ...]:
     """lambda0..lambda4 and theta of the three-qubit normal form
     lambda0 |000> + lambda1 e^{i theta} |100> + lambda2 |101> + lambda3 |110>
-    + lambda4 |111>, with sum(lambda_i^2) = 1; an omitted value is 0."""
-    values = tuple(float(params.get(name, 0.0)) for name in _CANONICAL)
-    lams, theta = values[:5], values[5]
-    if any(l < 0.0 or l > 1.0 for l in lams):
-        raise DomainError(f"canonical amplitudes must lie in [0, 1], got {lams}")
-    norm2 = sum(l * l for l in lams)
+    + lambda4 |111>, with sum(lambda_i^2) = 1; an omitted value is 0. Each
+    lambda lies in [0, 1] (lambda4 in [0, lambda4_hi]) and theta in [0, pi]."""
+    his = (1.0, 1.0, 1.0, 1.0, lambda4_hi, math.pi)
+    values = tuple(
+        _interval_gate(float(params.get(k, 0.0)), k, hi) for k, hi in zip(_CANONICAL, his))
+    norm2 = sum(l * l for l in values[:5])
     if abs(norm2 - 1.0) > CANONICAL_NORM_TOL:
         raise DomainError(f"canonical amplitudes must satisfy sum lambda^2 = 1, got {norm2!r}")
-    if not 0.0 <= theta <= math.pi + EDGE_TOL:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
     return values
 
 
-def _w_class_domain(params) -> tuple[float, ...]:
-    if abs(float(params.get("lambda4", 0.0))) > EDGE_TOL:
-        raise DomainError("w_class states have lambda4 = 0")
-    return _canonical_domain({**params, "lambda4": 0.0})
-
-
 def _m3ts_general_domain(params) -> tuple[float, float]:
-    c12 = _unit_interval(params, "c12")
-    c13 = _unit_interval(params, "c13")
+    c12 = _interval_gate(params["c12"], "c12")
+    c13 = _interval_gate(params["c13"], "c13")
     if 1.0 - c12 * c12 - c13 * c13 < -EDGE_TOL:
         raise DomainError(f"m3ts_general requires c12^2 + c13^2 <= 1, got {c12**2 + c13**2!r}")
     return c12, c13
 
 
 def _ansatz2_domain(params) -> tuple[float, float, float]:
-    alpha = float(params["alpha"])
     if "beta" in params:
-        beta = float(params["beta"])
-        gamma = 1.0 - alpha - beta
-        if min(alpha, beta, gamma) < -EDGE_TOL:
-            raise DomainError("ansatz2 weights (alpha, beta, 1-alpha-beta) must be nonnegative")
-        return alpha, max(0.0, beta), max(0.0, gamma)
-    if not -EDGE_TOL <= alpha <= 1.0 / 3.0 + EDGE_TOL:
-        raise DomainError(f"optimized ansatz2 requires alpha in [0, 1/3], got {alpha}")
-    alpha = min(1.0 / 3.0, max(0.0, alpha))
+        alpha, beta = float(params["alpha"]), float(params["beta"])
+        return _weights_gate((alpha, beta, 1.0 - alpha - beta),
+                             "ansatz2 weights (alpha, beta, 1-alpha-beta)")
+    alpha = _interval_gate(float(params["alpha"]), "alpha", 1.0 / 3.0)
     root = math.sqrt((1.0 - alpha) * (1.0 - 3.0 * alpha))
     beta = 0.5 * (1.0 - alpha + root)
     gamma = 0.5 * (1.0 - alpha - root)
@@ -189,7 +193,7 @@ def _ansatz2_domain(params) -> tuple[float, float, float]:
 def _cq_state_domain(params) -> tuple[float, np.ndarray]:
     """p and the Bloch vectors a and b as one ``(2, ..., 3)`` array; a vector
     just outside the unit ball is projected onto it."""
-    p = _unit_interval(params, "p")
+    p = _interval_gate(params["p"], "p")
     v = np.array([params.get("a", (0.0, 0.0, 1.0)), params.get("b", (0.0, 0.0, -1.0))], dtype=float)
     if v.shape[-1] != 3:
         raise ValueError(f"a Bloch vector has 3 entries, got {v.shape[-1]}")
@@ -465,13 +469,13 @@ _FAMILIES: dict[str, _Family] = {
         _x_state_domain, _make_x_state, _closed_x_state, _sample_x_state,
         ("a", "b", "c", "d", "w", "z")),
     "w_class": _Family(
-        _w_class_domain, _make_canonical, _closed_w_class, lambda rng: _sample_canonical(rng, 4),
-        _CANONICAL),
+        lambda params: _canonical_domain(params, lambda4_hi=0.0), _make_canonical,
+        _closed_w_class, lambda rng: _sample_canonical(rng, 4), _CANONICAL),
     "canonical3": _Family(
         _canonical_domain, _make_canonical, _closed_canonical,
         lambda rng: _sample_canonical(rng, 5), _CANONICAL),
     "m3ts": _Family(  # m3ts_general at c13 = 0, where n12 = c12 too
-        lambda params: (_unit_interval(params, "c12"), 0.0), _make_m3ts_general,
+        lambda params: (_interval_gate(params["c12"], "c12"), 0.0), _make_m3ts_general,
         lambda c12, c13: {**_closed_m3ts_general(c12, c13), "n12": c12}, _uniform("c12"), ("c12",)),
     "m3ts_general": _Family(
         _m3ts_general_domain, _make_m3ts_general, _closed_m3ts_general, _sample_m3ts_general,
@@ -634,31 +638,18 @@ def nr_rank2_n_lower(r: float) -> float:
 
 
 def _invert_increasing(f: Callable[[float], float], y: float) -> float:
-    """Solve f(x) = y for increasing f on [0, 1]: the midpoint of the adjacent
-    floats lo < hi with f(lo) < y <= f(hi), the pair bisection ends on."""
+    """Solve f(x) = y for increasing f on [0, 1] by bisection: the midpoint of
+    the adjacent floats lo < hi with f(lo) < y <= f(hi)."""
     lo, hi = 0.0, 1.0
-    glo, ghi = f(lo) - y, f(hi) - y
-    if glo >= 0.0:
+    if y <= f(lo):
         return lo
-    if ghi <= 0.0:
+    if y >= f(hi):
         return hi
-    while hi - lo > 4.0 * math.ulp(hi):
-        # a secant step, then a probe as far past the root, to close the bracket from both sides
-        slope = (ghi - glo) / (hi - lo)
-        x = lo - glo / slope
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        g = f(x) - y
-        lo, glo, hi, ghi = (x, g, hi, ghi) if g < 0.0 else (lo, glo, x, g)
-        x -= 2.0 * g / slope + math.copysign(2.0 * math.ulp(x), g)
-        if lo < x < hi:
-            g = f(x) - y
-            lo, glo, hi, ghi = (x, g, hi, ghi) if g < 0.0 else (lo, glo, x, g)
-    while (x := math.nextafter(lo, hi)) < hi:  # walk the last few floats
-        if f(x) < y:
-            lo = x
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) < y:
+            lo = mid
         else:
-            hi = x
+            hi = mid
     return 0.5 * (lo + hi)
 
 

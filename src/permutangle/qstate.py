@@ -254,7 +254,9 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary (Ginibre QR with phase-fixed R diagonal)."""
+    """Haar-distributed unitary (Ginibre QR with phase-fixed R diagonal); ``dim``
+    is an int of at least 1."""
+    (dim,) = _check_dims((dim,))
     parts = rng.standard_normal((2, dim, dim))
     q, r = np.linalg.qr(parts[0] + 1j * parts[1])
     d = np.diagonal(r)
@@ -373,12 +375,15 @@ def random_fixed_eigvecs(
     eigvecs: np.ndarray, rng: np.random.Generator, dims=None
 ) -> DensityMatrix:
     """Random rank<=3 mixture of three fixed orthonormal eigenvectors,
-    weighted by :func:`fixed_eigvecs_weights`."""
-    matrix = fixed_eigvecs_stack(eigvecs, fixed_eigvecs_weights(rng))
-    d = matrix.shape[0]
+    weighted by :func:`fixed_eigvecs_weights`. ``dims`` (by default (2, 2)
+    for a 4x4 matrix, else one factor) must multiply to the matrix size."""
+    d = len(eigvecs)
     if dims is None:
         dims = (2, 2) if d == 4 else (d,)
-    return _trusted_dm(_check_dims(dims), matrix)
+    dims = _check_dims(dims)
+    if math.prod(dims) != d:
+        raise DimensionError(f"dims {dims} do not match a {d}x{d} matrix")
+    return _trusted_dm(dims, fixed_eigvecs_stack(eigvecs, fixed_eigvecs_weights(rng)))
 
 
 def fixed_eigvecs_weights(rng: np.random.Generator) -> np.ndarray:

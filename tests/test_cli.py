@@ -67,6 +67,16 @@ class TestMeasureCommand:
         assert code == 2 and out == ""
         assert re.search(message, err), err
 
+    @pytest.mark.parametrize("family, params, key", [
+        ("werner", "p=0.2,p=0.9", "p"),
+        ("werner", "p=0.2, p =0.2", "p"),
+        ("bell_diagonal", "p1=0.5,p2=0.5,p3=0,p3=0,p4=0", "p3"),
+    ])
+    def test_repeated_key_exits_2_naming_it(self, capsys, family, params, key):
+        code, out, err = _run(capsys, "measure", "--family", family, "--params", params)
+        assert code == 2 and out == ""
+        assert f"parameter {key!r} given more than once" in err, err
+
     def test_bloch_vector_inside_the_slack_is_measured(self, capsys):
         code, out, err = _run(
             capsys, "measure", "--family", "cq_state", "--params", "p=1,a=0:0:-1.0000000004"

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from permutangle import (
     substream,
     three_tangle,
 )
+from permutangle import families
 from permutangle.families import (
     BELL_PHI_PLUS,
     _random_bloch,
@@ -335,6 +338,88 @@ class TestEntryPointsAgree:
             params[key] = _at_edge(params, key, data.draw)
         params = {key: _nudged(value, data.draw) for key, value in params.items()}
         assert _outcomes(family, params) in (["ok"] * 3, ["DomainError"] * 3), params
+
+
+_PAST = 5e-13  # less than EDGE_TOL past an edge
+
+#: family -> the closed interval of each value its domain returns (None: not a number
+#: in an interval); a weight has no upper edge of its own
+_DOMAIN_INTERVALS = {
+    "bell_diagonal": [(0.0, math.inf)] * 4,
+    "werner": [(0.0, 1.0), None],
+    "mems1": [(0.0, 1.0)],
+    "mems2": [(0.0, 2.0 / 3.0)],
+    "x_state": [(0.0, math.inf)] * 4 + [None, None],
+    "w_class": [(0.0, 1.0)] * 4 + [(0.0, 0.0), (0.0, math.pi)],
+    "canonical3": [(0.0, 1.0)] * 5 + [(0.0, math.pi)],
+    "m3ts": [(0.0, 1.0), (0.0, 0.0)],
+    "m3ts_general": [(0.0, 1.0), (0.0, 1.0)],
+    "ansatz1": [(0.0, 1.0)],
+    "ansatz2": [(0.0, math.inf)] * 3,
+    "mems1_purification": [(0.0, 1.0)],
+    "cq_state": [(0.0, 1.0), None],
+}
+
+
+def _edge_pushes():
+    """(family, params) with one interval parameter or weight _PAST beyond one of its edges."""
+    intervals = [  # family, key, upper edge, the other parameters
+        ("werner", "p", 1.0, {}), ("mems1", "c", 1.0, {}), ("mems2", "c", 2.0 / 3.0, {}),
+        ("ansatz1", "p", 1.0, {}), ("mems1_purification", "c", 1.0, {}),
+        ("cq_state", "p", 1.0, {}), ("m3ts", "c12", 1.0, {}),
+        ("m3ts_general", "c12", 1.0, {"c13": 0.0}), ("m3ts_general", "c13", 1.0, {"c12": 0.0}),
+        ("ansatz2", "alpha", 1.0 / 3.0, {}),
+        ("canonical3", "theta", math.pi, {"lambda0": 1.0}),
+        ("w_class", "theta", math.pi, {"lambda0": 1.0}),
+        ("w_class", "lambda4", 0.0, {"lambda0": 1.0}),
+    ]
+    for family, key, hi, rest in intervals:
+        yield family, {**rest, key: -_PAST}
+        yield family, {**rest, key: hi + _PAST}
+    for family, count in (("canonical3", 5), ("w_class", 4)):
+        for i in range(count):
+            other = f"lambda{3 if i == 0 else 0}"
+            yield family, {f"lambda{i}": -_PAST, other: 1.0}
+            yield family, {f"lambda{i}": 1.0 + _PAST}
+    for family, keys in (("bell_diagonal", ("p1", "p2", "p3", "p4")),
+                         ("x_state", ("a", "b", "c", "d"))):
+        for i, key in enumerate(keys):
+            yield family, {**dict.fromkeys(keys, 0.0), key: -_PAST, keys[i - 1]: 1.0}
+    yield "ansatz2", dict(alpha=-_PAST, beta=1.0)
+    yield "ansatz2", dict(alpha=1.0, beta=-_PAST)
+    yield "ansatz2", dict(alpha=0.5, beta=0.5 + _PAST)  # 1 - alpha - beta below 0
+
+
+class TestEdgeGates:
+    """A value less than EDGE_TOL past an edge of its interval, or a weight less than
+    EDGE_TOL below 0, is clamped onto the edge, and every entry point accepts it."""
+
+    @pytest.mark.parametrize("family, params", [
+        pytest.param(family, params, id=f"{family}-{params}") for family, params in _edge_pushes()
+    ])
+    def test_values_past_an_edge_are_clamped_onto_it(self, family, params):
+        values = families._FAMILIES[family].domain(params)
+        for value, interval in zip(values, _DOMAIN_INTERVALS[family], strict=True):
+            if interval is not None:
+                assert interval[0] <= value <= interval[1], (values, interval)
+        assert _outcomes(family, params) == ["ok"] * 3
+
+    def test_every_family_is_pushed_past_its_edges(self):
+        assert {family for family, _ in _edge_pushes()} == set(FAMILY_TAGS)
+
+    def test_edge_tol_is_read_only_by_the_gates(self):
+        """In families, EDGE_TOL is read by the interval and weights gates,
+        boundary_curve and m3ts_general's disc check, and nowhere else."""
+        tree = ast.parse(Path(families.__file__).read_text())
+        readers = {
+            getattr(statement, "name", f"line {node.lineno}")
+            for statement in tree.body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and node.id == "EDGE_TOL"
+            and isinstance(node.ctx, ast.Load)
+        }
+        assert readers == {"_interval_gate", "_weights_gate", "boundary_curve",
+                           "_m3ts_general_domain"}
 
 
 class TestClosedFormAgreement:

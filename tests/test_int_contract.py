@@ -20,6 +20,7 @@ from permutangle import (
     PureState,
     figure_dataset,
     haar_random_pure,
+    haar_random_unitary,
     partial_transpose,
     path_invariant_spectrum,
     realign,
@@ -57,6 +58,9 @@ ENTRY_POINTS = {
                            DimensionError),
     "haar_random_pure dims": (
         lambda d, out: _state(haar_random_pure((d, 2), np.random.default_rng(3))), 2,
+        DimensionError),
+    "haar_random_unitary dim": (
+        lambda d, out: haar_random_unitary(d, np.random.default_rng(3)).tobytes(), 2,
         DimensionError),
     "reduce_pure_stack dims": (
         lambda d, out: reduce_pure_stack(PSI.amplitudes[None], (d, 2), (1,)).tobytes(), 2,
@@ -103,3 +107,9 @@ def test_a_numpy_integer_acts_as_the_equal_int(entry, tmp_path):
 def test_a_numpy_integer_figure_id_is_a_json_int_in_the_meta_file(tmp_path):
     meta = json.loads(figure_dataset(np.int64(6), tmp_path)["meta"].read_text())
     assert (meta["config"]["figure"], type(meta["config"]["figure"])) == (6, int)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_a_unitary_dimension_below_one_is_rejected(dim):
+    with pytest.raises(DimensionError, match=repr(dim)):
+        haar_random_unitary(dim, np.random.default_rng(3))

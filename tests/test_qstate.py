@@ -399,6 +399,20 @@ class TestFixedEigvecMixtures:
         with pytest.raises(ValueError):
             random_fixed_eigvecs(bad, substream(4, 4))
 
+    @pytest.mark.parametrize("dims", [(2, 3), (4, 2), (3,), (8,)])
+    def test_rejects_dims_that_do_not_fit_the_matrix(self, dims):
+        rng = substream(4, 4)
+        with pytest.raises(DimensionError, match="do not match a 4x4 matrix"):
+            random_fixed_eigvecs(self.EIGVECS, rng, dims=dims)
+        assert rng.random() == substream(4, 4).random()  # nothing drawn
+
+    @pytest.mark.parametrize("dims", [None, (2, 2), (4,), (1, 4)])
+    def test_dims_that_fit_the_matrix_are_kept(self, dims):
+        rho = random_fixed_eigvecs(self.EIGVECS, substream(4, 4), dims=dims)
+        assert rho.dims == ((2, 2) if dims is None else dims)
+        default = random_fixed_eigvecs(self.EIGVECS, substream(4, 4))
+        assert rho.matrix.tobytes() == default.matrix.tobytes()
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.0, 10.0), st.integers(1, 4), st.integers(1, 4))
