@@ -1,11 +1,9 @@
 """Permutation-based correlation measures for small quantum states.
 
-The central quantity, ``r12``, combines the two defining permutations of a
-bipartite density matrix (partial transpose, then realignment) into the
-determinant-based measure d * |det|^(1/d^2). The package provides the
-supporting linear-algebra kernels, state containers and Haar sampling, the
-named boundary-state families with their closed forms, and reproducible
-Monte-Carlo campaigns with region verification.
+The central quantity, ``r12 = d * |det(realign(pt2(rho)))|^(1/d^2)``, comes
+with concurrence, negativity, the 3-tangle, the named boundary-state
+families with their closed forms, and reproducible Monte-Carlo campaigns
+with region verification.
 """
 
 from .errors import DegenerateStateError, DimensionError, DomainError, HermiticityError

@@ -1,17 +1,9 @@
 """Command-line front end: family measures, sampling campaigns, curves, figures.
 
-Subcommands
------------
-measure   print closed-form and numeric measures of a named family state
-sample    Haar scatter campaign -> records CSV/JSON
-curve     analytic boundary curve -> CSV
-perturb   perturbed boundary-family campaign -> records CSV/JSON
-figure    full dataset bundle (scatter + curves + metadata) for one figure
-verify    check a records file against an analytic region
-
-Exit codes: 0 success, 1 region violations found by ``verify``, 2 bad usage.
-``--seed`` is mandatory for ``sample``/``perturb``: reproducibility is the
-product, so there is no wall-clock default.
+``permutangle --help`` lists the subcommands. Exit codes: 0 success, 1
+region violations found by ``verify``, 2 bad usage. ``--seed`` is mandatory
+for ``sample``/``perturb``: reproducibility is the product, so there is no
+wall-clock default.
 """
 
 from __future__ import annotations
@@ -75,23 +67,21 @@ def _cmd_measure(args) -> int:
     params = _parse_params(args.params or "")
     closed = families.closed_form_measures(args.family, **params)
     numeric = families.numeric_measures(args.family, **params)
-    keys = sorted(set(closed) | set(numeric))
+    diff = {k: abs(closed[k] - numeric[k]) for k in closed if k in numeric}
     if args.format == "json":
         payload = {
             "family": args.family,
             "params": {k: str(v) for k, v in params.items()},
             "closed_form": closed,
             "numeric": numeric,
-            "abs_diff": {k: abs(closed[k] - numeric[k]) for k in closed if k in numeric},
+            "abs_diff": diff,
         }
         _emit((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), args.out)
     else:
         lines = ["quantity,closed_form,numeric,abs_diff"]
-        for key in keys:
-            c = format_float(closed.get(key))
-            n = format_float(numeric.get(key))
-            d = abs(closed[key] - numeric[key]) if key in closed and key in numeric else None
-            lines.append(f"{key},{c},{n},{format_float(d)}")
+        for key in sorted(set(closed) | set(numeric)):
+            values = (closed.get(key), numeric.get(key), diff.get(key))
+            lines.append(",".join([key, *map(format_float, values)]))
         _emit(("\n".join(lines) + "\n").encode(), args.out)
     return 0
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer checks of its parameters."""
+"""Exception types shared across the package, and the integer and real checks of its parameters."""
+
+import math
 
 import numpy as np
 
@@ -18,6 +20,21 @@ def check_int(value, what: str, lo: int, hi: int | None = None) -> int:
         span = f"of at least {lo}" if hi is None else f"in {lo}..{hi}"
         raise DomainError(f"{what} must be an int {span}, got {value!r}")
     return int(value)
+
+
+def check_real(value, what: str, lo: float | None = None) -> float:
+    """``value`` as a Python float, once it is an int, a float or a numpy integer
+    or float (a bool, a string or a complex number is not), finite and at least
+    ``lo`` (no lower end for ``lo=None``); else ``DomainError`` naming ``what``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and (lo is None or x >= lo)):
+        span = "" if lo is None else f" of at least {lo}"
+        raise DomainError(f"{what} must be a finite real number{span}, got {value!r}")
+    return x
 
 
 class DimensionError(ValueError):

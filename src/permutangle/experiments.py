@@ -1,29 +1,9 @@
 """Reproduction campaigns: scatter datasets, perturbation sweeps, region checks.
 
-A campaign is a tuple of sample kinds, and sample ``i`` is of kind
-``kinds[i % len(kinds)]``. A kind's ``draw(rng)`` takes one sample's raw
-numbers from its own generator of the stream of ``(seed, i)``
-(:func:`permutangle.qstate.substreams` seeds a whole chunk's generators from
-one hash). Flat Dirichlet weights are unit exponentials over their sum
-(:func:`permutangle.families.flat_dirichlet`, ``rng.dirichlet``'s bits while numpy's
-gamma(1) is its exponential). ``build(draws)`` turns a list of draws into one
-stack of states with the stacked forms of the scalar constructors. :func:`_run_indexed`
-builds each kind's share of a chunk of ``CHUNK_SIZE`` samples as one stack,
-and one call of :func:`permutangle.measures.measure_stack` measures the
-chunk; a pure (2, 2, 2) state is its own tangle parent. Each state of a stack
-gets the bits it gets alone, and :func:`build_record` is a batch of one of
-the same step, so output is byte-identical regardless of chunk size.
-
-Records stay columns from the kernel to the files: a campaign extends six
-column lists with the kernel's lists chunk by chunk and returns them as a
-:class:`Records` value, the writers format from its columns, the readers
-return columns and :func:`verify` walks them. A :class:`MeasureRecord` row is
-made only when one is asked for, so held records are six tuples of untracked
-values to the cyclic garbage collector, not a tracked row each.
-
-A figure bundle's boundary curves depend only on their tag and the
-``CURVE_POINTS`` grid, so each curve's CSV bytes are computed once per process,
-on first use, and every later bundle writes the same bytes.
+Every campaign runs on :func:`_run_indexed`, and :func:`build_record` is a
+batch of one of its step. Records are :class:`Records` columns from the
+kernel through the CSV/JSON writers and readers to :func:`verify`.
+:func:`figure_dataset` writes one figure's bundle.
 """
 
 from __future__ import annotations
@@ -42,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 import numpy as np
 
 from . import families
-from .errors import DimensionError, DomainError, check_int, is_int
+from .errors import DimensionError, DomainError, check_int, check_real, is_int
 from .measures import WITNESS_THRESHOLD, measure_stack
 from .qstate import (
     DensityMatrix,
@@ -72,13 +52,10 @@ MAX_OFFENDERS = 10
 
 
 class MeasureRecord(NamedTuple):
-    """The measures of one campaign sample: a stored row without its index.
-
-    The fields are the records CSV/JSON columns after ``index``, in file
-    order. ``tau`` is present only when the record descends from a
-    three-qubit pure parent; otherwise it is None (an empty CSV field, a
-    JSON null).
-    """
+    """The measures of one campaign sample: a stored row without its index,
+    its fields the records CSV/JSON columns after ``index``, in file order.
+    ``tau`` is None (an empty CSV field, a JSON null) unless the record
+    descends from a three-qubit pure parent."""
 
     rank: int
     c12: float
@@ -96,25 +73,22 @@ _record = functools.partial(tuple.__new__, MeasureRecord)
 class Records:
     """Campaign records held as six columns, in :class:`MeasureRecord` field order.
 
-    ``columns`` holds tuples of the ranks, c12, n12, r12, tau (None where a
-    record has none) and family tags; their items are the values of the
-    kernel's or a reader's lists, bits and all. A tuple of numbers, strings
-    and None is untracked by the cyclic garbage collector once a collection
-    has seen it, so held records add nothing to later collections, whatever
-    their number. ``len``, indexing, slicing, iteration and ``+``/``+=`` with
-    other records or a list of rows work as on a list of
-    :class:`MeasureRecord` rows; a row is made when it is asked for.
+    ``Records(*columns)`` takes six columns of equal length, or none for no
+    records; any other count, or unequal lengths, raise ``ValueError``, as a
+    row would lack fields or a longer column's tail would be lost.
+    ``columns`` holds them as tuples of the ranks, c12, n12, r12, tau (None
+    where a record has none) and family tags, the values of the kernel's or
+    a reader's lists, bits and all. A tuple of numbers, strings and None is
+    untracked by the cyclic garbage collector once a collection has seen it,
+    so held records add nothing to later collections, whatever their number.
+    ``len``, indexing, slicing, iteration and ``+``/``+=`` with other records
+    or a list of rows work as on a list of :class:`MeasureRecord` rows; a row
+    is made when it is asked for.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, *columns: Iterable):
-        """Records of six columns of equal length; none gives no records.
-
-        Any other count of columns, or columns of unequal lengths, raises
-        ``ValueError``: a row would lack fields, or a longer column's tail
-        would be lost to iteration.
-        """
         columns = tuple(map(tuple, columns)) or ((),) * len(MeasureRecord._fields)
         lengths = list(map(len, columns))
         if len(lengths) != len(MeasureRecord._fields) or len(set(lengths)) != 1:
@@ -158,8 +132,9 @@ class ViolationReport:
     ``worst_margin`` is signed: the largest excess beyond the region over all
     records (negative values mean everything sat strictly inside). A record
     with a non-finite measure, or with a finite one outside the domain of the
-    region's bound, has a NaN margin, which counts as a violation and makes
-    ``worst_margin`` NaN. ``violations == 0`` iff
+    region's bound (a square root or a fractional power of a negative number,
+    a power that overflows), has a NaN margin, which counts as a violation
+    and makes ``worst_margin`` NaN. ``violations == 0`` iff
     ``worst_margin <= tolerance``.
     """
 
@@ -183,42 +158,29 @@ def build_record(
 ) -> MeasureRecord:
     """Measure a two-qubit state; tau only when a (2,2,2) pure parent exists.
 
-    Such a parent must be the state ``rho`` is the (1, 2) reduction of, as
-    :func:`~permutangle.qstate.reduce` gives it; otherwise ``ValueError``.
-    Its record takes rank and c12 from the parent's amplitudes, through the
-    decomposition of ``rho`` into the parent's two branches (Wootters,
-    PRL 80, 2245; Hughston, Jozsa and Wootters, PLA 183, 14): c12 agrees
-    with :func:`~permutangle.measures.concurrence` of ``rho`` to rounding,
-    and is exactly 0 when ``rho`` is a pure product. A batch of one of the
-    campaigns' records step, so it reproduces their records bit for bit.
+    A parent, of any dims, must be the state ``rho`` is the (1, 2) reduction
+    of, as :func:`~permutangle.qstate.reduce` gives it, else ``ValueError``; a
+    (2, 2, 2) parent is measured in place of ``rho``. A batch of one of the
+    campaigns' step, so it reproduces their records bit for bit.
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"records are defined for two qubits, got dims {rho.dims}")
     stack = rho.matrix[None]
-    if parent is not None and parent.dims == (2, 2, 2):
-        stack = parent.amplitudes[None]  # measured through its reduction, which is rho
-        if not np.array_equal(rho.matrix, reduce_pure_stack(stack, (2, 2, 2), (1, 2))[0]):
-            raise ValueError("rho is not the (1, 2) reduction of the (2, 2, 2) parent")
-    return _record(column[0] for column in _measure(stack, [family]))
-
-
-def _measure(stack: np.ndarray, tags: list[str]) -> list[list]:
-    """The record columns of a stack of states from one :func:`measure_stack` call.
-
-    ``stack`` is a ``(k, 4, 4)`` stack of two-qubit density matrices, or a
-    ``(k, 4 d)`` stack of pure states over (2, 2, d), measured through their
-    (1, 2) reductions. Pure states over (2, 2, 2) are their own parents, which
-    the kernel reduces itself, so their records carry tau.
-    """
-    if stack.ndim == 2 and stack.shape[1] != 8:
-        stack = reduce_pure_stack(stack, (2, 2, stack.shape[1] // 4), (1, 2))
+    if parent is not None:
+        amplitudes = parent.amplitudes[None]
+        if not np.array_equal(rho.matrix, reduce_pure_stack(amplitudes, parent.dims, (1, 2))[0]):
+            raise ValueError(f"rho is not the (1, 2) reduction of the {parent.dims} parent")
+        if parent.dims == (2, 2, 2):
+            stack = amplitudes  # measured through its reduction, which is rho
     m = measure_stack(stack)
-    taus = [None] * len(tags) if m.tau is None else m.tau
-    return [m.rank, m.c12, m.n12, m.r12, taus, tags]
+    tau = None if m.tau is None else m.tau[0]
+    return MeasureRecord(m.rank[0], m.c12[0], m.n12[0], m.r12[0], tau, family)
 
 
 class _Kind(NamedTuple):
-    """A kind of campaign sample: family tag, one sample's draw, the stack of a list of draws."""
+    """A kind of campaign sample: its family tag; ``draw(rng)``, one sample's
+    raw numbers from its generator; and ``build(draws)``, the stack of states
+    of a list of draws, made with the stacked forms of the scalar constructors."""
 
     tag: str
     draw: Callable[[np.random.Generator], Any]
@@ -229,9 +191,11 @@ def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> Records:
     """Records of samples 0..n-1, measured in chunks of ``CHUNK_SIZE`` in index order.
 
     Sample ``i`` is of kind ``kinds[i % len(kinds)]`` and draws from the
-    substream of ``(seed, i)``. Each kind's share of a chunk is built as one
-    stack and written into the chunk's stack (see :func:`_measure`). The
-    seed is checked by :func:`permutangle.qstate.substreams`.
+    stream of ``(seed, i)`` (:func:`permutangle.qstate.substreams`). Each
+    kind's share of a chunk is built as one stack, and one
+    :func:`~permutangle.measures.measure_stack` call measures the chunk's
+    stack, which gives each state the bits it gets alone: the bytes do not
+    depend on the chunk size.
     """
     n = check_int(n, "sample count", 1, MAX_SAMPLES)
     m = len(kinds)
@@ -245,18 +209,17 @@ def _run_indexed(kinds: Sequence[_Kind], n: int, seed: int) -> Records:
         stack = np.empty((len(draws), *parts[0][1].shape[1:]), dtype=complex)
         for rows, part in parts:
             stack[rows] = part
+        measured = measure_stack(stack)
+        taus = [None] * len(draws) if measured.tau is None else measured.tau
         tags = [kinds[i % m].tag for i in chunk]
-        for column, values in zip(columns, _measure(stack, tags)):
+        for column, values in zip(columns, (*measured[:4], taus, tags)):
             column.extend(values)
     return Records(*columns)
 
 
 def scatter(dims: Sequence[int], n: int, seed: int) -> Records:
-    """Haar-random states reduced to qubits (1, 2), measured one record each.
-
-    dims (2, 2) samples two-qubit pure states directly (rank-1 records);
-    (2, 2, k) samples tripartite pure states whose reduction has rank <= k.
-    """
+    """Haar-random states reduced to qubits (1, 2), one record each: two-qubit pure
+    states for dims (2, 2), tripartite ones whose reduction has rank <= k for (2, 2, k)."""
     dims = tuple(dims)
     if not (all(map(is_int, dims)) and dims in SCATTER_DIMS):
         raise DimensionError(f"unsupported scatter dims {dims}; supported: {SCATTER_DIMS}")
@@ -266,9 +229,10 @@ def scatter(dims: Sequence[int], n: int, seed: int) -> Records:
 
     def build(parts: list) -> np.ndarray:
         amplitudes = haar_amplitudes(np.array(parts))
-        # a (2, 2) state is measured as |psi><psi|: a reduction over a
-        # one-dimensional factor would round differently
-        return projector_stack(amplitudes) if len(dims) == 2 else amplitudes
+        if len(dims) == 2:  # a reduction over a one-dimensional factor would round differently
+            return projector_stack(amplitudes)
+        # a (2, 2, 2) state is its own tangle parent, which the kernel reduces itself
+        return amplitudes if dims[2] == 2 else reduce_pure_stack(amplitudes, dims, (1, 2))
 
     return _run_indexed((_Kind(family, lambda rng: haar_draw(size, rng), build),), n, seed)
 
@@ -318,8 +282,7 @@ def perturbation_campaign(
     """
     if kind not in _PERTURBATIONS:
         raise DomainError(f"unknown perturbation kind {kind!r}; known: {PERTURBATION_KINDS}")
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
+    epsilon = check_real(epsilon, "epsilon", 0.0)
     noise, states = _PERTURBATIONS[kind]
 
     def build(draws: list) -> np.ndarray:
@@ -374,12 +337,9 @@ _SEPARABLE = (
 
 
 def separable_campaign(n: int, seed: int) -> Records:
-    """Constructed-separable states for the witness check.
-
-    Cycles through product mixtures with at most 3 terms, classical-quantum
-    states, separable Werner states (p <= 1/3), and Bell-diagonal states with
-    spectrum inside [0, 1/2].
-    """
+    """Constructed-separable states for the witness check, cycling through
+    product mixtures of at most 3 terms, classical-quantum states, separable
+    Werner states (p <= 1/3) and Bell-diagonal states with spectrum in [0, 1/2]."""
     return _run_indexed(_SEPARABLE, n, seed)
 
 
@@ -419,21 +379,17 @@ def verify(
 ) -> ViolationReport:
     """Count records outside an analytic region beyond tolerance.
 
-    ``records`` is a :class:`Records` value or an iterable of rows. Returns
-    the signed worst margin along with up to ``MAX_OFFENDERS`` (index,
-    margin) pairs for the worst offenders. A record with a
-    non-finite measure, or with a finite one outside the domain of the
-    region's bound (a square root or a fractional power of a negative
-    number, a power that overflows), has a NaN margin: a violation.
+    ``records`` is a :class:`Records` value or an iterable of rows; ``tol``
+    (a real number, negative too) defaults to the region's standard. The
+    report lists up to ``MAX_OFFENDERS`` (index, margin) pairs of the worst
+    offenders, NaN margins first (see :class:`ViolationReport`).
     """
     if region not in _REGIONS:
         raise DomainError(f"unknown region {region!r}; known: {REGION_TAGS}")
     margin_fn, needs_tau = _REGIONS[region], region in _TAU_REGIONS
     if tol is None:
         tol = IDENTITY_TOL if needs_tau else VIOLATION_TOL
-    tol = float(tol)
-    if not math.isfinite(tol):
-        raise DomainError(f"tolerance must be finite, got tol={tol}")
+    tol = check_real(tol, "tol")
     _, c12s, n12s, r12s, taus, _ = Records.of(records).columns
     worst = -math.inf
     total = 0
@@ -493,10 +449,8 @@ def _optional_floats(column: Sequence[str]) -> list[Optional[float]]:
 
 
 def _of_types(*types: type) -> Callable[[Sequence], Sequence]:
-    """A JSON column's check that each value has one of ``types`` (a bool is no int here).
-
-    A column whose set of value types lies inside ``types`` passes as it is.
-    """
+    """A JSON column's check that each value has one of ``types`` (a bool is no int
+    here); a column whose set of value types lies inside them passes as it is."""
     allowed = frozenset(types)
 
     def check(column):
@@ -535,10 +489,8 @@ _FAMILY_TAG = re.compile("[A-Za-z0-9_]+")
 
 
 def _check_families(column: Sequence[str]) -> None:
-    """Family tags are of ``[A-Za-z0-9_]+``, so a CSV field needs no quoting.
-
-    Each distinct tag is matched once; ``ValueError`` names the first bad record.
-    """
+    """Family tags are of ``[A-Za-z0-9_]+``, so a CSV field needs no quoting; each
+    distinct tag is matched once, and ``ValueError`` names the first bad record."""
     bad = [tag for tag in set(column) if not _FAMILY_TAG.fullmatch(tag)]
     if bad:
         position = min(map(column.index, bad))
@@ -562,8 +514,8 @@ def _records(columns: Sequence[Sequence], parsers: Sequence[Callable]) -> Record
     """Records from the stored columns in file order, each parsed as a whole.
 
     Every field must parse and the index must run 0..n-1 in order (so
-    :func:`verify`'s offender indices are the stored ones); otherwise
-    ``ValueError`` names a bad record. Ranges are for :func:`verify`.
+    :func:`verify`'s offender indices are the stored ones), else
+    ``ValueError`` names a bad record; ranges are for :func:`verify`.
     """
     index, *columns = map(_parse_column, _FIELDS, parsers, columns)
     _check_families(columns[-1])
@@ -593,12 +545,11 @@ def write_records_csv(records: Iterable[MeasureRecord], path) -> Path:
 
 
 def read_records_csv(source) -> Records:
-    """Parse a records CSV produced by :func:`write_records_csv`.
+    """Parse a records CSV produced by :func:`write_records_csv` (see :func:`_records`).
 
-    Blank lines are skipped. Every other line after the header must hold the
-    seven fields, and the index column must run 0..n-1 in order; see
-    :func:`_records`. The body is split at its commas once, so field ``k``
-    of line ``j`` is item ``7 j + k``.
+    Blank lines are skipped, and every other line after the header holds the
+    seven fields. The body is split at its commas once, so field ``k`` of
+    line ``j`` is item ``7 j + k``.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -662,19 +613,16 @@ class _FigureSpec:
 _FIGURES: dict[int, _FigureSpec] = {
     1: _FigureSpec(
         scatter=("haar", (2, 2, 2)),
-        n=10_000,
         curves=("cr_rank2_upper", "cr_rank2_lower"),
         regions=(("cr_rank2", None), ("rc_tau_identity", None)),
     ),
     2: _FigureSpec(
         scatter=("haar", (2, 2, 2)),
-        n=10_000,
         curves=("m3ts_tau",),
         regions=(("m3ts_max_tau", None),),
     ),
     3: _FigureSpec(
         scatter=("haar_pair", (2, 2, 3), (2, 2, 4)),
-        n=10_000,
         curves=("cr_rank2_upper", "cr_rank2_lower", "cr_rank3", "cr_rank4"),
         regions=(("cr_rank3", "haar_2x2x3"), ("cr_rank4", None)),
     ),
@@ -699,7 +647,6 @@ _FIGURES: dict[int, _FigureSpec] = {
     ),
     8: _FigureSpec(
         scatter=("perturb", "mems1_fig8"),
-        n=10_000,
         curves=("nr_rank2_upper", "nr_rank2_lower"),
         regions=(("nr_rank2", None),),
     ),
@@ -737,22 +684,18 @@ def curve_csv_bytes(tag: str, points: int) -> bytes:
 def _figure_curve_bytes(tag: str, points: int) -> bytes:
     """:func:`curve_csv_bytes` of a figure's curve, computed once per process per tag.
 
-    :func:`figure_dataset` alone calls it, always with ``CURVE_POINTS``, so no
-    key is a float or bool that hashes as that int does; the public
-    :func:`curve_csv_bytes` stays uncached and checks ``points`` on every call.
+    Only :func:`figure_dataset` calls it, with ``CURVE_POINTS``, so no key is
+    a float or bool that hashes as that int; :func:`curve_csv_bytes` stays
+    uncached and checks ``points`` on every call.
     """
     return curve_csv_bytes(tag, points)
 
 
 def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0) -> dict[str, Path]:
-    """Write the scatter, curve, and metadata files for one figure.
-
-    Layout: ``fig<k>_scatter.csv`` (when the figure has a scatter),
-    ``fig<k>_curve_<tag>.csv`` on a 512-point grid, and ``fig<k>_meta.json``
-    recording the configuration and region-violation summaries. A curve file
-    holds the bytes of ``curve_csv_bytes(tag, CURVE_POINTS)``, which are
-    those of ``permutangle curve --id <tag>``; they depend on no seed, so
-    each tag's are computed once per process and reused.
+    """Write ``fig<k>_scatter.csv`` (when the figure has a scatter),
+    ``fig<k>_curve_<tag>.csv`` (the bytes of ``permutangle curve --id <tag>``,
+    once per process: :func:`_figure_curve_bytes`) and ``fig<k>_meta.json``,
+    the configuration and region-violation summaries, for one figure.
     """
     fig_id = check_int(fig_id, "figure id", FIGURE_IDS[0], FIGURE_IDS[-1])
     fig = _FIGURES[fig_id]

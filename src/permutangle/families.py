@@ -1,25 +1,9 @@
 """Named state families, their closed-form measures, and boundary curves.
 
-Each family is one entry of a registry holding its domain, builder, closed
-form, in-domain sampler and parameter names; ``FAMILY_TAGS`` lists it in
-order. ``_evaluate`` is the one gate for family parameters, so
-``make_state``, ``state_stack``, ``closed_form_measures`` and
-``numeric_measures`` accept the same ones. Builders trust their domain: each
-returns the family's defining amplitude vector or matrix, which
-``make_state`` wraps as a :class:`PureState` or :class:`DensityMatrix`
-without validating it again. Every domain bounds an interval parameter
-through one interval gate, ``_interval_gate``, and a set of weights that
-sums to 1 through one weights gate, ``_weights_gate``: a value at most
-``EDGE_TOL`` past an edge is clamped onto it. The builders of the families
-that campaigns build (ansatz1, werner, mems1_purification, cq_state,
-bell_diagonal), and their domains, broadcast over arrays of parameter
-values, so ``state_stack`` builds a campaign chunk's states with the same
-formula. ``closed_form_measures`` returns the analytically known values for
-that family as a dict keyed by measure name; keys vary per family
-(cross-pair values like ``c13`` exist only for three-qubit families).
-``flat_dirichlet`` draws unit exponentials over their sum, numpy's
-Dirichlet bits while numpy's gamma(1) is its exponential (the manifest's
-numpy version pins it).
+Each family is one :class:`_Family` entry of the ``_FAMILIES`` registry;
+``FAMILY_TAGS`` lists them in order. :func:`_evaluate` is the one gate for
+family parameters, and every domain bounds its intervals and weights through
+:func:`_interval_gate` and :func:`_weights_gate`.
 """
 
 from __future__ import annotations
@@ -36,8 +20,8 @@ from .qstate import DensityMatrix, PureState, purify
 from .qstate import _trusted_dm, _trusted_pure
 
 PARAM_SUM_TOL = 1e-9
-#: How far a parameter may lie past an edge of its interval, or a weight below 0; it is then
-#: clamped onto the edge. ``_interval_gate`` and ``_weights_gate`` apply it to every family.
+#: How far a parameter or a curve abscissa may lie past an edge of its interval, or a weight
+#: below 0; it is then clamped onto the edge (``_interval_gate``, ``_weights_gate``).
 EDGE_TOL = 1e-12
 #: How far a positivity bound may be exceeded; the value is then projected onto the bound.
 POSITIVITY_TOL = 1e-9
@@ -68,30 +52,26 @@ def _finite(value) -> bool:
 # domains and builders
 
 
-def _interval_gate(value, key: str, hi: float = 1.0):
-    """The interval gate: ``value`` clamped to [0, hi] once it lies within
-    ``EDGE_TOL`` of it; else DomainError naming ``key``.
-
-    A numpy array holds a stack of values: all are checked in one comparison.
-    """
+def _interval_gate(value, key: str, hi: float = 1.0, lo: float = 0.0):
+    """The interval gate: ``value`` clamped to [lo, hi] once it lies within
+    ``EDGE_TOL`` of it, else DomainError naming ``key`` (NaN lies outside); a
+    numpy array holds a stack of values, all checked in one comparison."""
     if isinstance(value, np.ndarray):
-        inside = (value >= -EDGE_TOL) & (value <= hi + EDGE_TOL)
+        inside = (value >= lo - EDGE_TOL) & (value <= hi + EDGE_TOL)
         if not inside.all():
-            raise DomainError(f"parameter {key}={value[~inside][0]} outside [0, {hi}]")
-        return np.minimum(hi, np.maximum(0.0, value))
+            raise DomainError(f"parameter {key}={value[~inside][0]} outside [{lo:.16g}, {hi}]")
+        return np.minimum(hi, np.maximum(lo, value))
     value = float(value)
-    if not -EDGE_TOL <= value <= hi + EDGE_TOL:
-        raise DomainError(f"parameter {key}={value} outside [0, {hi}]")
-    return min(hi, max(0.0, value))
+    if not lo - EDGE_TOL <= value <= hi + EDGE_TOL:
+        raise DomainError(f"parameter {key}={value} outside [{lo:.16g}, {hi}]")
+    return min(hi, max(lo, value))
 
 
 def _weights_gate(weights: Sequence, what: str) -> tuple:
     """The weights gate: ``weights`` with each one below 0 clamped to 0, once
     none lies more than ``EDGE_TOL`` below 0 and they sum to 1 within
-    ``PARAM_SUM_TOL``; else DomainError naming ``what``.
-
-    Arrays of k values each are k states, checked at once.
-    """
+    ``PARAM_SUM_TOL``, else DomainError naming ``what``; arrays of k values
+    each are k states, checked at once."""
     if isinstance(weights[0], np.ndarray):
         ws = np.array(weights, dtype=float)
         negative, total = (ws < -EDGE_TOL).any(axis=0), sum(ws)
@@ -333,15 +313,9 @@ def _closed_canonical(l0: float, l1: float, l2: float, l3: float, l4: float, the
 
 
 def _closed_w_class(l0: float, l1: float, l2: float, l3: float, l4: float, theta: float) -> dict:
-    return {
-        "c12": 2.0 * l0 * l3,
-        "r12": 2.0 * l0 * l3,
-        "c13": 2.0 * l0 * l2,
-        "r13": 2.0 * l0 * l2,
-        "c23": 2.0 * l2 * l3,
-        "r23": 2.0 * l2 * l3,
-        "tau": 0.0,
-    }
+    """Each pair of a W-class state has r = c, and tau = 0."""
+    c12, c13, c23 = 2.0 * l0 * l3, 2.0 * l0 * l2, 2.0 * l2 * l3
+    return {"c12": c12, "r12": c12, "c13": c13, "r13": c13, "c23": c23, "r23": c23, "tau": 0.0}
 
 
 def _closed_m3ts_general(c12: float, c13: float) -> dict:
@@ -370,17 +344,9 @@ def _closed_ansatz2(alpha: float, beta: float, gamma: float) -> dict:
 
 
 def _closed_mems1_purification(c: float) -> dict:
+    """Pair (1, 2) is mems1; pairs (1, 3) and (2, 3) have r = c."""
     cross = math.sqrt(2.0 * c * (1.0 - c))
-    return {
-        "c12": c,
-        "r12": c,
-        "n12": nr_rank2_n_lower(c),
-        "c13": cross,
-        "r13": cross,
-        "c23": cross,
-        "r23": cross,
-        "tau": 0.0,
-    }
+    return {**_closed_mems1(c), "c13": cross, "r13": cross, "c23": cross, "r23": cross}
 
 
 def _closed_cq_state(p: float, bloch: np.ndarray) -> dict:
@@ -393,7 +359,14 @@ def _closed_cq_state(p: float, bloch: np.ndarray) -> dict:
 
 
 def flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k weights uniform on the simplex: ``rng.dirichlet(np.ones(k))``, written out."""
+    """k weights uniform on the simplex: ``rng.dirichlet(np.ones(k))``, written out.
+
+    k unit exponentials scaled by the reciprocal of their left-to-right sum,
+    which is what numpy's Dirichlet computes while it draws a gamma(1)
+    variate as its standard exponential, for a fraction of its cost. The
+    numpy version that the digest manifest records pins that, and
+    ``tests/test_families.py`` checks it bit for bit.
+    """
     e = rng.standard_exponential(k)
     acc = 0.0
     for x in e.tolist():
@@ -437,6 +410,13 @@ def _sample_m3ts_general(rng: np.random.Generator) -> dict:
 
 
 class _Family(NamedTuple):
+    """A family's domain, builder, closed form, in-domain sampler and parameter names.
+
+    A builder trusts its domain and returns the family's defining amplitude
+    vector or matrix, which :func:`make_state` wraps without validating it
+    again; :func:`state_stack` names the builders that broadcast.
+    """
+
     #: The parameter mapping -> the checked values that ``build`` and
     #: ``closed_form`` take as positional arguments; raises DomainError.
     domain: Callable[[Mapping], tuple]
@@ -505,14 +485,12 @@ def _family(tag: str) -> _Family:
 
 def _evaluate(role: str, tag: str, params: Mapping):
     """The family's builder or closed form ("build" / "closed_form") at the
-    values its domain makes of the parameters.
+    values its domain makes of the parameters: the one gate for them.
 
-    The one gate for family parameters: every key must be a parameter of the
-    family and every number finite, including each element of a Bloch vector
-    and both parts of a complex value. The domain then checks the values,
-    fills in defaults and projects a value within its slack of a positivity
-    bound onto the bound. Any problem with a parameter raises
-    :class:`DomainError`.
+    Every key must be a parameter of the family and every number finite, also
+    inside a Bloch vector or a complex value. The domain then checks the
+    values, fills in defaults and projects a value within its slack of a
+    positivity bound onto the bound. Any problem raises :class:`DomainError`.
     """
     family = _family(tag)
     for key, value in params.items():
@@ -532,11 +510,8 @@ def _evaluate(role: str, tag: str, params: Mapping):
 
 
 def make_state(family: str, **params) -> Union[DensityMatrix, PureState]:
-    """Construct the state of a named family.
-
-    Out-of-domain parameters raise :class:`DomainError` naming the violated
-    constraint.
-    """
+    """The state of a named family; a :class:`DomainError` names a parameter
+    outside the family's domain."""
     state = state_stack(family, **params)
     if state.shape == (8,):
         return _trusted_pure((2, 2, 2), state)
@@ -549,22 +524,18 @@ def state_stack(family: str, **params) -> np.ndarray:
     """The defining amplitude vector (three qubits) or density matrix (two
     qubits) of a family state, as a numpy array.
 
-    Given numpy arrays of k values for its parameters (a ``(k, 3)`` array
-    for a stack of Bloch vectors), a family whose builder broadcasts
-    (ansatz1, werner, mems1_purification, cq_state, bell_diagonal) returns
-    the ``(k, 8)`` or ``(k, 4, 4)`` stack of the k states, each row with the
-    bits :func:`make_state` gives it; the domain checks all the values at
-    once, and a ``DomainError`` names the first row outside it.
+    The builders of ansatz1, werner, mems1_purification, cq_state and
+    bell_diagonal broadcast: given arrays of k values (a ``(k, 3)`` array of
+    Bloch vectors), they return the stack of the k states, each row with the
+    bits :func:`make_state` gives it, and a ``DomainError`` names the first
+    row outside the domain.
     """
     return _evaluate("build", family, params)
 
 
 def closed_form_measures(family: str, **params) -> dict[str, float]:
-    """Analytically known measure values for a family, keyed by name.
-
-    Keys are a subset of {c12, n12, r12, tau, c13, r13, c23, r23}; only
-    values with a closed form for that family are present.
-    """
+    """Analytically known measure values for a family, keyed by name: those of
+    {c12, n12, r12, tau, c13, r13, c23, r23} with a closed form for it."""
     return _evaluate("closed_form", family, params)
 
 
@@ -580,13 +551,11 @@ _PAIRS_FIRST = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 def numeric_measures(family: str, **params) -> dict[str, float]:
     """The same measures computed numerically from the constructed state.
 
-    For three-qubit pure families this includes all pairwise values and the
-    tangle; for two-qubit families it is {c12, n12, r12}, plus tau when the
-    state has rank <= 2. Either way one stacked kernel call measures the
-    pairs, so each value has the bits of a batch of one of that pair. A pure
-    state is passed with its qubits permuted so that pair (a, b) is the (1, 2)
-    reduction of its parent, which gives the pair's concurrence from the
-    parent's amplitudes; tau is the unpermuted parent's.
+    All pairwise values and the tangle of a three-qubit pure family; {c12,
+    n12, r12} of a two-qubit family, plus tau when its rank is at most 2. One
+    kernel call measures the pairs, a pure state's as parents with their
+    qubits permuted so that pair (a, b) is (1, 2); tau is the unpermuted
+    parent's.
     """
     state = make_state(family, **params)
     if isinstance(state, PureState):  # every pure family is over (2, 2, 2)
@@ -694,14 +663,9 @@ def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float
     """Evaluate an analytic boundary curve on the given abscissae.
 
     Abscissae are the r12 values; ordinates are c12 or n12 depending on the
-    curve family. Out-of-domain and NaN abscissae raise :class:`DomainError`.
+    curve family. Each abscissa passes the interval gate: the curve is
+    evaluated at its clamped value, and the row keeps it as given.
     """
     lo, hi = curve_domain(curve)
-    fn = _CURVES[curve][0]
-    out = []
-    for x in grid:
-        x = float(x)
-        if not lo - EDGE_TOL <= x <= hi + EDGE_TOL:  # NaN fails too
-            raise DomainError(f"abscissa {x} outside domain [{lo}, {hi}] of {curve}")
-        out.append((x, fn(min(hi, max(lo, x)))))
-    return out
+    fn, key = _CURVES[curve][0], f"{curve} abscissa"
+    return [(x, fn(_interval_gate(x, key, hi, lo))) for x in map(float, grid)]

@@ -1,31 +1,9 @@
 """Correlation and entanglement measures for small quantum states.
 
-All measures are local-unitary invariant and clamp to [0, 1] only after
-asserting the raw value lies within ``CLAMP_TOL`` of that interval; a value
-further out indicates a bug upstream and raises instead of being hidden.
-
-The two-qubit measures have one implementation, the stacked kernel
-:func:`measure_stack`. It takes a ``(k, 4, 4)`` stack of states, or a
-``(k, 8)`` stack of three-qubit pure parents whose (1, 2) reductions it
-takes and measures, and runs each
-linear-algebra step once over the whole stack: one ``eigvalsh`` of the
-partial transposes, one determinant of the links and, for a stack without
-parents, one ``eigh`` for the ranks and the Wootters spectra and one overlap
-SVD. With parents, the ranks, the concurrences and the 3-tangles need no
-linear algebra: each is one elementwise pass over the amplitudes. The
-concurrence is that of the decomposition of the reduction into the parent's
-two branches (Wootters, PRL 80, 2245; Hughston, Jozsa and Wootters, PLA 183,
-14), and the 3-tangle is the Cayley hyperdeterminant. Every check (finite
-entries, Hermiticity, positivity, the clamp tolerance) still applies to each
-matrix and value, except that a parent's reduction is positive by
-construction and is not diagonalized; the scalar arithmetic that follows a
-step (|det|^(1/4), lambda_1 - lambda_2 - ...) runs per value, and the clamp
-passes a value already in (0, 1] through as it is. The scalar
-``concurrence``, ``negativity``, ``r12`` and ``three_tangle`` run the same
-steps on a stack of one, and numpy's stacked routines give each matrix the
-bits it gets alone, so a state measured by itself or inside a campaign chunk
-of any size gets identical values. The bits of the values taken from the
-parents follow numpy's SIMD-dispatched complex multiply.
+All measures are local-unitary invariant and clamp to [0, 1] through
+:func:`_clamp01`. The two-qubit measures have one implementation, the
+stacked kernel :func:`measure_stack`; the scalar ``concurrence``,
+``negativity``, ``r12`` and ``three_tangle`` run its steps on a stack of one.
 """
 
 from __future__ import annotations
@@ -58,9 +36,10 @@ _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 def _clamp01(values: list[float], what: str = "measure") -> list[float]:
     """Each value clamped into [0, 1], after checking it lies within ``CLAMP_TOL``.
 
-    A value in (0, 1] passes through as it is and +-0.0 gives 0.0, both what
-    ``min(1.0, max(0.0, value))`` gives; any other value takes the check. A
-    value further out (or not a number) raises ``ValueError``.
+    A value further out (or not a number) indicates a bug upstream and raises
+    ``ValueError`` instead of being hidden. A value in (0, 1] passes through
+    as it is and +-0.0 gives 0.0, both what ``min(1.0, max(0.0, value))``
+    gives; any other value takes the check.
     """
     return [v if 0.0 < v <= 1.0 else 0.0 if v == 0.0 else _clamp_edge(v, what) for v in values]
 
@@ -92,15 +71,13 @@ def measure_stack(states) -> StackMeasures:
     """Rank, concurrence, negativity, r12 and 3-tangle of a stack of two-qubit states.
 
     ``states`` is a ``(k, 4, 4)`` stack of two-qubit density matrices, or a
-    ``(k, 8)`` stack of three-qubit pure parents, measured through their
-    (1, 2) reductions, which the kernel takes itself; ``tau`` holds the
-    parents' 3-tangles, and is None for density matrices. ``n12`` and
-    ``r12`` are measured on the two-qubit states. ``rank`` and ``c12`` come
-    from their spectra and Wootters' 4x4 overlaps or, for parents, from the
-    parents' amplitudes (:func:`_parent_ranks_and_concurrences`), which give
-    a pure product reduction ``c12 = 0`` exactly. The two routes agree to
-    rounding, not bit for bit; a batch of one of either route gives a state
-    the bits it gets in a stack.
+    ``(k, 8)`` stack of three-qubit pure parents, measured through the (1, 2)
+    reductions the kernel takes itself; ``tau`` holds the parents' 3-tangles
+    (:func:`_tangles`), None for density matrices. Each linear-algebra step
+    runs once over the stack; rank and c12 come from :func:`_wootters` or,
+    for parents, :func:`_parent_ranks_and_concurrences`. Every check applies
+    to each matrix and value, and the scalar arithmetic after a step runs
+    per value, so each state gets the bits it gets alone.
     """
     states = np.asarray(states, dtype=complex)
     parents = states if states.ndim == 2 else None
@@ -199,8 +176,10 @@ def _parent_ranks_and_concurrences(parents: np.ndarray) -> tuple[list[int], list
     The rank counts the eigenvalues of the Gram matrix G = [phi_0 phi_1]^dagger
     [phi_0 phi_1] above ``RANK_EPS``; G has rho_12's nonzero spectrum,
     lambda_max = (g00 + g11 + hypot(g00 - g11, 2 |g01|)) / 2 and
-    lambda_min = det G / lambda_max. Every modulus is ``np.hypot``, as in
-    :func:`_tangles`.
+    lambda_min = det G / lambda_max. The reduction, positive by
+    construction, is never diagonalized. Both values agree with the ``eigh``
+    route of :func:`_wootters` to rounding, not bit for bit. Every modulus is
+    ``np.hypot``, as in :func:`_tangles`.
     """
     a000, a001, a010, a011, a100, a101, a110, a111 = parents.T
     overlap_a = 2.0 * (a000 * a110 - a010 * a100)
@@ -225,18 +204,12 @@ def _parent_ranks_and_concurrences(parents: np.ndarray) -> tuple[list[int], list
 
 
 def r12(rho: DensityMatrix) -> float:
-    """Determinant-based correlation measure of the realigned partial transpose.
+    """``d * |det(realign(pt2(rho)))| ** (1/d^2)`` for equal local dimensions d.
 
-    For equal local dimensions d the value is
-    ``d * |det(realign(pt2(rho)))| ** (1/d^2)``, which equals d times the
-    geometric mean of the link array's singular values. It vanishes on wide
-    classes of separable states and reaches 1 only on maximally entangled
-    ones.
-
-    The fourth root makes the measure quartically ill-conditioned at
-    det = 0: states whose exact value is 0 through a singular (but not
-    structurally zero) link evaluate to O(eps^(1/4)) ~ 1e-4 in double
-    precision.
+    It vanishes on wide classes of separable states and reaches 1 only on
+    maximally entangled ones. The fourth root makes it quartically
+    ill-conditioned at det = 0: states whose exact value is 0 through a
+    singular (but not structurally zero) link evaluate to O(eps^(1/4)) ~ 1e-4.
     """
     pt = partial_transpose(rho)  # a DimensionError for a state that is not bipartite
     d1, d2 = rho.dims
@@ -246,11 +219,8 @@ def r12(rho: DensityMatrix) -> float:
 
 
 def r12_via_singular_values(rho: DensityMatrix) -> float:
-    """r12 computed as d times the geometric mean of the link singular values.
-
-    Independent route from :func:`r12` (SVD instead of LU determinant); the
-    two agree to 1e-9 and both are exposed so the agreement stays testable.
-    """
+    """r12 as d times the geometric mean of the link singular values: an SVD
+    route independent of :func:`r12`'s LU determinant, which it matches to 1e-9."""
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionError(f"r12 requires equal local dimensions, got {rho.dims}")
     d = rho.dims[0]
@@ -283,12 +253,10 @@ def pure_concurrence(psi: PureState) -> float:
 
 
 def three_tangle(psi: PureState) -> float:
-    """3-tangle of a three-qubit pure state (Coffman, Kundu and Wootters).
+    """3-tangle of a three-qubit pure state, :func:`_tangles` of a stack of one.
 
-    4 |d1 - 2 d2 + 4 d3|, four times the modulus of the Cayley
-    hyperdeterminant of the amplitudes. It equals the residual tangle
-    4 det(rho_1) - c12^2 - c13^2 and is invariant under qubit permutations
-    and local unitaries.
+    It equals the residual tangle 4 det(rho_1) - c12^2 - c13^2 and is
+    invariant under qubit permutations and local unitaries.
     """
     if psi.dims != (2, 2, 2):
         raise DimensionError(f"three_tangle needs a (2, 2, 2) pure state, got {psi.dims}")

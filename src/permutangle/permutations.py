@@ -32,13 +32,12 @@ def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
 
 
 def partial_transpose(rho, subsystem: int = 2, dims: Sequence[int] | None = None) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite matrix.
+    """Transpose one tensor factor of a bipartite matrix, as a plain array.
 
     ``rho`` is a bipartite DensityMatrix, or a plain square array (or a
-    ``(k, D, D)`` stack of them) with the (d1, d2) split passed explicitly (so
-    the map composes with itself and with realignment). Returns a plain
-    array: on density matrices the result is Hermitian and trace-one but
-    generally not positive.
+    ``(k, D, D)`` stack of them) with the (d1, d2) split passed explicitly.
+    On density matrices the result is Hermitian and trace-one but generally
+    not positive.
     """
     if isinstance(rho, DensityMatrix):
         d1, d2 = _bipartite_dims(rho)
@@ -53,11 +52,8 @@ def partial_transpose(rho, subsystem: int = 2, dims: Sequence[int] | None = None
 
 
 def realign(m: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Realignment permutation of a square matrix (or a stack) over a (d1, d2) split.
-
-    Output has shape (d1^2, d2^2) per matrix; it is square iff d1 == d2, in
-    which case applying realign twice returns the input.
-    """
+    """Realignment permutation of a square matrix (or a stack) over a (d1, d2) split:
+    (d1^2, d2^2) per matrix, so realign twice returns the input when d1 == d2."""
     a, d1, d2 = _square_over(m, dims)
     lead = a.shape[:-2]
     t = a.reshape(lead + (d1, d2, d1, d2)).swapaxes(-3, -2)
@@ -83,11 +79,8 @@ def link_transform(rho: DensityMatrix) -> np.ndarray:
 
 
 def link_product(rho: DensityMatrix) -> np.ndarray:
-    """Positive link product L L^dagger with L = realign(pt2(rho)).
-
-    Requires equal local dimensions. The result is PSD with trace equal to
-    the purity tr(rho^2).
-    """
+    """Positive link product L L^dagger with L = realign(pt2(rho)), for equal
+    local dimensions: PSD, with trace equal to the purity tr(rho^2)."""
     d1, d2 = _bipartite_dims(rho)
     if d1 != d2:
         raise DimensionError(f"link product requires equal local dimensions, got {rho.dims}")

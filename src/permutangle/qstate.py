@@ -1,30 +1,18 @@
 """State containers, Haar sampling, partial trace, purification, perturbations.
 
-Conventions, fixed project-wide:
-
-* Subsystems are labeled from 1 (matching the measure subscripts r12, c12, ...).
-* Composite indices are row-major: the leftmost factor is the slowest index,
-  so for dims (2, 2, 2) basis state |i j k> sits at flat index 4i + 2j + k.
-* Randomness is always an explicit ``numpy.random.Generator``. Sample ``i``
-  of a campaign draws from the stream :func:`substream` gives ``(seed, i)``,
-  so it depends only on the seed and ``i``; :func:`substreams` gives each
-  index of a whole chunk its own generator of that stream, seeded from one
-  vectorized hash of the indices.
+Conventions, fixed project-wide: subsystems are labeled from 1 (matching the
+measure subscripts r12, c12, ...); composite indices are row-major, the
+leftmost factor slowest, so for dims (2, 2, 2) basis state |i j k> sits at
+flat index 4i + 2j + k; randomness is always an explicit
+``numpy.random.Generator``, the stream of ``(seed, i)`` for campaign sample
+``i`` (:func:`substream`, :func:`substreams`).
 
 The ``*_stack`` functions and :func:`haar_amplitudes` are the array forms of
-the scalar operations: they act on stacks with leading axes, the scalar
-functions call them on one state, and each row of a stack gets the bits the
-scalar function gives it alone.
-
-Constructing a container directly validates every invariant eagerly.
-Operations in this package that produce states satisfying the invariants by
-construction (partial traces, convex mixtures, normalized vectors, family
-builders) wrap their outputs without validating them again; every
-eigendecomposition of a state (``rank``, :func:`purify`, the measures'
-kernel) goes through :func:`eigh_psd`, which takes it from ``matkernel.eigh``
-and certifies positivity. Like every eigen-, singular-value and determinant
-call in the package, it reaches LAPACK only through ``matkernel``; the QR of
-:func:`haar_random_unitary` is the one LAPACK call made elsewhere.
+the scalar operations, and each row of a stack gets the bits the scalar
+function gives it alone. Constructing a container directly validates every
+invariant; the package's own operations, whose outputs satisfy them by
+construction, wrap their outputs unchecked. Every eigendecomposition of a
+state goes through :func:`eigh_psd`, which certifies positivity.
 """
 
 from __future__ import annotations
@@ -37,9 +25,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import matkernel
-from .errors import (DegenerateStateError, DimensionError, DomainError, HermiticityError,
-                     check_int, is_int)
-from .matkernel import HERMITICITY_TOL
+from .errors import (DegenerateStateError, DimensionError, DomainError, check_int, check_real,
+                     is_int)
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -60,10 +47,11 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-sample generator for (seed, stream-index).
 
     Identical arguments give a bit-identical stream regardless of host,
-    process, or how many samples precede it (the stream key is a hash of
-    seed and index). Both are non-negative ints (a ``DomainError`` otherwise).
+    process, or how many samples precede it. ``seed`` is a non-negative int
+    and ``index`` an int in [0, 2**32), as for :func:`substreams` (a
+    ``DomainError`` otherwise).
     """
-    seed, index = check_int(seed, "seed", 0), check_int(index, "stream index", 0)
+    seed, index = check_int(seed, "seed", 0), check_int(index, "stream index", 0, _WORD - 1)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
@@ -90,9 +78,7 @@ def substreams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generato
     ``SeedSequence(seed)`` hashed on with the one key word ``i``. That step and
     ``generate_state(4, uint64)`` run for all the indices at once on uint32
     arrays, which wrap as the hash requires; numpy then seeds each index's
-    own ``PCG64`` from its row. ``seed`` is a non-negative int and every
-    index an int in [0, 2**32), a spawn key of one word (a ``DomainError``
-    otherwise).
+    own ``PCG64`` from its row, so every index is a spawn key of one word.
     """
     seed = check_int(seed, "seed", 0)
     if not all(map(is_int, indices)):
@@ -177,17 +163,13 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix contains non-finite entries")
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if defect > HERMITICITY_TOL:
-            raise HermiticityError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL}")
+        w = matkernel.eig_hermitian(mat)  # finite entries, Hermiticity, size
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+        _check_psd(w)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
-        eigh_psd(mat)  # certifies positivity
 
     def rank(self) -> int:
         """Numerical rank: eigenvalue count above ``RANK_EPS``."""
@@ -199,16 +181,18 @@ class DensityMatrix:
 
 def eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvector columns of a Hermitian matrix or
-    of each matrix in a ``(k, D, D)`` stack, certifying positivity.
-
-    Raises ``ValueError`` when an eigenvalue lies below ``-PSD_TOL``.
-    """
+    of each matrix in a ``(k, D, D)`` stack, certified by :func:`_check_psd`."""
     w, v = matkernel.eigh(m)
+    _check_psd(w)
+    return w, v
+
+
+def _check_psd(w: np.ndarray) -> None:
+    """``ValueError`` when an ascending spectrum, or one of a stack, goes below ``-PSD_TOL``."""
     lowest = float(w[..., 0].min())
     if not lowest >= -PSD_TOL:
         where = "" if w.ndim == 1 else f" (matrix {int(w[..., 0].argmin())} of the stack)"
         raise ValueError(f"matrix has negative eigenvalue {lowest:.3e} beyond -{PSD_TOL}{where}")
-    return w, v
 
 
 def descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,11 +258,8 @@ def _keep_positions(dims: tuple[int, ...], keep: Sequence[int]) -> list[int]:
 
 
 def reduce(state: State, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace onto the subsystems in ``keep`` (1-based labels).
-
-    The order of ``keep`` is preserved in the output, so ``reduce(s, (2, 1))``
-    is the subsystem-swapped reduction of ``reduce(s, (1, 2))``.
-    """
+    """Partial trace onto the subsystems in ``keep`` (1-based labels), in that
+    order: ``reduce(s, (2, 1))`` is ``reduce(s, (1, 2))`` with its subsystems swapped."""
     dims = state.dims
     positions = _keep_positions(dims, keep)
     kept_dims = tuple(dims[p] for p in positions)
@@ -298,11 +279,8 @@ def reduce(state: State, keep: Sequence[int]) -> DensityMatrix:
 
 
 def reduce_pure_stack(amplitudes: np.ndarray, dims, keep: Sequence[int]) -> np.ndarray:
-    """Partial traces of a ``(k, D)`` stack of pure amplitude vectors over ``dims``.
-
-    Returns the ``(k, dk, dk)`` stack of reduced matrices onto ``keep``; each
-    has the bits :func:`reduce` gives for that row alone.
-    """
+    """The ``(k, dk, dk)`` partial traces onto ``keep`` of a ``(k, D)`` stack of
+    pure amplitude vectors over ``dims``, each with the bits :func:`reduce` gives."""
     dims = _check_dims(dims)
     return _pure_partial_trace(np.asarray(amplitudes), dims, _keep_positions(dims, keep))
 
@@ -318,12 +296,9 @@ def _pure_partial_trace(amplitudes: np.ndarray, dims: tuple[int, ...], positions
 
 
 def purify(rho: DensityMatrix) -> PureState:
-    """Canonical purification sum_i sqrt(p_i) |v_i>|i> over the spectral modes.
-
-    The ancilla dimension equals the numerical rank (eigenvalues above
-    ``RANK_EPS``); a rank-1 input is returned as its dominant eigenvector,
-    with no ancilla factor. Modes are taken in descending eigenvalue order.
-    """
+    """Canonical purification sum_i sqrt(p_i) |v_i>|i> over the spectral modes,
+    in descending eigenvalue order, with the numerical rank as the ancilla
+    dimension; a rank-1 input is its dominant eigenvector, with no ancilla."""
     w, v = descending(*eigh_psd(rho.matrix))
     r = max(1, int(np.count_nonzero(w > RANK_EPS)))
     if r == 1:
@@ -336,9 +311,7 @@ def mix(a: DensityMatrix, b: DensityMatrix, eps: float) -> DensityMatrix:
     """Normalized perturbation (a + eps*b) / (1 + eps)."""
     if a.dims != b.dims:
         raise DimensionError(f"dimension mismatch {a.dims} vs {b.dims}")
-    if not (math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    return _trusted_dm(a.dims, mix_stack(a.matrix, b.matrix, eps))
+    return _trusted_dm(a.dims, mix_stack(a.matrix, b.matrix, check_real(eps, "eps", 0.0)))
 
 
 def mix_stack(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -350,17 +323,14 @@ def perturb_pure(psi: PureState, psi_r: PureState, eps: float) -> PureState:
     """Normalized pure-state perturbation (psi + eps*psi_r) / ||psi + eps*psi_r||."""
     if psi.dims != psi_r.dims:
         raise DimensionError(f"dimension mismatch {psi.dims} vs {psi_r.dims}")
-    if not math.isfinite(eps):
-        raise DomainError(f"eps must be finite, got {eps}")
+    eps = check_real(eps, "eps")
     return _trusted_pure(psi.dims, perturb_pure_stack(psi.amplitudes, psi_r.amplitudes, eps))
 
 
 def perturb_pure_stack(psi: np.ndarray, psi_r: np.ndarray, eps: float) -> np.ndarray:
-    """:func:`perturb_pure` of stacked unit amplitude vectors, for a finite eps.
-
-    Raises ``DomainError`` when eps is so large that a norm overflows, and
-    ``DegenerateStateError`` when a perturbation cancels its state.
-    """
+    """:func:`perturb_pure` of stacked unit amplitude vectors, for a finite eps:
+    ``DomainError`` when a norm overflows, ``DegenerateStateError`` when a
+    perturbation cancels its state."""
     v = psi + eps * psi_r
     with np.errstate(over="ignore"):
         norms = _norms(v)

@@ -18,6 +18,10 @@ from permutangle import (
     Records,
     ViolationReport,
     figure_dataset,
+    haar_random_pure,
+    make_state,
+    mix,
+    perturb_pure,
     perturbation_campaign,
     read_records_csv,
     records_csv_bytes,
@@ -43,6 +47,27 @@ from permutangle.families import (
 
 def _rec(rank=2, c12=0.3, n12=0.3, r12=0.5, tau=None, family="test"):
     return MeasureRecord(rank=rank, c12=c12, n12=n12, r12=r12, tau=tau, family=family)
+
+
+_RHO = make_state("werner", p=0.5)
+_PSI = haar_random_pure((2, 2, 2), np.random.default_rng(5))
+#: each real parameter -> its call with the value under test
+_REAL_PARAMETERS = {
+    "perturbation_campaign epsilon": lambda v: perturbation_campaign("mems1_fig8", 2, 1, v),
+    "verify tol": lambda v: verify([_rec()], "prop1", tol=v),
+    "mix eps": lambda v: mix(_RHO, _RHO, v),
+    "perturb_pure eps": lambda v: perturb_pure(_PSI, _PSI, v),
+}
+
+
+@pytest.mark.parametrize("entry", _REAL_PARAMETERS)
+@pytest.mark.parametrize("value", [True, "0.5", 1j, math.nan, math.inf])
+def test_a_real_parameter_is_a_finite_int_or_float(entry, value):
+    """A bool, a string, a complex number and a non-finite value are each
+    rejected with a DomainError naming the parameter and the value."""
+    with pytest.raises(DomainError, match=entry.split()[-1]) as caught:
+        _REAL_PARAMETERS[entry](value)
+    assert repr(value) in str(caught.value)
 
 
 class TestCampaigns:
@@ -97,6 +122,11 @@ class TestCampaigns:
     def test_perturbation_rejects_non_finite_eps(self, eps):
         with pytest.raises(DomainError, match="epsilon"):
             perturbation_campaign("werner_fig5", 5, seed=0, epsilon=eps)
+
+    @pytest.mark.parametrize("eps", [np.int64(1), np.float32(0.5)])
+    def test_a_numpy_number_epsilon_acts_as_the_equal_float(self, eps):
+        want = records_csv_bytes(perturbation_campaign("mems1_fig8", 3, 1, float(eps)))
+        assert records_csv_bytes(perturbation_campaign("mems1_fig8", 3, 1, eps)) == want
 
     @pytest.mark.parametrize("seed", [-1, 2.0, "7", None, True, False])
     def test_campaigns_reject_a_seed_that_is_not_a_non_negative_int(self, seed):

@@ -408,8 +408,9 @@ class TestEdgeGates:
         assert {family for family, _ in _edge_pushes()} == set(FAMILY_TAGS)
 
     def test_edge_tol_is_read_only_by_the_gates(self):
-        """In families, EDGE_TOL is read by the interval and weights gates,
-        boundary_curve and m3ts_general's disc check, and nowhere else."""
+        """In families, EDGE_TOL is read by the interval and weights gates and
+        m3ts_general's disc check, and nowhere else; boundary_curve's abscissae
+        pass the interval gate."""
         tree = ast.parse(Path(families.__file__).read_text())
         readers = {
             getattr(statement, "name", f"line {node.lineno}")
@@ -418,8 +419,7 @@ class TestEdgeGates:
             if isinstance(node, ast.Name) and node.id == "EDGE_TOL"
             and isinstance(node.ctx, ast.Load)
         }
-        assert readers == {"_interval_gate", "_weights_gate", "boundary_curve",
-                           "_m3ts_general_domain"}
+        assert readers == {"_interval_gate", "_weights_gate", "_m3ts_general_domain"}
 
 
 class TestClosedFormAgreement:
@@ -558,6 +558,19 @@ class TestBoundaryCurves:
             boundary_curve("cr_rank4", [0.2])
         with pytest.raises(DomainError):
             boundary_curve("no_such_curve", [0.5])
+
+    @pytest.mark.parametrize("tag", CURVE_TAGS)
+    def test_an_abscissa_just_past_an_edge_is_clamped(self, tag):
+        """5e-13 past an edge (the rank-4 curves' lower edge is the witness knee)
+        the curve is evaluated on the edge and the row keeps the abscissa;
+        2e-12 past an edge is rejected."""
+        lo, hi = families.curve_domain(tag)
+        (_, at_lo), (_, at_hi) = boundary_curve(tag, [lo, hi])
+        assert boundary_curve(tag, [lo - _PAST, hi + _PAST]) == [(lo - _PAST, at_lo),
+                                                                 (hi + _PAST, at_hi)]
+        for x in (lo - 2e-12, hi + 2e-12):
+            with pytest.raises(DomainError, match="abscissa"):
+                boundary_curve(tag, [x])
 
     @pytest.mark.parametrize("tag", CURVE_TAGS)
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

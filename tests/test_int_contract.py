@@ -109,6 +109,18 @@ def test_a_numpy_integer_figure_id_is_a_json_int_in_the_meta_file(tmp_path):
     assert (meta["config"]["figure"], type(meta["config"]["figure"])) == (6, int)
 
 
+@pytest.mark.parametrize("index", [-1, 2**32])
+def test_both_stream_entry_points_reject_an_index_beyond_one_word(index):
+    with pytest.raises(DomainError):
+        substream(3, index)
+    with pytest.raises(DomainError):
+        next(substreams(3, [index]))
+
+
+def test_both_stream_entry_points_take_the_last_index_of_one_word():
+    assert substream(3, 2**32 - 1).random() == next(substreams(3, [2**32 - 1])).random()
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_a_unitary_dimension_below_one_is_rejected(dim):
     with pytest.raises(DimensionError, match=repr(dim)):

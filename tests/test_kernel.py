@@ -181,9 +181,13 @@ def test_build_record_rejects_a_parent_of_another_state():
     (1, 2) reduction."""
     psi = haar_random_pure((2, 2, 2), substream(41, 0))
     other = haar_random_pure((2, 2, 2), substream(41, 2))
-    for rho in (reduce(other, (1, 2)), reduce(psi, (1, 3)), reduce(psi, (2, 1))):
+    wide = haar_random_pure((2, 2, 3), substream(41, 1))
+    other_wide = haar_random_pure((2, 2, 3), substream(41, 3))
+    for rho, parent in ((reduce(other, (1, 2)), psi), (reduce(psi, (1, 3)), psi),
+                        (reduce(psi, (2, 1)), psi), (reduce(other_wide, (1, 2)), wide),
+                        (reduce(wide, (2, 1)), wide)):
         with pytest.raises(ValueError, match="reduction of the"):
-            build_record(rho, psi, "haar_2x2x2")
+            build_record(rho, parent, "haar")
 
 
 def _reference(rho: np.ndarray, parent=None) -> dict:

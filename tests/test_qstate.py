@@ -63,6 +63,25 @@ class TestContainers:
         with pytest.raises(ValueError):
             DensityMatrix((2, 2), m)
 
+    @pytest.mark.parametrize("dims, entries, error, message", [
+        ((2, 2), {(0, 0): math.nan}, ValueError, "matrix contains non-finite entries"),
+        ((2, 2), {(0, 1): 0.5}, HermiticityError, "Hermiticity defect 5.000e-01 exceeds 1e-10"),
+        ((2, 2), {(0, 0): 1.0}, ValueError, "trace (1.75+0j) deviates from 1 beyond 1e-10"),
+        ((2, 2), {(0, 0): 0.5, (1, 1): -0.25, (2, 2): 0.5},
+         ValueError, "matrix has negative eigenvalue -2.500e-01 beyond -1e-10"),
+        # the size check comes before the trace check: this matrix has trace 17/4
+        ((17,), {}, DimensionError, "dimension (17, 17) exceeds supported maximum 16"),
+    ], ids=["nan", "non-hermitian", "trace", "negative", "17x17"])
+    def test_density_matrix_errors(self, dims, entries, error, message):
+        """Each check's error type and message, on a multiple of the identity
+        with the given entries changed."""
+        m = np.eye(math.prod(dims), dtype=complex) / 4
+        for place, value in entries.items():
+            m[place] = value
+        with pytest.raises(error) as caught:
+            DensityMatrix(dims, m)
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
     def test_density_matrix_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
             DensityMatrix((2, 2), np.eye(2, dtype=complex) / 2)
