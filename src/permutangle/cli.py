@@ -130,20 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation-based correlation measures for small quantum states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    campaign = argparse.ArgumentParser(add_help=False)  # the flags of sample and perturb
+    output = argparse.ArgumentParser(add_help=False)  # the flags of measure, sample and perturb
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default: csv)")
+    output.add_argument("--out", default=None, help="write to this file instead of stdout")
+    campaign = argparse.ArgumentParser(add_help=False, parents=[output])  # sample and perturb
     campaign.add_argument("--n", type=int, required=True, help="sample count")
     campaign.add_argument("--seed", type=int, required=True,
                           help="campaign seed (mandatory; no wall-clock default)")
-    campaign.add_argument("--format", choices=("csv", "json"), default="csv",
-                          help="output format (default: csv)")
-    campaign.add_argument("--out", default=None, help="write to this file instead of stdout")
 
-    p = sub.add_parser("measure", help="closed-form vs numeric measures of a family state")
+    p = sub.add_parser("measure", help="closed-form vs numeric measures of a family state",
+                       parents=[output])
     p.add_argument("--family", required=True, choices=families.FAMILY_TAGS)
     p.add_argument("--params", default="", help=_PARAM_HELP)
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default: csv)")
-    p.add_argument("--out", default=None, help="write to this file instead of stdout")
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("sample", help="Haar scatter campaign", parents=[campaign])

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer and real checks of its parameters."""
+"""Exception types shared across the package, and its integer, real and name checks."""
 
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -35,6 +36,15 @@ def check_real(value, what: str, lo: float | None = None) -> float:
         span = "" if lo is None else f" of at least {lo}"
         raise DomainError(f"{what} must be a finite real number{span}, got {value!r}")
     return x
+
+
+def check_key(key, table: Mapping, what: str):
+    """``table[key]``; else, also for an unhashable ``key``, ``DomainError``
+    naming ``what``, ``key`` and the known keys."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown {what} {key!r}; known: {tuple(table)}") from None
 
 
 class DimensionError(ValueError):

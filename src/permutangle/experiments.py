@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 import numpy as np
 
 from . import families
-from .errors import DimensionError, DomainError, check_int, check_real, is_int
+from .errors import DimensionError, check_int, check_key, check_real, is_int
 from .measures import WITNESS_THRESHOLD, measure_stack
 from .qstate import (
     DensityMatrix,
@@ -280,10 +280,8 @@ def perturbation_campaign(
     * ``mems1_fig8``: pure-state perturbation of the rank-2 boundary
       purification; records carry the tangle of the perturbed parent.
     """
-    if kind not in _PERTURBATIONS:
-        raise DomainError(f"unknown perturbation kind {kind!r}; known: {PERTURBATION_KINDS}")
+    noise, states = check_key(kind, _PERTURBATIONS, "perturbation kind")
     epsilon = check_real(epsilon, "epsilon", 0.0)
-    noise, states = _PERTURBATIONS[kind]
 
     def build(draws: list) -> np.ndarray:
         base, noises = map(np.array, zip(*draws))
@@ -384,9 +382,7 @@ def verify(
     report lists up to ``MAX_OFFENDERS`` (index, margin) pairs of the worst
     offenders, NaN margins first (see :class:`ViolationReport`).
     """
-    if region not in _REGIONS:
-        raise DomainError(f"unknown region {region!r}; known: {REGION_TAGS}")
-    margin_fn, needs_tau = _REGIONS[region], region in _TAU_REGIONS
+    margin_fn, needs_tau = check_key(region, _REGIONS, "region"), region in _TAU_REGIONS
     if tol is None:
         tol = IDENTITY_TOL if needs_tau else VIOLATION_TOL
     tol = check_real(tol, "tol")
@@ -606,7 +602,7 @@ CURVE_POINTS = 512
 class _FigureSpec:
     scatter: Optional[tuple] = None  # ("haar", dims) | ("haar_pair", d1, d2) | ("perturb", kind)
     n: int = 10_000
-    curves: tuple[str, ...] = ()  # boundary curve tags, or "m3ts_tau"
+    curves: tuple[str, ...] = ()  # boundary curve tags
     regions: tuple[tuple[str, Optional[str]], ...] = ()  # (region, family filter)
 
 
@@ -668,15 +664,9 @@ FIGURE_IDS = tuple(_FIGURES)
 
 
 def curve_csv_bytes(tag: str, points: int) -> bytes:
-    """A boundary curve (or the m3ts tau curve) on ``points`` grid points as CSV."""
-    if tag == "m3ts_tau":
-        xs = np.linspace(0.0, 1.0, check_int(points, "grid points", 2))
-        rows = [(x, 1.0 - x * x) for x in xs]
-        header = "c12,tau"
-    else:
-        xs = families.curve_grid(tag, points)
-        rows = families.boundary_curve(tag, xs)
-        header = "r12,c12" if tag.startswith("cr_") else "r12,n12"
+    """A boundary curve on ``points`` grid points as CSV, under its header."""
+    header = families.curve_header(tag)
+    rows = families.boundary_curve(tag, families.curve_grid(tag, points))
     return "".join([header, "\n", *map("%.17g,%.17g\n".__mod__, rows)]).encode("utf-8")
 
 

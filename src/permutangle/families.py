@@ -14,7 +14,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_key
 from .measures import WITNESS_THRESHOLD, measure_stack, three_tangle
 from .qstate import DensityMatrix, PureState, purify
 from .qstate import _trusted_dm, _trusted_pure
@@ -113,10 +113,7 @@ def _bell_diagonal_domain(params) -> tuple:
 
 def _werner_domain(params) -> tuple[float, np.ndarray]:
     p = _interval_gate(params["p"], "p")
-    bell = str(params.get("bell", "phi+"))
-    if bell not in _WERNER_FIDUCIALS:
-        raise DomainError(f"werner fiducial must be 'phi+' or 'psi-', got {bell!r}")
-    return p, _WERNER_FIDUCIALS[bell]
+    return p, check_key(params.get("bell", "phi+"), _WERNER_FIDUCIALS, "werner fiducial")
 
 
 def _within(value: complex, bound: float, what: str) -> complex:
@@ -477,12 +474,6 @@ _FAMILIES: dict[str, _Family] = {
 FAMILY_TAGS = tuple(_FAMILIES)
 
 
-def _family(tag: str) -> _Family:
-    if tag not in _FAMILIES:
-        raise DomainError(f"unknown family {tag!r}; known: {FAMILY_TAGS}")
-    return _FAMILIES[tag]
-
-
 def _evaluate(role: str, tag: str, params: Mapping):
     """The family's builder or closed form ("build" / "closed_form") at the
     values its domain makes of the parameters: the one gate for them.
@@ -492,7 +483,7 @@ def _evaluate(role: str, tag: str, params: Mapping):
     values, fills in defaults and projects a value within its slack of a
     positivity bound onto the bound. Any problem raises :class:`DomainError`.
     """
-    family = _family(tag)
+    family = check_key(tag, _FAMILIES, "family")
     for key, value in params.items():
         if key not in family.params:
             raise DomainError(f"{tag!r} has no parameter {key!r}; known: {family.params}")
@@ -541,7 +532,7 @@ def closed_form_measures(family: str, **params) -> dict[str, float]:
 
 def sample_params(family: str, rng: np.random.Generator) -> dict:
     """Draw uniformly random in-domain parameters for a family."""
-    return _family(family).sample(rng)
+    return check_key(family, _FAMILIES, "family").sample(rng)
 
 
 #: Qubit orders that bring the pairs (1, 2), (1, 3) and (2, 3) to the front.
@@ -632,15 +623,18 @@ def _rank4_curve(x: float) -> float:
     return max(0.0, (3.0 * x ** (4.0 / 3.0) - 1.0) / 2.0)
 
 
-_CURVES: dict[str, tuple[Callable[[float], float], tuple[float, float]]] = {
-    "cr_rank2_upper": (lambda x: x, (0.0, 1.0)),
-    "cr_rank2_lower": (lambda x: x * x, (0.0, 1.0)),
-    "cr_rank3": (_rank3_curve(cr_rank3_r_bound), (0.0, 1.0)),
-    "cr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0)),
-    "nr_rank2_upper": (lambda x: x, (0.0, 1.0)),
-    "nr_rank2_lower": (nr_rank2_n_lower, (0.0, 1.0)),
-    "nr_rank3": (_rank3_curve(nr_rank3_r_bound), (0.0, 1.0)),
-    "nr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0)),
+#: curve tag -> (its ordinate at an abscissa, the abscissa domain, its CSV header)
+_CURVES: dict[str, tuple[Callable[[float], float], tuple[float, float], str]] = {
+    "cr_rank2_upper": (lambda x: x, (0.0, 1.0), "r12,c12"),
+    "cr_rank2_lower": (lambda x: x * x, (0.0, 1.0), "r12,c12"),
+    "cr_rank3": (_rank3_curve(cr_rank3_r_bound), (0.0, 1.0), "r12,c12"),
+    "cr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0), "r12,c12"),
+    "nr_rank2_upper": (lambda x: x, (0.0, 1.0), "r12,n12"),
+    "nr_rank2_lower": (nr_rank2_n_lower, (0.0, 1.0), "r12,n12"),
+    "nr_rank3": (_rank3_curve(nr_rank3_r_bound), (0.0, 1.0), "r12,n12"),
+    "nr_rank4": (_rank4_curve, (WITNESS_THRESHOLD, 1.0), "r12,n12"),
+    # fig 2: the largest 3-tangle at c12, reached by the maximally-3-tangled states
+    "m3ts_tau": (lambda x: 1.0 - x * x, (0.0, 1.0), "c12,tau"),
 }
 
 CURVE_TAGS = tuple(_CURVES)
@@ -648,9 +642,12 @@ CURVE_TAGS = tuple(_CURVES)
 
 def curve_domain(curve: str) -> tuple[float, float]:
     """Abscissa domain of a boundary curve."""
-    if curve not in _CURVES:
-        raise DomainError(f"unknown curve {curve!r}; known: {CURVE_TAGS}")
-    return _CURVES[curve][1]
+    return check_key(curve, _CURVES, "curve")[1]
+
+
+def curve_header(curve: str) -> str:
+    """The CSV header of a boundary curve: its abscissa's and its ordinate's names."""
+    return check_key(curve, _CURVES, "curve")[2]
 
 
 def curve_grid(curve: str, points: int) -> np.ndarray:
@@ -662,10 +659,10 @@ def curve_grid(curve: str, points: int) -> np.ndarray:
 def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float]]:
     """Evaluate an analytic boundary curve on the given abscissae.
 
-    Abscissae are the r12 values; ordinates are c12 or n12 depending on the
-    curve family. Each abscissa passes the interval gate: the curve is
-    evaluated at its clamped value, and the row keeps it as given.
+    :func:`curve_header` names the abscissa and the ordinate. Each abscissa
+    passes the interval gate: the curve is evaluated at its clamped value,
+    and the row keeps it as given.
     """
-    lo, hi = curve_domain(curve)
-    fn, key = _CURVES[curve][0], f"{curve} abscissa"
+    fn, (lo, hi), _ = check_key(curve, _CURVES, "curve")
+    key = f"{curve} abscissa"
     return [(x, fn(_interval_gate(x, key, hi, lo))) for x in map(float, grid)]

@@ -81,11 +81,14 @@ def substreams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generato
     own ``PCG64`` from its row, so every index is a spawn key of one word.
     """
     seed = check_int(seed, "seed", 0)
-    if not all(map(is_int, indices)):
-        raise DomainError(f"stream indices must be ints, got {indices!r}")
-    indices = np.asarray(indices, dtype=np.int64)
-    if not ((indices >= 0) & (indices < _WORD)).all():
-        raise DomainError("stream indices must lie in [0, 2**32)")
+    try:
+        keys = np.asarray(indices, dtype=np.int64) if all(map(is_int, indices)) else None
+    except OverflowError:  # an index past int64
+        keys = None
+    if keys is None or not ((keys >= 0) & (keys < _WORD)).all():
+        for index in indices:  # the first bad index raises
+            check_int(index, "stream index", 0, _WORD - 1)
+    indices = keys
     # the pool took 4 hashes per entropy word, the seed's words padded to 4
     words = -(-seed.bit_length() // 32)
     const = _hash_constants(_INIT_A, _MULT_A, 4 * max(4, words), 5)

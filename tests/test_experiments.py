@@ -568,8 +568,7 @@ class TestFigureCurveCache:
             for tag, path in curves.items():
                 assert path.name == f"fig{fig_id}_curve_{tag}.csv"
                 assert path.read_bytes() == curve_csv_bytes(tag, CURVE_POINTS)
-                if tag in CURVE_TAGS:  # m3ts_tau is no curve id of the CLI
-                    assert path.read_bytes() == _cli_curve_bytes(tag, tmp_path)
+                assert path.read_bytes() == _cli_curve_bytes(tag, tmp_path)
 
     def test_each_curve_is_computed_once(self, tmp_path, monkeypatch):
         calls = []
@@ -649,7 +648,7 @@ class TestWritersMatchReferences:
         assert records_to_json(records) == _reference_json(records)
         assert records_to_json(iter(records)) == _reference_json(records)
 
-    @pytest.mark.parametrize("tag", [*CURVE_TAGS, "m3ts_tau"])
+    @pytest.mark.parametrize("tag", CURVE_TAGS)
     @pytest.mark.parametrize("points", [2, 512])
     def test_curves(self, tag, points):
         if tag == "m3ts_tau":

@@ -174,7 +174,7 @@ class TestDomainValidation:
             ("cq_state", dict(p=0.5, a=(2.0, 0.0, 0.0)), "outside the unit ball"),
             ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w=0.9), r"sqrt\(a\*d\) >= \|w\|"),
             ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, z=0.9), r"sqrt\(b\*c\) >= \|z\|"),
-            ("werner", dict(p=0.5, bell="xyz"), "fiducial must be"),
+            ("werner", dict(p=0.5, bell="xyz"), "unknown werner fiducial .xyz."),
             ("cq_state", dict(p=0.5, a=(0.0, 0.0)), "wrong kind"),
             ("cq_state", dict(p=0.5, a="abc"), "wrong kind"),
             ("werner", dict(p="abc"), "wrong kind"),

@@ -109,11 +109,11 @@ def test_a_numpy_integer_figure_id_is_a_json_int_in_the_meta_file(tmp_path):
     assert (meta["config"]["figure"], type(meta["config"]["figure"])) == (6, int)
 
 
-@pytest.mark.parametrize("index", [-1, 2**32])
+@pytest.mark.parametrize("index", [-1, 2**32, 2**64])
 def test_both_stream_entry_points_reject_an_index_beyond_one_word(index):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=repr(index)):
         substream(3, index)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=repr(index)):
         next(substreams(3, [index]))
 
 
