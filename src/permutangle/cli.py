@@ -100,7 +100,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    _emit(experiments.curve_csv_bytes(args.id, args.points), args.out)
+    _emit(families.curve_csv_bytes(args.id, args.points), args.out)
     return 0
 
 
@@ -130,10 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation-based correlation measures for small quantum states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)  # the flags of measure, sample and perturb
+    out = argparse.ArgumentParser(add_help=False)  # the commands that write one file
+    out.add_argument("--out", default=None, help="write to this file instead of stdout")
+    output = argparse.ArgumentParser(add_help=False, parents=[out])  # measure, sample, perturb
     output.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
-    output.add_argument("--out", default=None, help="write to this file instead of stdout")
     campaign = argparse.ArgumentParser(add_help=False, parents=[output])  # sample and perturb
     campaign.add_argument("--n", type=int, required=True, help="sample count")
     campaign.add_argument("--seed", type=int, required=True,
@@ -149,11 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="factor dimensions, e.g. 2,2,3")
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("curve", help="analytic boundary curve")
+    p = sub.add_parser("curve", help="analytic boundary curve", parents=[out])
     p.add_argument("--id", required=True, choices=families.CURVE_TAGS)
-    p.add_argument("--points", type=int, default=experiments.CURVE_POINTS,
-                   help=f"grid size (default: {experiments.CURVE_POINTS})")
-    p.add_argument("--out", default=None, help="write to this file instead of stdout")
+    p.add_argument("--points", type=int, default=families.CURVE_POINTS,
+                   help=f"grid size (default: {families.CURVE_POINTS})")
     p.set_defaults(fn=_cmd_curve)
 
     p = sub.add_parser("perturb", help="perturbed boundary-family campaign", parents=[campaign])

@@ -27,11 +27,13 @@ def check_real(value, what: str, lo: float | None = None) -> float:
     """``value`` as a Python float, once it is an int, a float or a numpy integer
     or float (a bool, a string or a complex number is not), finite and at least
     ``lo`` (no lower end for ``lo=None``); else ``DomainError`` naming ``what``."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    try:
-        x = float(value) if real else math.nan
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
+    x = value
+    if type(x) is not float:  # an exact float, the common case, takes one type test
+        real = type(x) is not bool and isinstance(x, (float, int, np.floating, np.integer))
+        try:
+            x = float(value) if real else math.nan
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
     if not (math.isfinite(x) and (lo is None or x >= lo)):
         span = "" if lo is None else f" of at least {lo}"
         raise DomainError(f"{what} must be a finite real number{span}, got {value!r}")

@@ -432,14 +432,27 @@ def format_float(value: Optional[float]) -> str:
     return format(float(value), ".17g")
 
 
-def _each(parse: Callable[[str], Any]) -> Callable[[Sequence[str]], list]:
-    """A CSV column's parser: ``parse`` of each text."""
-    return lambda column: list(map(parse, column))
+#: Besides non-ASCII digits and spaces, what ``int`` and ``float`` read but the writers never write.
+_NEVER_WRITTEN = ("_", " ", "\t", "\n", "\v", "\f", "\r")
+
+
+def _plain(column: Sequence[str]) -> Sequence[str]:
+    """``column``, once its joined text is ASCII and holds none of ``_NEVER_WRITTEN``
+    (on a failure :func:`_parse_column` tries each text alone and names the record)."""
+    text = "".join(column)
+    if not text.isascii() or any(c in text for c in _NEVER_WRITTEN):
+        raise ValueError(f"{text!r} holds whitespace, '_' or a non-ASCII character")
+    return column
+
+
+def _numbers(parse: Callable[[str], Any]) -> Callable[[Sequence[str]], list]:
+    """A CSV column's parser of numbers: ``parse`` of each of its :func:`_plain` texts."""
+    return lambda column: list(map(parse, _plain(column)))
 
 
 def _optional_floats(column: Sequence[str]) -> list[Optional[float]]:
     """A CSV column's parser of optional floats: an empty text is None."""
-    if "" not in column:
+    if "" not in _plain(column):
         return list(map(float, column))
     return [float(text) if text else None for text in column]
 
@@ -462,8 +475,8 @@ def _of_types(*types: type) -> Callable[[Sequence], Sequence]:
 #: parser of its CSV texts, the check of its JSON values). ``%.17g`` spells a
 #: float (or an int) as :func:`format_float` does.
 _KINDS = {
-    int: ("%d", _each(int), _of_types(int)),
-    float: ("%.17g", _each(float), _of_types(int, float)),
+    int: ("%d", _numbers(int), _of_types(int)),
+    float: ("%.17g", _numbers(float), _of_types(int, float)),
     Optional[float]: ("%.17g", _optional_floats, _of_types(int, float, type(None))),
     str: ("%s", list, _of_types(str)),
 }
@@ -595,8 +608,6 @@ def records_from_json(text: str) -> Records:
 # --------------------------------------------------------------------------
 # figure datasets
 
-CURVE_POINTS = 512
-
 
 @dataclass(frozen=True)
 class _FigureSpec:
@@ -663,28 +674,10 @@ _FIGURES: dict[int, _FigureSpec] = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def curve_csv_bytes(tag: str, points: int) -> bytes:
-    """A boundary curve on ``points`` grid points as CSV, under its header."""
-    header = families.curve_header(tag)
-    rows = families.boundary_curve(tag, families.curve_grid(tag, points))
-    return "".join([header, "\n", *map("%.17g,%.17g\n".__mod__, rows)]).encode("utf-8")
-
-
-@functools.cache
-def _figure_curve_bytes(tag: str, points: int) -> bytes:
-    """:func:`curve_csv_bytes` of a figure's curve, computed once per process per tag.
-
-    Only :func:`figure_dataset` calls it, with ``CURVE_POINTS``, so no key is
-    a float or bool that hashes as that int; :func:`curve_csv_bytes` stays
-    uncached and checks ``points`` on every call.
-    """
-    return curve_csv_bytes(tag, points)
-
-
 def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0) -> dict[str, Path]:
     """Write ``fig<k>_scatter.csv`` (when the figure has a scatter),
-    ``fig<k>_curve_<tag>.csv`` (the bytes of ``permutangle curve --id <tag>``,
-    once per process: :func:`_figure_curve_bytes`) and ``fig<k>_meta.json``,
+    ``fig<k>_curve_<tag>.csv`` (the bytes of ``permutangle curve --id <tag>``:
+    :func:`families.curve_csv_bytes`) and ``fig<k>_meta.json``,
     the configuration and region-violation summaries, for one figure.
     """
     fig_id = check_int(fig_id, "figure id", FIGURE_IDS[0], FIGURE_IDS[-1])
@@ -697,7 +690,7 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
     written: dict[str, Path] = {}
 
     records = Records()
-    config: dict = {"figure": fig_id, "seed": seed, "curve_points": CURVE_POINTS}
+    config: dict = {"figure": fig_id, "seed": seed, "curve_points": families.CURVE_POINTS}
     if fig.scatter is not None:
         count = fig.n if n is None else n
         config["n"] = count
@@ -720,7 +713,7 @@ def figure_dataset(fig_id: int, out_dir, n: Optional[int] = None, seed: int = 0)
 
     for tag in fig.curves:
         path = out_dir / f"fig{fig_id}_curve_{tag}.csv"
-        path.write_bytes(_figure_curve_bytes(tag, CURVE_POINTS))
+        path.write_bytes(families.curve_csv_bytes(tag, families.CURVE_POINTS))
         written[f"curve_{tag}"] = path
 
     reports = []

@@ -9,12 +9,13 @@ family parameters, and every domain bounds its intervals and weights through
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_key
+from .errors import DomainError, check_int, check_key, check_real
 from .measures import WITNESS_THRESHOLD, measure_stack, three_tangle
 from .qstate import DensityMatrix, PureState, purify
 from .qstate import _trusted_dm, _trusted_pure
@@ -53,25 +54,25 @@ def _finite(value) -> bool:
 
 
 def _interval_gate(value, key: str, hi: float = 1.0, lo: float = 0.0):
-    """The interval gate: ``value`` clamped to [lo, hi] once it lies within
-    ``EDGE_TOL`` of it, else DomainError naming ``key`` (NaN lies outside); a
-    numpy array holds a stack of values, all checked in one comparison."""
+    """The interval gate: ``value`` (by :func:`check_real`) clamped to [lo, hi] once
+    it lies within ``EDGE_TOL`` of it, else DomainError naming ``key``; a numpy
+    array holds a stack of values, all checked in one comparison."""
     if isinstance(value, np.ndarray):
         inside = (value >= lo - EDGE_TOL) & (value <= hi + EDGE_TOL)
         if not inside.all():
             raise DomainError(f"parameter {key}={value[~inside][0]} outside [{lo:.16g}, {hi}]")
         return np.minimum(hi, np.maximum(lo, value))
-    value = float(value)
+    value = check_real(value, key)
     if not lo - EDGE_TOL <= value <= hi + EDGE_TOL:
         raise DomainError(f"parameter {key}={value} outside [{lo:.16g}, {hi}]")
     return min(hi, max(lo, value))
 
 
 def _weights_gate(weights: Sequence, what: str) -> tuple:
-    """The weights gate: ``weights`` with each one below 0 clamped to 0, once
-    none lies more than ``EDGE_TOL`` below 0 and they sum to 1 within
-    ``PARAM_SUM_TOL``, else DomainError naming ``what``; arrays of k values
-    each are k states, checked at once."""
+    """The weights gate: ``weights``, real numbers by :func:`check_real`, with
+    each one below 0 clamped to 0, once none lies more than ``EDGE_TOL`` below
+    0 and they sum to 1 within ``PARAM_SUM_TOL``, else DomainError naming
+    ``what``; arrays of k values each are k states, checked at once."""
     if isinstance(weights[0], np.ndarray):
         ws = np.array(weights, dtype=float)
         negative, total = (ws < -EDGE_TOL).any(axis=0), sum(ws)
@@ -81,7 +82,8 @@ def _weights_gate(weights: Sequence, what: str) -> tuple:
         if off.any():
             raise DomainError(f"{what} must sum to 1, got sum {_first(total, off)!r}")
         return tuple(np.maximum(0.0, ws))
-    ws = tuple(map(float, weights))
+    each = f"each of the {what}"
+    ws = tuple([check_real(w, each) for w in weights])
     if (low := min(ws)) < -EDGE_TOL:
         raise DomainError(f"{what} must be nonnegative, got {ws}")
     if abs((total := sum(ws)) - 1.0) > PARAM_SUM_TOL:
@@ -125,8 +127,7 @@ def _within(value: complex, bound: float, what: str) -> complex:
 
 
 def _x_state_domain(params) -> tuple:
-    diagonal = [float(params[k]) for k in ("a", "b", "c", "d")]
-    a, b, c, d = _weights_gate(diagonal, "x_state diagonal entries (a, b, c, d)")
+    a, b, c, d = _weights_gate([params[k] for k in "abcd"], "x_state diagonal entries (a, b, c, d)")
     w, z = complex(params.get("w", 0.0)), complex(params.get("z", 0.0))
     w = _within(w, math.sqrt(a * d), "sqrt(a*d) >= |w|")
     z = _within(z, math.sqrt(b * c), "sqrt(b*c) >= |z|")
@@ -140,7 +141,7 @@ def _canonical_domain(params, lambda4_hi: float = 1.0) -> tuple[float, ...]:
     lambda lies in [0, 1] (lambda4 in [0, lambda4_hi]) and theta in [0, pi]."""
     his = (1.0, 1.0, 1.0, 1.0, lambda4_hi, math.pi)
     values = tuple(
-        _interval_gate(float(params.get(k, 0.0)), k, hi) for k, hi in zip(_CANONICAL, his))
+        _interval_gate(params.get(k, 0.0), k, hi) for k, hi in zip(_CANONICAL, his))
     norm2 = sum(l * l for l in values[:5])
     if abs(norm2 - 1.0) > CANONICAL_NORM_TOL:
         raise DomainError(f"canonical amplitudes must satisfy sum lambda^2 = 1, got {norm2!r}")
@@ -157,10 +158,10 @@ def _m3ts_general_domain(params) -> tuple[float, float]:
 
 def _ansatz2_domain(params) -> tuple[float, float, float]:
     if "beta" in params:
-        alpha, beta = float(params["alpha"]), float(params["beta"])
+        alpha, beta = check_real(params["alpha"], "alpha"), check_real(params["beta"], "beta")
         return _weights_gate((alpha, beta, 1.0 - alpha - beta),
                              "ansatz2 weights (alpha, beta, 1-alpha-beta)")
-    alpha = _interval_gate(float(params["alpha"]), "alpha", 1.0 / 3.0)
+    alpha = _interval_gate(params["alpha"], "alpha", 1.0 / 3.0)
     root = math.sqrt((1.0 - alpha) * (1.0 - 3.0 * alpha))
     beta = 0.5 * (1.0 - alpha + root)
     gamma = 0.5 * (1.0 - alpha - root)
@@ -598,11 +599,9 @@ def nr_rank2_n_lower(r: float) -> float:
 
 
 def _invert_increasing(f: Callable[[float], float], y: float) -> float:
-    """Solve f(x) = y for increasing f on [0, 1] by bisection: the midpoint of
-    the adjacent floats lo < hi with f(lo) < y <= f(hi)."""
+    """Solve f(x) = y for increasing f on [0, 1] and y > f(0) by bisection: the
+    midpoint of the adjacent floats lo < hi with f(lo) < y <= f(hi)."""
     lo, hi = 0.0, 1.0
-    if y <= f(lo):
-        return lo
     if y >= f(hi):
         return hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -615,7 +614,7 @@ def _invert_increasing(f: Callable[[float], float], y: float) -> float:
 
 def _rank3_curve(r_bound: Callable[[float], float]) -> Callable[[float], float]:
     """The rank-3 boundary at r12 = x: 0 up to the witness knee, then the
-    inverse of ``r_bound``."""
+    inverse of ``r_bound`` (both bounds are 0 at 0)."""
     return lambda x: 0.0 if x <= WITNESS_THRESHOLD else _invert_increasing(r_bound, x)
 
 
@@ -638,31 +637,35 @@ _CURVES: dict[str, tuple[Callable[[float], float], tuple[float, float], str]] = 
 }
 
 CURVE_TAGS = tuple(_CURVES)
-
-
-def curve_domain(curve: str) -> tuple[float, float]:
-    """Abscissa domain of a boundary curve."""
-    return check_key(curve, _CURVES, "curve")[1]
-
-
-def curve_header(curve: str) -> str:
-    """The CSV header of a boundary curve: its abscissa's and its ordinate's names."""
-    return check_key(curve, _CURVES, "curve")[2]
+CURVE_POINTS = 512
 
 
 def curve_grid(curve: str, points: int) -> np.ndarray:
     """``points`` (an int of at least 2) evenly spaced abscissae covering the curve's domain."""
-    lo, hi = curve_domain(curve)
+    lo, hi = check_key(curve, _CURVES, "curve")[1]
     return np.linspace(lo, hi, check_int(points, "grid points", 2))
 
 
 def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float]]:
     """Evaluate an analytic boundary curve on the given abscissae.
 
-    :func:`curve_header` names the abscissa and the ordinate. Each abscissa
-    passes the interval gate: the curve is evaluated at its clamped value,
-    and the row keeps it as given.
+    Each abscissa passes :func:`check_real` and the interval gate: the curve
+    is evaluated at its clamped value, and the row keeps it as a float.
     """
     fn, (lo, hi), _ = check_key(curve, _CURVES, "curve")
     key = f"{curve} abscissa"
-    return [(x, fn(_interval_gate(x, key, hi, lo))) for x in map(float, grid)]
+    xs = [check_real(x, key) for x in grid]
+    return [(x, fn(_interval_gate(x, key, hi, lo))) for x in xs]
+
+
+def curve_csv_bytes(curve: str, points: int) -> bytes:
+    """A boundary curve on ``points`` (an int of at least 2) grid points as CSV under its
+    header; both are checked on each call, and each (curve, points) rendered once per process."""
+    check_key(curve, _CURVES, "curve")
+    return _curve_csv(curve, check_int(points, "grid points", 2))
+
+
+@functools.cache
+def _curve_csv(curve: str, points: int) -> bytes:
+    rows = boundary_curve(curve, curve_grid(curve, points))
+    return "".join([_CURVES[curve][2], "\n", *map("%.17g,%.17g\n".__mod__, rows)]).encode("utf-8")

@@ -33,6 +33,7 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 RANK_EPS = 1e-12
 ORTHONORMALITY_TOL = 1e-10
+CANCELLED_NORM_TOL = 1e-12
 
 
 #: numpy's ``SeedSequence`` hash constants. NEP 19 keeps the algorithm fixed,
@@ -339,7 +340,7 @@ def perturb_pure_stack(psi: np.ndarray, psi_r: np.ndarray, eps: float) -> np.nda
         norms = _norms(v)
     if not np.isfinite(norms).all():
         raise DomainError(f"eps={eps} makes the norm of psi + eps*psi_r overflow")
-    if (norms < 1e-12).any():
+    if (norms < CANCELLED_NORM_TOL).any():
         raise DegenerateStateError("perturbation cancelled the state to zero norm")
     return v / norms[..., None]
 

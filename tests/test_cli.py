@@ -3,6 +3,8 @@ import io
 import json
 import math
 import re
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +61,7 @@ class TestMeasureCommand:
             ("canonical3", "lambda0=nan,lambda3=1", "lambda0=nan is not finite"),
             ("cq_state", "p=0.5,a=nan:0:0", "a=.* is not finite"),
             ("werner", "p=0.5,bel=psi-", "no parameter 'bel'"),
-            ("werner", "p=0:0:1", "wrong kind"),
+            ("werner", "p=0:0:1", "p must be a finite real number"),
         ],
     )
     def test_invalid_params_name_the_key_and_exit_2(self, capsys, family, params, message):
@@ -167,6 +169,12 @@ class TestSampleCommand:
     def test_bad_dims_exit_2(self, capsys):
         code, _, _ = _run(capsys, "sample", "--dims", "2,5", "--n", "5", "--seed", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("dims", ["2,x", "2,,2", "2.0,2"])
+    def test_dims_that_are_not_ints_exit_2_naming_them(self, capsys, dims):
+        code, out, err = _run(capsys, "sample", "--dims", dims, "--n", "5", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert f"bad dims {dims!r}; expected e.g. 2,2,3" in err, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -352,3 +360,20 @@ class TestUsage:
     def test_workers_flag_is_gone(self, capsys):
         argv = ("sample", "--dims", "2,2,2", "--n", "10", "--seed", "1", "--workers", "2")
         assert _run(capsys, *argv)[0] == 2
+
+    def test_python_dash_m_prints_the_usage(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["permutangle", "--help"])
+        with pytest.raises(SystemExit) as caught:
+            runpy.run_module("permutangle", run_name="__main__")
+        assert caught.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: permutangle ")
+        assert all(command in out for command in
+                   ("measure", "sample", "curve", "perturb", "figure", "verify"))
+
+    @pytest.mark.parametrize("command", ["measure", "sample", "curve", "perturb"])
+    def test_file_commands_take_one_out_flag(self, capsys, command):
+        code, out, _ = _run(capsys, command, "--help")
+        assert code == 0
+        assert out.count("--out OUT") == 2  # the usage line and the option list
+        assert re.search(r"\n  --out OUT +write to this file instead of stdout\n", out), out

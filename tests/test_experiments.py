@@ -32,12 +32,14 @@ from permutangle import (
     verify,
     write_records_csv,
 )
-from permutangle import experiments, families
+from permutangle import families
 from permutangle.cli import run
-from permutangle.experiments import CURVE_POINTS, FIGURE_IDS, curve_csv_bytes
+from permutangle.experiments import FIGURE_IDS
 from permutangle.families import (
+    CURVE_POINTS,
     boundary_curve,
     cr_rank3_r_bound,
+    curve_csv_bytes,
     curve_grid,
     nr_rank2_n_lower,
     nr_rank3_r_bound,
@@ -61,7 +63,8 @@ _REAL_PARAMETERS = {
 
 
 @pytest.mark.parametrize("entry", _REAL_PARAMETERS)
-@pytest.mark.parametrize("value", [True, "0.5", 1j, math.nan, math.inf])
+@pytest.mark.parametrize("value", [True, "0.5", 1j, math.nan, math.inf,
+                                   pytest.param(10**400, id="10**400")])
 def test_a_real_parameter_is_a_finite_int_or_float(entry, value):
     """A bool, a string, a complex number and a non-finite value are each
     rejected with a DomainError naming the parameter and the value."""
@@ -411,6 +414,38 @@ class TestSerialization:
             with pytest.raises(ValueError, match="record 1"):
                 read_records_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("spell", [
+        lambda text: text[:-1] + "_" + text[-1],
+        lambda text: f" {text} ",
+        lambda text: f"{text}\t",
+        lambda text: text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    ], ids=["underscore", "spaces", "tab", "arabic-indic"])
+    @pytest.mark.parametrize("field", ["index", "rank", "c12", "n12", "r12", "tau"])
+    def test_csv_reader_rejects_number_text_the_writers_never_write(self, field, spell):
+        """int() and float() would read each spelling as the value the writer spells."""
+        recs = [_rec(), _rec(rank=12, c12=0.15, n12=0.25, r12=0.75, tau=0.35)]
+        lines = records_csv_bytes(recs).decode().splitlines()
+        cells = lines[2].split(",")
+        column = _FIELDS.index(field)
+        cells[column] = spell(cells[column] if field != "index" else "01")
+        lines[2] = ",".join(cells)
+        with pytest.raises(ValueError, match=f"^record 1: {field}: "):
+            read_records_csv(io.StringIO("\n".join(lines)))
+
+    def test_verify_exits_2_on_number_text_the_writers_never_write(self, tmp_path, capsys):
+        text = records_csv_bytes([_rec(), _rec(tau=0.5)]).decode()
+        text = text.replace(",0.5,test", ", 0.5 ,test")
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        assert run(["verify", "--region", "cr_rank2", "--input", str(path)]) == 2
+        assert "record 1: tau: ' 0.5 '" in capsys.readouterr().err
+
+    def test_csv_reader_takes_the_signs_of_exponents(self):
+        recs = [_rec(c12=1e300, n12=-1e-300, r12=-math.inf, tau=math.nan)]
+        text = records_csv_bytes(recs).decode()
+        assert "1e+300" in text
+        assert records_csv_bytes(read_records_csv(io.StringIO(text))) == text.encode()
+
     def test_tau_is_none_only_when_empty_or_null(self):
         recs = [_rec(tau=0.0), _rec(tau=None)]
         for back in (read_records_csv(io.StringIO(records_csv_bytes(recs).decode())),
@@ -555,11 +590,11 @@ def _cli_curve_bytes(tag, tmp_path) -> bytes:
 
 class TestFigureCurveCache:
     """A figure's curve files are computed once per process per tag and hold
-    the bytes the uncached :func:`curve_csv_bytes` and the CLI give."""
+    the bytes :func:`curve_csv_bytes` and the CLI give."""
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_curve_files_equal_the_uncached_curves_cold_and_warm(self, fig_id, tmp_path):
-        experiments._figure_curve_bytes.cache_clear()
+        families._curve_csv.cache_clear()
         for state in ("cold", "warm"):
             written = figure_dataset(fig_id, tmp_path / state, n=1, seed=2)
             curves = {key[len("curve_"):]: path for key, path in written.items()
@@ -578,7 +613,7 @@ class TestFigureCurveCache:
             return boundary_curve(tag, xs)
 
         monkeypatch.setattr(families, "boundary_curve", counted)
-        experiments._figure_curve_bytes.cache_clear()
+        families._curve_csv.cache_clear()
         first = figure_dataset(1, tmp_path / "a", n=1, seed=1)
         second = figure_dataset(1, tmp_path / "b", n=1, seed=2)
         assert sorted(calls) == ["cr_rank2_lower", "cr_rank2_upper"]
@@ -587,9 +622,9 @@ class TestFigureCurveCache:
 
     @pytest.mark.parametrize("points", [512.0, True])
     def test_int_contract_survives_a_cached_curve(self, tmp_path, points):
-        experiments._figure_curve_bytes.cache_clear()
+        families._curve_csv.cache_clear()
         figure_dataset(6, tmp_path)  # caches its four curves, cr_rank3 among them
-        assert experiments._figure_curve_bytes.cache_info().currsize == 4
+        assert families._curve_csv.cache_info().currsize == 4
         with pytest.raises(DomainError, match="grid points"):
             curve_csv_bytes("cr_rank3", points)
 

@@ -168,8 +168,9 @@ class TestDomainValidation:
             ("werner", dict(p=math.inf), "p=inf is not finite"),
             ("werner", dict(p=0.5, bel="psi-"), "no parameter 'bel'"),
             ("canonical3", dict(lambda0=1.0, lambda5=0.0), "no parameter 'lambda5'"),
-            ("werner", dict(p=(0.0, 0.0, 1.0)), "wrong kind"),
-            ("x_state", dict(a=0.25j, b=0.25, c=0.25, d=0.25), "wrong kind"),
+            ("werner", dict(p=(0.0, 0.0, 1.0)), r"p must be a finite real number, got \(0.0"),
+            ("x_state", dict(a=0.25j, b=0.25, c=0.25, d=0.25),
+             "must be a finite real number, got 0.25j"),
             ("cq_state", dict(p=7.0), "p=7.0 outside"),
             ("cq_state", dict(p=0.5, a=(2.0, 0.0, 0.0)), "outside the unit ball"),
             ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w=0.9), r"sqrt\(a\*d\) >= \|w\|"),
@@ -177,8 +178,21 @@ class TestDomainValidation:
             ("werner", dict(p=0.5, bell="xyz"), "unknown werner fiducial .xyz."),
             ("cq_state", dict(p=0.5, a=(0.0, 0.0)), "wrong kind"),
             ("cq_state", dict(p=0.5, a="abc"), "wrong kind"),
-            ("werner", dict(p="abc"), "wrong kind"),
+            ("werner", dict(p="abc"), "p must be a finite real number, got 'abc'"),
             ("cq_state", dict(p=np.array([0.5, 0.5]), a=np.zeros((3, 3))), "wrong kind"),
+            ("werner", dict(p=True), "^p must be a finite real number, got True$"),
+            ("mems1", dict(c=np.float64(0.5) + 0j), r"^c must be a finite real number, got "),
+            ("bell_diagonal", dict(p1="0.25", p2=0.25, p3=0.25, p4=0.25),
+             "^each of the Bell-diagonal weights must be a finite real number, got '0.25'$"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=False),
+             r"^each of the x_state diagonal entries \(a, b, c, d\) must be a finite real number"),
+            ("ansatz2", dict(alpha="0.25", beta=0.25), "^alpha must be a finite real number"),
+            ("ansatz2", dict(alpha=0.25, beta=True), "^beta must be a finite real number"),
+            ("ansatz2", dict(alpha=np.array(0.1) + 1j), "^alpha must be a finite real number"),
+            ("canonical3", dict(lambda0=1.0, theta="0"), "^theta must be a finite real number"),
+            ("m3ts_general", dict(c12=0.5, c13=[0.5]), r"^c13 must be a finite real number"),
+            ("werner", dict(p=10**400), "p=1000.* is not finite"),
+            ("cq_state", dict(p=0.5, a=(0.0, 0.0), b=(0.0, 0.0)), "a Bloch vector has 3 entries"),
         ],
     )
     def test_parameters_checked_as_a_whole(self, family, params, message):
@@ -564,7 +578,7 @@ class TestBoundaryCurves:
         """5e-13 past an edge (the rank-4 curves' lower edge is the witness knee)
         the curve is evaluated on the edge and the row keeps the abscissa;
         2e-12 past an edge is rejected."""
-        lo, hi = families.curve_domain(tag)
+        lo, hi = curve_grid(tag, 2)
         (_, at_lo), (_, at_hi) = boundary_curve(tag, [lo, hi])
         assert boundary_curve(tag, [lo - _PAST, hi + _PAST]) == [(lo - _PAST, at_lo),
                                                                  (hi + _PAST, at_hi)]
@@ -577,6 +591,16 @@ class TestBoundaryCurves:
     def test_non_finite_abscissa_is_rejected(self, tag, x):
         with pytest.raises(DomainError, match="abscissa"):
             boundary_curve(tag, [0.5 if tag.endswith("rank4") else 0.0, x])
+
+    @pytest.mark.parametrize("x", [True, "0.5", 0.5j, pytest.param(10**400, id="10**400")])
+    def test_an_abscissa_that_is_not_a_finite_real_is_rejected(self, x):
+        with pytest.raises(DomainError, match="^cr_rank2_upper abscissa must be a finite real"):
+            boundary_curve("cr_rank2_upper", [0.5, x])
+
+    def test_an_abscissa_is_kept_as_a_float(self):
+        rows = boundary_curve("cr_rank2_lower", [1, np.float64(0.5), np.int64(0)])
+        assert rows == [(1.0, 1.0), (0.5, 0.25), (0.0, 0.0)]
+        assert {type(value) for row in rows for value in row} == {float}
 
     @pytest.mark.parametrize("points", [2.5, 3.0, True, "3", 1])
     def test_grid_needs_an_int_of_at_least_two_points(self, points):

@@ -70,6 +70,10 @@ class TestDeterminant:
         with pytest.raises(DimensionError):
             determinant(np.eye(17))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError, match="^empty matrix$"):
+            determinant(np.zeros((0, 0)))
+
     def test_rejects_non_finite(self):
         m = np.eye(4, dtype=complex)
         m[0, 0] = np.nan

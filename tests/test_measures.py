@@ -83,6 +83,11 @@ class TestR12:
         with pytest.raises(DimensionError):
             r12(rho)
 
+    def test_singular_value_route_rejects_unequal_dims(self):
+        rho = reduce(haar_random_pure((2, 3, 2), RNG), (1, 2))
+        with pytest.raises(DimensionError, match=r"equal local dimensions, got \(2, 3\)"):
+            r12_via_singular_values(rho)
+
 
 class TestConcurrence:
     def test_pure_diagonal_amplitudes(self):
@@ -112,6 +117,11 @@ class TestConcurrence:
     def test_rejects_non_two_qubit(self):
         with pytest.raises(DimensionError):
             concurrence(reduce(haar_random_pure((2, 3), RNG), (1, 2)))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (4,), (2, 2, 2)])
+    def test_pure_oracle_rejects_non_two_qubit(self, dims):
+        with pytest.raises(DimensionError, match="expected a two-qubit pure state"):
+            pure_concurrence(haar_random_pure(dims, RNG))
 
 
 class TestNegativity:

@@ -26,8 +26,7 @@ from permutangle import (
     verify,
 )
 from permutangle.errors import check_key
-from permutangle.experiments import curve_csv_bytes
-from permutangle.families import state_stack
+from permutangle.families import curve_csv_bytes, state_stack
 
 RECORD = MeasureRecord(rank=2, c12=0.3, n12=0.3, r12=0.5, tau=None, family="test")
 

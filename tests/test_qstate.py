@@ -44,6 +44,11 @@ class TestContainers:
         with pytest.raises(DimensionError):
             PureState((2, 2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_pure_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="^amplitudes contain non-finite entries$"):
+            PureState((2,), np.array([bad, 1.0]))
+
     def test_pure_state_rejects_empty_dims(self):
         with pytest.raises(DimensionError):
             PureState((), np.array([1.0]))
@@ -417,6 +422,11 @@ class TestFixedEigvecMixtures:
         bad[:, 1] = bad[:, 0]
         with pytest.raises(ValueError):
             random_fixed_eigvecs(bad, substream(4, 4))
+
+    @pytest.mark.parametrize("columns", [2, 4])
+    def test_rejects_other_than_three_columns(self, columns):
+        with pytest.raises(DimensionError, match=f"3 column vectors, got shape \\(4, {columns}\\)"):
+            random_fixed_eigvecs(np.eye(4)[:, :columns], substream(4, 4))
 
     @pytest.mark.parametrize("dims", [(2, 3), (4, 2), (3,), (8,)])
     def test_rejects_dims_that_do_not_fit_the_matrix(self, dims):
