@@ -27,9 +27,10 @@ def check_real(value, what: str, lo: float | None = None) -> float:
     """``value`` as a Python float, once it is an int, a float or a numpy integer
     or float (a bool, a string or a complex number is not), finite and at least
     ``lo`` (no lower end for ``lo=None``); else ``DomainError`` naming ``what``."""
-    x = value
-    if type(x) is not float:  # an exact float, the common case, takes one type test
-        real = type(x) is not bool and isinstance(x, (float, int, np.floating, np.integer))
+    if isinstance(value, float):  # a float or a numpy float64, a subclass of float
+        x = float(value)
+    else:
+        real = isinstance(value, (int, np.floating, np.integer)) and not isinstance(value, bool)
         try:
             x = float(value) if real else math.nan
         except OverflowError:  # an int beyond the float range

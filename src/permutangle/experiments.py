@@ -432,15 +432,13 @@ def format_float(value: Optional[float]) -> str:
     return format(float(value), ".17g")
 
 
-#: Besides non-ASCII digits and spaces, what ``int`` and ``float`` read but the writers never write.
-_NEVER_WRITTEN = ("_", " ", "\t", "\n", "\v", "\f", "\r")
-
-
 def _plain(column: Sequence[str]) -> Sequence[str]:
-    """``column``, once its joined text is ASCII and holds none of ``_NEVER_WRITTEN``
-    (on a failure :func:`_parse_column` tries each text alone and names the record)."""
+    """``column``, once its joined text is ASCII with no ``_`` and none of the six
+    whitespace characters ``int`` and ``float`` strip, so they read only what the
+    writers write (on a failure :func:`_parse_column` tries each text alone and
+    names the record)."""
     text = "".join(column)
-    if not text.isascii() or any(c in text for c in _NEVER_WRITTEN):
+    if not text.isascii() or any(c in text for c in "_ \t\n\v\f\r"):
         raise ValueError(f"{text!r} holds whitespace, '_' or a non-ASCII character")
     return column
 

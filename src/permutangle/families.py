@@ -82,8 +82,7 @@ def _weights_gate(weights: Sequence, what: str) -> tuple:
         if off.any():
             raise DomainError(f"{what} must sum to 1, got sum {_first(total, off)!r}")
         return tuple(np.maximum(0.0, ws))
-    each = f"each of the {what}"
-    ws = tuple([check_real(w, each) for w in weights])
+    ws = tuple([check_real(w, what) for w in weights])
     if (low := min(ws)) < -EDGE_TOL:
         raise DomainError(f"{what} must be nonnegative, got {ws}")
     if abs((total := sum(ws)) - 1.0) > PARAM_SUM_TOL:
@@ -660,12 +659,13 @@ def boundary_curve(curve: str, grid: Sequence[float]) -> list[tuple[float, float
 
 def curve_csv_bytes(curve: str, points: int) -> bytes:
     """A boundary curve on ``points`` (an int of at least 2) grid points as CSV under its
-    header; both are checked on each call, and each (curve, points) rendered once per process."""
+    header; both are checked on each call, and the last ``len(CURVE_TAGS)`` (curve,
+    points) pairs asked for are kept, so each figure curve is rendered once per process."""
     check_key(curve, _CURVES, "curve")
     return _curve_csv(curve, check_int(points, "grid points", 2))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=len(_CURVES))
 def _curve_csv(curve: str, points: int) -> bytes:
     rows = boundary_curve(curve, curve_grid(curve, points))
     return "".join([_CURVES[curve][2], "\n", *map("%.17g,%.17g\n".__mod__, rows)]).encode("utf-8")

@@ -590,7 +590,7 @@ def _cli_curve_bytes(tag, tmp_path) -> bytes:
 
 class TestFigureCurveCache:
     """A figure's curve files are computed once per process per tag and hold
-    the bytes :func:`curve_csv_bytes` and the CLI give."""
+    the bytes the CLI gives and the renderer gives without its cache."""
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_curve_files_equal_the_uncached_curves_cold_and_warm(self, fig_id, tmp_path):
@@ -602,7 +602,7 @@ class TestFigureCurveCache:
             assert curves
             for tag, path in curves.items():
                 assert path.name == f"fig{fig_id}_curve_{tag}.csv"
-                assert path.read_bytes() == curve_csv_bytes(tag, CURVE_POINTS)
+                assert path.read_bytes() == families._curve_csv.__wrapped__(tag, CURVE_POINTS)
                 assert path.read_bytes() == _cli_curve_bytes(tag, tmp_path)
 
     def test_each_curve_is_computed_once(self, tmp_path, monkeypatch):

@@ -183,9 +183,9 @@ class TestDomainValidation:
             ("werner", dict(p=True), "^p must be a finite real number, got True$"),
             ("mems1", dict(c=np.float64(0.5) + 0j), r"^c must be a finite real number, got "),
             ("bell_diagonal", dict(p1="0.25", p2=0.25, p3=0.25, p4=0.25),
-             "^each of the Bell-diagonal weights must be a finite real number, got '0.25'$"),
+             "^Bell-diagonal weights must be a finite real number, got '0.25'$"),
             ("x_state", dict(a=0.25, b=0.25, c=0.25, d=False),
-             r"^each of the x_state diagonal entries \(a, b, c, d\) must be a finite real number"),
+             r"^x_state diagonal entries \(a, b, c, d\) must be a finite real number"),
             ("ansatz2", dict(alpha="0.25", beta=0.25), "^alpha must be a finite real number"),
             ("ansatz2", dict(alpha=0.25, beta=True), "^beta must be a finite real number"),
             ("ansatz2", dict(alpha=np.array(0.1) + 1j), "^alpha must be a finite real number"),
