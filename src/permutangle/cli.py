@@ -9,13 +9,14 @@ wall-clock default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 from pathlib import Path
 
 from . import experiments, families
-from .errors import DomainError
+from .errors import DomainError, is_numeral
 from .experiments import format_float
 
 _PARAM_HELP = (
@@ -24,36 +25,28 @@ _PARAM_HELP = (
 )
 
 
-def _parse_value(text: str):
+def _number(text: str, casts=(int, float, complex)):
+    """The first of ``casts`` that reads ``text`` if ``is_numeral`` accepts it, else ``text``;
+    a colon vector is the tuple of its parts, each read as a float this way."""
     if ":" in text:
-        return tuple(float(part) for part in text.split(":"))
-    for cast in (int, float, complex):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
+        return tuple(_number(part.strip(), (float,)) for part in text.split(":"))
+    if is_numeral(text):
+        for cast in casts:
+            with contextlib.suppress(ValueError):
+                return cast(text)
     return text
 
 
 def _parse_params(text: str) -> dict:
     params = {}
-    if not text:
-        return params
-    for item in text.split(","):
+    for item in text.split(",") if text else ():
         if "=" not in item:
             raise DomainError(f"bad parameter {item!r}; expected k=v")
         key, value = (part.strip() for part in item.split("=", 1))
         if key in params:
             raise DomainError(f"parameter {key!r} given more than once")
-        params[key] = _parse_value(value)
+        params[key] = _number(value)
     return params
-
-
-def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise DomainError(f"bad dims {text!r}; expected e.g. 2,2,3") from None
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -94,8 +87,8 @@ def _emit_records(records, args) -> None:
 
 
 def _cmd_sample(args) -> int:
-    records = experiments.scatter(_parse_dims(args.dims), args.n, args.seed)
-    _emit_records(records, args)
+    dims = tuple(_number(part.strip()) for part in args.dims.split(","))
+    _emit_records(experiments.scatter(dims, args.n, args.seed), args)
     return 0
 
 
@@ -136,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
     campaign = argparse.ArgumentParser(add_help=False, parents=[output])  # sample and perturb
-    campaign.add_argument("--n", type=int, required=True, help="sample count")
-    campaign.add_argument("--seed", type=int, required=True,
+    campaign.add_argument("--n", type=_number, required=True, help="sample count")
+    campaign.add_argument("--seed", type=_number, required=True,
                           help="campaign seed (mandatory; no wall-clock default)")
 
     p = sub.add_parser("measure", help="closed-form vs numeric measures of a family state",
@@ -152,28 +145,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="analytic boundary curve", parents=[out])
     p.add_argument("--id", required=True, choices=families.CURVE_TAGS)
-    p.add_argument("--points", type=int, default=families.CURVE_POINTS,
+    p.add_argument("--points", type=_number, default=families.CURVE_POINTS,
                    help=f"grid size (default: {families.CURVE_POINTS})")
     p.set_defaults(fn=_cmd_curve)
 
     p = sub.add_parser("perturb", help="perturbed boundary-family campaign", parents=[campaign])
     p.add_argument("--kind", required=True, choices=experiments.PERTURBATION_KINDS)
-    p.add_argument("--eps", type=float, default=experiments.EPSILON,
+    p.add_argument("--eps", type=_number, default=experiments.EPSILON,
                    help=f"perturbation strength (default: {experiments.EPSILON})")
     p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("figure", help="dataset bundle for one figure")
-    p.add_argument("--id", type=int, required=True, choices=experiments.FIGURE_IDS)
+    p.add_argument("--id", type=_number, required=True, choices=experiments.FIGURE_IDS)
     p.add_argument("--out", default="figures", help="output directory (default: figures)")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_number, default=None,
                    help="scatter sample count (default: per-figure standard size)")
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default: 0)")
+    p.add_argument("--seed", type=_number, default=0, help="campaign seed (default: 0)")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("verify", help="check a records CSV against a region")
     p.add_argument("--region", required=True, choices=experiments.REGION_TAGS)
     p.add_argument("--input", required=True, help="records CSV to check")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_number, default=None,
                    help="violation tolerance (default: the region's standard)")
     p.set_defaults(fn=_cmd_verify)
 

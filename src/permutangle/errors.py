@@ -1,9 +1,14 @@
-"""Exception types shared across the package, and its integer, real and name checks."""
+"""Exception types shared across the package, and its numeral, integer, real and name checks."""
 
 import math
 from typing import Mapping
 
 import numpy as np
+
+
+def is_numeral(text: str) -> bool:
+    """True for ASCII text with no ``_`` and none of the whitespace ``int`` strips."""
+    return text.isascii() and not any(c in text for c in "_ \t\n\v\f\r")
 
 
 def is_int(value) -> bool:

@@ -22,11 +22,12 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 import numpy as np
 
 from . import families
-from .errors import DimensionError, check_int, check_key, check_real, is_int
+from .errors import DimensionError, check_int, check_key, check_real, is_int, is_numeral
 from .measures import WITNESS_THRESHOLD, measure_stack
 from .qstate import (
     DensityMatrix,
     PureState,
+    _require_dims,
     fixed_eigvecs_stack,
     fixed_eigvecs_weights,
     haar_amplitudes,
@@ -163,8 +164,7 @@ def build_record(
     (2, 2, 2) parent is measured in place of ``rho``. A batch of one of the
     campaigns' step, so it reproduces their records bit for bit.
     """
-    if rho.dims != (2, 2):
-        raise DimensionError(f"records are defined for two qubits, got dims {rho.dims}")
+    _require_dims(rho, (2, 2), "a record")
     stack = rho.matrix[None]
     if parent is not None:
         amplitudes = parent.amplitudes[None]
@@ -433,12 +433,9 @@ def format_float(value: Optional[float]) -> str:
 
 
 def _plain(column: Sequence[str]) -> Sequence[str]:
-    """``column``, once its joined text is ASCII with no ``_`` and none of the six
-    whitespace characters ``int`` and ``float`` strip, so they read only what the
-    writers write (on a failure :func:`_parse_column` tries each text alone and
-    names the record)."""
+    """``column``, once :func:`~permutangle.errors.is_numeral` accepts its joined text."""
     text = "".join(column)
-    if not text.isascii() or any(c in text for c in "_ \t\n\v\f\r"):
+    if not is_numeral(text):
         raise ValueError(f"{text!r} holds whitespace, '_' or a non-ASCII character")
     return column
 
@@ -554,15 +551,16 @@ def write_records_csv(records: Iterable[MeasureRecord], path) -> Path:
 def read_records_csv(source) -> Records:
     """Parse a records CSV produced by :func:`write_records_csv` (see :func:`_records`).
 
-    Blank lines are skipped, and every other line after the header holds the
-    seven fields. The body is split at its commas once, so field ``k`` of
-    line ``j`` is item ``7 j + k``.
+    Lines end at ``\\n`` or ``\\r\\n`` only; blank ones are skipped, and every
+    other line after the header holds the seven fields. The body is split at
+    its commas once, so field ``k`` of line ``j`` is item ``7 j + k``.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not hasattr(source, "read"):
+        with open(source, encoding="utf-8", newline="") as file:
+            return read_records_csv(file)
+    text = source.read()
+    lines = [ln for ln in (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+             if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"bad records CSV header: {lines[0] if lines else '<empty>'!r}")
     body = lines[1:]

@@ -117,8 +117,13 @@ def _werner_domain(params) -> tuple[float, np.ndarray]:
     return p, check_key(params.get("bell", "phi+"), _WERNER_FIDUCIALS, "werner fiducial")
 
 
-def _within(value: complex, bound: float, what: str) -> complex:
-    """``value``, projected onto |value| = bound when at most ``POSITIVITY_TOL`` above it."""
+def _coherence(params, key: str, bound: float, what: str) -> complex:
+    """x_state's ``key`` (0 when omitted), an int, a float, a complex or a numpy number (not
+    a bool), projected onto |value| = bound when at most ``POSITIVITY_TOL`` above it."""
+    value = params.get(key, 0.0)
+    if isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number)):
+        raise DomainError(f"{key} must be a finite complex number, got {value!r}")
+    value = complex(value)
     size = abs(value)
     if size > bound + POSITIVITY_TOL:
         raise DomainError(f"x_state positivity requires {what}")
@@ -127,9 +132,8 @@ def _within(value: complex, bound: float, what: str) -> complex:
 
 def _x_state_domain(params) -> tuple:
     a, b, c, d = _weights_gate([params[k] for k in "abcd"], "x_state diagonal entries (a, b, c, d)")
-    w, z = complex(params.get("w", 0.0)), complex(params.get("z", 0.0))
-    w = _within(w, math.sqrt(a * d), "sqrt(a*d) >= |w|")
-    z = _within(z, math.sqrt(b * c), "sqrt(b*c) >= |z|")
+    w = _coherence(params, "w", math.sqrt(a * d), "sqrt(a*d) >= |w|")
+    z = _coherence(params, "z", math.sqrt(b * c), "sqrt(b*c) >= |z|")
     return a, b, c, d, w, z
 
 
@@ -167,11 +171,22 @@ def _ansatz2_domain(params) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
+def _bloch(vector, key: str):
+    """A tuple or list whose components pass :func:`check_real`, or an int or float array."""
+    if isinstance(vector, (tuple, list)):
+        for x in vector:
+            check_real(x, key)
+    elif np.asarray(vector).dtype.kind not in "iuf":
+        raise TypeError(f"Bloch vector {key} holds {np.asarray(vector).dtype}, not ints or floats")
+    return vector
+
+
 def _cq_state_domain(params) -> tuple[float, np.ndarray]:
     """p and the Bloch vectors a and b as one ``(2, ..., 3)`` array; a vector
     just outside the unit ball is projected onto it."""
     p = _interval_gate(params["p"], "p")
-    v = np.array([params.get("a", (0.0, 0.0, 1.0)), params.get("b", (0.0, 0.0, -1.0))], dtype=float)
+    a, b = params.get("a", (0.0, 0.0, 1.0)), params.get("b", (0.0, 0.0, -1.0))
+    v = np.array([_bloch(a, "a"), _bloch(b, "b")], dtype=float)
     if v.shape[-1] != 3:
         raise ValueError(f"a Bloch vector has 3 entries, got {v.shape[-1]}")
     if isinstance(p, np.ndarray):  # a stack of p: ValueError when its size differs

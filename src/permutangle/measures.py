@@ -14,11 +14,12 @@ import numpy as np
 
 from . import matkernel
 from .errors import DimensionError
-from .permutations import link_transform, partial_transpose, realign
+from .permutations import _local_dim, link_transform, partial_transpose, realign
 from .qstate import (
     DensityMatrix,
     PureState,
     RANK_EPS,
+    _require_dims,
     descending,
     eigh_psd,
     reduce_pure_stack,
@@ -48,12 +49,6 @@ def _clamp_edge(value: float, what: str) -> float:
     if not -CLAMP_TOL <= value <= 1.0 + CLAMP_TOL:
         raise ValueError(f"{what} value {value!r} outside [0, 1] beyond tolerance {CLAMP_TOL}")
     return min(1.0, max(0.0, value))
-
-
-def _require_two_qubits(rho: DensityMatrix, what: str) -> DensityMatrix:
-    if rho.dims != (2, 2):
-        raise DimensionError(f"{what} is defined for two qubits, got dims {rho.dims}")
-    return rho
 
 
 class StackMeasures(NamedTuple):
@@ -211,19 +206,13 @@ def r12(rho: DensityMatrix) -> float:
     ill-conditioned at det = 0: states whose exact value is 0 through a
     singular (but not structurally zero) link evaluate to O(eps^(1/4)) ~ 1e-4.
     """
-    pt = partial_transpose(rho)  # a DimensionError for a state that is not bipartite
-    d1, d2 = rho.dims
-    if d1 != d2:
-        raise DimensionError(f"r12 requires equal local dimensions, got {rho.dims}")
-    return _r12(pt[None], d1)[0]
+    return _r12(partial_transpose(rho)[None], _local_dim(rho, "r12"))[0]
 
 
 def r12_via_singular_values(rho: DensityMatrix) -> float:
     """r12 as d times the geometric mean of the link singular values: an SVD
     route independent of :func:`r12`'s LU determinant, which it matches to 1e-9."""
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DimensionError(f"r12 requires equal local dimensions, got {rho.dims}")
-    d = rho.dims[0]
+    d = _local_dim(rho, "r12")
     sv = matkernel.singular_values(link_transform(rho))
     value = d * float(np.prod(sv ** (1.0 / d**2)))
     return _clamp01([value], what="r12")[0]
@@ -234,20 +223,19 @@ def concurrence(rho: DensityMatrix) -> float:
 
     Equals 2|ad - bc| on pure states a|00> + b|01> + c|10> + d|11>.
     """
-    _require_two_qubits(rho, "concurrence")
+    _require_dims(rho, (2, 2), "concurrence")
     return _wootters(*descending(*eigh_psd(rho.matrix[None])))[0]
 
 
 def negativity(rho: DensityMatrix) -> float:
     """Two-qubit negativity max{0, -2 * min eigenvalue of the partial transpose}."""
-    _require_two_qubits(rho, "negativity")
+    _require_dims(rho, (2, 2), "negativity")
     return _negativity(partial_transpose(rho)[None])[0]
 
 
 def pure_concurrence(psi: PureState) -> float:
     """2|ad - bc| for a two-qubit pure state (the pure-state closed form)."""
-    if psi.dims != (2, 2):
-        raise DimensionError(f"expected a two-qubit pure state, got dims {psi.dims}")
+    _require_dims(psi, (2, 2), "pure_concurrence")
     a, b, c, d = psi.amplitudes
     return _clamp01([float(2.0 * abs(a * d - b * c))], what="concurrence")[0]
 
@@ -258,6 +246,5 @@ def three_tangle(psi: PureState) -> float:
     It equals the residual tangle 4 det(rho_1) - c12^2 - c13^2 and is
     invariant under qubit permutations and local unitaries.
     """
-    if psi.dims != (2, 2, 2):
-        raise DimensionError(f"three_tangle needs a (2, 2, 2) pure state, got {psi.dims}")
+    _require_dims(psi, (2, 2, 2), "three_tangle")
     return _tangles(psi.amplitudes[None])[0]

@@ -31,6 +31,13 @@ def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
     return rho.dims
 
 
+def _local_dim(rho: DensityMatrix, what: str) -> int:
+    """d of a bipartite state over (d, d); else DimensionError naming ``what``."""
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
+        raise DimensionError(f"{what} requires equal local dimensions, got {rho.dims}")
+    return rho.dims[0]
+
+
 def partial_transpose(rho, subsystem: int = 2, dims: Sequence[int] | None = None) -> np.ndarray:
     """Transpose one tensor factor of a bipartite matrix, as a plain array.
 
@@ -81,9 +88,7 @@ def link_transform(rho: DensityMatrix) -> np.ndarray:
 def link_product(rho: DensityMatrix) -> np.ndarray:
     """Positive link product L L^dagger with L = realign(pt2(rho)), for equal
     local dimensions: PSD, with trace equal to the purity tr(rho^2)."""
-    d1, d2 = _bipartite_dims(rho)
-    if d1 != d2:
-        raise DimensionError(f"link product requires equal local dimensions, got {rho.dims}")
+    _local_dim(rho, "link product")
     link = link_transform(rho)
     return link @ link.conj().T
 

@@ -114,6 +114,12 @@ def _check_dims(dims) -> tuple[int, ...]:
     return tuple(map(int, dims))
 
 
+def _require_dims(state: State, dims: tuple[int, ...], what: str) -> None:
+    """DimensionError naming ``what`` unless ``state`` is over exactly ``dims``."""
+    if state.dims != dims:
+        raise DimensionError(f"{what} needs dims {dims}, got {state.dims}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector over a tensor product of factors."""
@@ -313,8 +319,7 @@ def purify(rho: DensityMatrix) -> PureState:
 
 def mix(a: DensityMatrix, b: DensityMatrix, eps: float) -> DensityMatrix:
     """Normalized perturbation (a + eps*b) / (1 + eps)."""
-    if a.dims != b.dims:
-        raise DimensionError(f"dimension mismatch {a.dims} vs {b.dims}")
+    _require_dims(b, a.dims, "the perturbation")
     return _trusted_dm(a.dims, mix_stack(a.matrix, b.matrix, check_real(eps, "eps", 0.0)))
 
 
@@ -325,8 +330,7 @@ def mix_stack(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
 
 def perturb_pure(psi: PureState, psi_r: PureState, eps: float) -> PureState:
     """Normalized pure-state perturbation (psi + eps*psi_r) / ||psi + eps*psi_r||."""
-    if psi.dims != psi_r.dims:
-        raise DimensionError(f"dimension mismatch {psi.dims} vs {psi_r.dims}")
+    _require_dims(psi_r, psi.dims, "the perturbation")
     eps = check_real(eps, "eps")
     return _trusted_pure(psi.dims, perturb_pure_stack(psi.amplitudes, psi_r.amplitudes, eps))
 

@@ -174,7 +174,8 @@ class TestSampleCommand:
     def test_dims_that_are_not_ints_exit_2_naming_them(self, capsys, dims):
         code, out, err = _run(capsys, "sample", "--dims", dims, "--n", "5", "--seed", "1")
         assert (code, out) == (2, "")
-        assert f"bad dims {dims!r}; expected e.g. 2,2,3" in err, err
+        shown = {"2,x": "(2, 'x')", "2,,2": "(2, '', 2)", "2.0,2": "(2.0, 2)"}[dims]
+        assert f"unsupported scatter dims {shown}; supported: " in err, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -377,3 +378,68 @@ class TestUsage:
         assert code == 0
         assert out.count("--out OUT") == 2  # the usage line and the option list
         assert re.search(r"\n  --out OUT +write to this file instead of stdout\n", out), out
+
+
+#: Each place the command line reads a number: its arguments with ``{}`` for
+#: the number's text, ``OUT`` for a path the command may write and ``CSV`` for
+#: a records file; a number that reads there; and whether whitespace around the
+#: text belongs to a separator (",", "=" or ":"), which the parser strips.
+_NUMBER_SLOTS = {
+    "sample --n": ("sample --dims 2,2,2 --n {} --seed 1 --out OUT", "10", False),
+    "sample --seed": ("sample --dims 2,2,2 --n 5 --seed {} --out OUT", "17", False),
+    "perturb --n": ("perturb --kind mems1_fig8 --n {} --seed 1 --out OUT", "10", False),
+    "perturb --seed": ("perturb --kind mems1_fig8 --n 5 --seed {} --out OUT", "17", False),
+    "perturb --eps": ("perturb --kind mems1_fig8 --n 5 --seed 1 --eps {} --out OUT", "0.25", False),
+    "figure --n": ("figure --id 6 --n {} --out OUT", "10", False),
+    "figure --seed": ("figure --id 6 --seed {} --out OUT", "17", False),
+    "figure --id": ("figure --id {} --n 5 --out OUT", "10", False),
+    "curve --points": ("curve --id cr_rank4 --points {} --out OUT", "10", False),
+    "verify --tol": ("verify --region cr_rank2 --input CSV --tol {}", "0.25", False),
+    "sample --dims part": ("sample --dims 2,2,{} --n 5 --seed 1 --out OUT", "02", True),
+    "measure --params value": ("measure --family werner --params p={} --out OUT", "0.25", True),
+    "measure colon-vector part": (
+        "measure --family cq_state --params p=0.5,a={}:0:0 --out OUT", "0.25", True),
+}
+
+
+def _spellings(number: str, separated: bool) -> dict[str, str]:
+    """Spellings of ``number`` the program never writes: ``_`` before its last digit,
+    Arabic-Indic digits, and a space, inside the number where one around it
+    belongs to a separator, else in front of it."""
+    return {
+        "underscore": f"{number[:-1]}_{number[-1]}",
+        "arabic-indic": number.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+        "space": f"{number[:-1]} {number[-1]}" if separated else f" {number}",
+    }
+
+
+def _argv(template: str, text: str, tmp_path) -> list[str]:
+    csv = tmp_path / "records.csv"
+    csv.write_text("index,rank,c12,n12,r12,tau,family\n0,2,0.5,0.25,0.75,,x\n")
+    paths = {"OUT": str(tmp_path / "out"), "CSV": str(csv)}
+    return [paths.get(arg, arg).replace("{}", text) for arg in template.split()]
+
+
+@pytest.mark.parametrize("spelling", ["underscore", "arabic-indic", "space"])
+@pytest.mark.parametrize("slot", _NUMBER_SLOTS)
+def test_number_text_the_program_never_writes_exits_2_naming_it(capsys, tmp_path, slot, spelling):
+    """Python's parsers read the underscore, Arabic-Indic and leading-space spellings
+    as the number; the command line passes each on as text, which the library's
+    own check refuses by name, and nothing is written."""
+    template, number, separated = _NUMBER_SLOTS[slot]
+    text = _spellings(number, separated)[spelling]
+    code, out, err = _run(capsys, *_argv(template, text, tmp_path))
+    assert (code, out) == (2, ""), err
+    assert text in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("template, spaced, plain", [
+    ("measure --family werner --params {}", "p = 0.5", "p=0.5"),
+    ("measure --family cq_state --params {}", "p=0.5, a = 0 : 0.5 : 0", "p=0.5,a=0:0.5:0"),
+    ("sample --dims {} --n 5 --seed 1", "2, 2, 3", "2,2,3"),
+])
+def test_whitespace_around_a_separator_is_read(capsys, tmp_path, template, spaced, plain):
+    code, out, err = _run(capsys, *_argv(template, spaced, tmp_path))
+    assert (code, err) == (0, "") and out
+    assert _run(capsys, *_argv(template, plain, tmp_path)) == (code, out, err)

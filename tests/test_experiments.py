@@ -399,6 +399,17 @@ class TestSerialization:
         assert read_records_csv(io.StringIO(text)) == recs
         assert read_records_csv(io.StringIO(lines[0] + "\r\n\r\n")) == Records()
 
+    @pytest.mark.parametrize("source", ["path", "file"])
+    @pytest.mark.parametrize("separator", ["\x85", "\x0c", "\x1e", "\u2028", "\r"])
+    def test_csv_reader_breaks_lines_only_at_lf_or_crlf(self, tmp_path, separator, source):
+        """Two records joined by any other line break are one record with 13 fields."""
+        lines = records_csv_bytes([_rec(), _rec()]).decode().splitlines()
+        text = f"{lines[0]}\n{lines[1]}{separator}{lines[2]}\n"
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError, match="^record 0 has 13 fields; "):
+            read_records_csv(path if source == "path" else io.StringIO(text))
+
     @pytest.mark.parametrize("family", ["a,b", "x\ny", "", "a b", "tag\r", "é"])
     def test_family_outside_identifier_characters_rejected(self, family):
         recs = [_rec(), _rec(family=family)]

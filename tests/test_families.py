@@ -193,6 +193,22 @@ class TestDomainValidation:
             ("m3ts_general", dict(c12=0.5, c13=[0.5]), r"^c13 must be a finite real number"),
             ("werner", dict(p=10**400), "p=1000.* is not finite"),
             ("cq_state", dict(p=0.5, a=(0.0, 0.0), b=(0.0, 0.0)), "a Bloch vector has 3 entries"),
+            ("cq_state", dict(p=0.5, a=("0.5", 0, 0)), "^a must be a finite real number, got '0.5'$"),
+            ("cq_state", dict(p=0.5, a=("0_5", 0, 0)), "^a must be a finite real number, got '0_5'$"),
+            ("cq_state", dict(p=0.5, a=(True, 0, 0)), "^a must be a finite real number, got True$"),
+            ("cq_state", dict(p=0.5, b=[0.0, 0.0, 1j]), "^b must be a finite real number, got 1j$"),
+            ("cq_state", dict(p=np.array([0.5]), a=np.array([["0.5", "0", "0"]])),
+             "wrong kind: Bloch vector a holds <U3, not ints or floats$"),
+            ("cq_state", dict(p=np.array([0.5]), b=np.array([[0.5j, 0.0, 0.0]])),
+             "wrong kind: Bloch vector b holds complex128, not ints or floats$"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w="0.1"),
+             "^w must be a finite complex number, got '0.1'$"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, w="0.1+0.1j"),
+             r"^w must be a finite complex number, got '0.1\+0.1j'$"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, z=True),
+             "^z must be a finite complex number, got True$"),
+            ("x_state", dict(a=0.25, b=0.25, c=0.25, d=0.25, z=np.bool_(False)),
+             "^z must be a finite complex number, got np.False_$"),
         ],
     )
     def test_parameters_checked_as_a_whole(self, family, params, message):

@@ -4,9 +4,9 @@ Every command's output at a small size is hashed and compared with the
 committed manifest ``golden_digests.json``: figure bundles, sample and
 perturb records (CSV and JSON), the separable campaign, every boundary curve
 and the ``measure`` table of every family. The bits depend on the numpy
-version, the platform, the SIMD targets numpy dispatches to on this CPU and
-the BLAS and LAPACK numpy links, so the manifest records all four, and a host
-that differs fails rather than skips.
+version, the platform, the SIMD targets numpy dispatches to on this CPU, the
+BLAS and LAPACK numpy links and the core whose kernels OpenBLAS runs, so the
+manifest records all five, and a host that differs fails rather than skips.
 
 Regenerate the manifest (and log the regeneration in CHANGES.md) with::
 
@@ -16,10 +16,13 @@ Regenerate the manifest (and log the regeneration in CHANGES.md) with::
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +40,17 @@ N_FIGURE = 256
 N_RECORDS = 300
 
 
+def _openblas_core() -> str | None:
+    """The core whose kernels numpy's OpenBLAS runs (``OPENBLAS_CORETYPE`` can
+    choose one), read from the library under ``numpy.libs``; None for another BLAS."""
+    for path in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def _host() -> dict:
     """What decides the bits besides the code. ``__cpu_dispatch__`` is the wheel's
     build-time target list; ``__cpu_features__`` says which of them this CPU runs."""
@@ -47,6 +61,7 @@ def _host() -> dict:
         "simd_dispatch": [target for target in __cpu_dispatch__ if __cpu_features__[target]],
         "blas_lapack": {lib: f"{deps[lib]['name']} {deps[lib]['version']}"
                         for lib in ("blas", "lapack")},
+        "openblas_core": _openblas_core(),
     }
 
 
@@ -117,6 +132,21 @@ def test_a_host_that_differs_is_named_with_both_values():
     assert len(differ) == 2
     assert "['X86_V2']" in differ[0] and repr(host["simd_dispatch"]) in differ[0]
     assert "mkl 1" in differ[1] and repr(host["blas_lapack"]) in differ[1]
+
+
+def test_another_openblas_core_is_named_as_a_host_difference():
+    """``OPENBLAS_CORETYPE=Haswell`` moves 31 of the 99 digests on a SkylakeX host,
+    so a process that runs another core's kernels fails naming ``openblas_core``."""
+    core = json.loads(MANIFEST.read_text())["openblas_core"]
+    if _openblas_core() is None:
+        pytest.skip("numpy links a BLAS other than OpenBLAS")
+    other = "Nehalem" if core != "Nehalem" else "Sandybridge"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_output_bytes_match_manifest"],
+        env={**os.environ, "OPENBLAS_CORETYPE": other}, capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert f"openblas_core: manifest {core!r}, this host {other!r}" in result.stdout, result.stdout
 
 
 def test_output_bytes_match_manifest(tmp_path):

@@ -12,10 +12,14 @@ from permutangle import (
     WITNESS_THRESHOLD,
     concurrence,
     haar_random_pure,
+    build_record,
     haar_random_unitary,
+    link_product,
     make_state,
+    mix,
     negativity,
     numeric_measures,
+    perturb_pure,
     pure_concurrence,
     purify,
     r12,
@@ -120,7 +124,7 @@ class TestConcurrence:
 
     @pytest.mark.parametrize("dims", [(2, 3), (4,), (2, 2, 2)])
     def test_pure_oracle_rejects_non_two_qubit(self, dims):
-        with pytest.raises(DimensionError, match="expected a two-qubit pure state"):
+        with pytest.raises(DimensionError, match=r"pure_concurrence needs dims \(2, 2\), got "):
             pure_concurrence(haar_random_pure(dims, RNG))
 
 
@@ -313,3 +317,25 @@ class TestClamp:
         with pytest.raises(ValueError) as info:
             _clamp01([0.5, value], "r12")
         assert str(info.value) == message
+
+
+_RHO23 = reduce(haar_random_pure((2, 3, 2), substream(23, 0)), (1, 2))
+_PSI23 = haar_random_pure((2, 3), substream(23, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: concurrence(_RHO23), r"^concurrence needs dims \(2, 2\), got \(2, 3\)$"),
+    (lambda: negativity(_RHO23), r"^negativity needs dims \(2, 2\), got \(2, 3\)$"),
+    (lambda: three_tangle(_PSI23), r"^three_tangle needs dims \(2, 2, 2\), got \(2, 3\)$"),
+    (lambda: build_record(_RHO23, None, "x"), r"^a record needs dims \(2, 2\), got \(2, 3\)$"),
+    (lambda: mix(make_state("werner", p=0.5), _RHO23, 0.1),
+     r"^the perturbation needs dims \(2, 2\), got \(2, 3\)$"),
+    (lambda: perturb_pure(_pure([1, 0, 0, 1]), _PSI23, 0.1),
+     r"^the perturbation needs dims \(2, 2\), got \(2, 3\)$"),
+    (lambda: r12(_RHO23), r"^r12 requires equal local dimensions, got \(2, 3\)$"),
+    (lambda: link_product(_RHO23), r"^link product requires equal local dimensions, got \(2, 3\)$"),
+], ids=["concurrence", "negativity", "three_tangle", "build_record", "mix", "perturb_pure", "r12",
+        "link_product"])
+def test_each_dims_check_names_the_operation_and_both_dims(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()
