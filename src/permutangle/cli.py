@@ -111,8 +111,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = experiments.region_tolerance(args.region, args.tol)  # before the input is read
     records = experiments.read_records_csv(args.input)
-    report = experiments.verify(records, args.region, tol=args.tol)
+    report = experiments.verify(records, args.region, tol=tol)
     sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     return 0 if report.violations == 0 else 1
 

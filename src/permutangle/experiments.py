@@ -29,7 +29,7 @@ from .qstate import (
     PureState,
     _require_dims,
     fixed_eigvecs_stack,
-    fixed_eigvecs_weights,
+    fixed_eigvecs_weights_stack,
     haar_amplitudes,
     haar_draw,
     mix_stack,
@@ -179,8 +179,21 @@ def build_record(
 
 class _Kind(NamedTuple):
     """A kind of campaign sample: its family tag; ``draw(rng)``, one sample's
-    raw numbers from its generator; and ``build(draws)``, the stack of states
-    of a list of draws, made with the stacked forms of the scalar constructors."""
+    generator outputs and nothing else; and ``build(draws)``, the stack of
+    states of a list of draws, which does all the arithmetic on them once per
+    chunk with the stacked forms of the scalar functions.
+
+    A draw uses the stream as the scalar sampler does, and a build gives each
+    row the bits the scalar functions give its draw alone. These array
+    operations have the bits of their scalar counterparts (pinned by
+    ``tests/test_qstate.py::TestArrayBits``): IEEE ``+ - * /`` and
+    ``np.sqrt``; vectorized ``np.sin`` and ``np.cos``; ``np.float_power`` for
+    Python's ``**``, where ``np.power`` and ``x * x`` round differently;
+    ``np.vecdot`` rows for ``v.dot(v)``; and ``rng.random(k)`` for ``k``
+    ``rng.random()`` calls. Where the drawn numbers decide how many more a
+    sample draws (the Bell-diagonal rejection loop), the draw decides on
+    Python floats with the same operations.
+    """
 
     tag: str
     draw: Callable[[np.random.Generator], Any]
@@ -242,28 +255,32 @@ _ANSATZ1_EIGVECS = np.column_stack(
 )
 
 
-def _ansatz1_stack(p: np.ndarray, weights: np.ndarray, eps: float) -> np.ndarray:
-    base = families.state_stack("ansatz1", p=p)
+def _ansatz1_stack(draws: list, eps: float) -> np.ndarray:
+    u = np.array(draws)  # p, theta/pi, phi/(2 pi)
+    base = families.state_stack("ansatz1", p=u[:, 0])
+    weights = fixed_eigvecs_weights_stack(u[:, 1:])
     return mix_stack(base, fixed_eigvecs_stack(_ANSATZ1_EIGVECS, weights), eps)
 
 
-def _werner_stack(p: np.ndarray, parts: np.ndarray, eps: float) -> np.ndarray:
+def _werner_stack(draws: list, eps: float) -> np.ndarray:
+    p, parts = map(np.array, zip(*draws))
     base = families.state_stack("werner", p=p, bell="psi-")
     noise = reduce_pure_stack(haar_amplitudes(parts), (2, 2, 4), (1, 2))
     return mix_stack(base, noise, eps)
 
 
-def _mems1_stack(c: np.ndarray, parts: np.ndarray, eps: float) -> np.ndarray:
+def _mems1_stack(draws: list, eps: float) -> np.ndarray:
+    c, parts = map(np.array, zip(*draws))
     psi = families.state_stack("mems1_purification", c=c)
     return perturb_pure_stack(psi, haar_amplitudes(parts), eps)
 
 
-#: kind -> (the noise draw, which follows the base parameter's U[0, 1] draw;
-#: the chunk's states from the base parameters, the noise draws and epsilon)
+#: kind -> (the draw: the base parameter's U[0, 1) draw, then the noise's;
+#: the chunk's states from its draws and epsilon)
 _PERTURBATIONS = {
-    "ansatz1_fig4": (fixed_eigvecs_weights, _ansatz1_stack),
-    "werner_fig5": (lambda rng: haar_draw(16, rng), _werner_stack),
-    "mems1_fig8": (lambda rng: haar_draw(8, rng), _mems1_stack),
+    "ansatz1_fig4": (lambda rng: rng.random(3), _ansatz1_stack),
+    "werner_fig5": (lambda rng: (rng.random(), haar_draw(16, rng)), _werner_stack),
+    "mems1_fig8": (lambda rng: (rng.random(), haar_draw(8, rng)), _mems1_stack),
 }
 PERTURBATION_KINDS = tuple(_PERTURBATIONS)
 
@@ -280,30 +297,27 @@ def perturbation_campaign(
     * ``mems1_fig8``: pure-state perturbation of the rank-2 boundary
       purification; records carry the tangle of the perturbed parent.
     """
-    noise, states = check_key(kind, _PERTURBATIONS, "perturbation kind")
+    draw, states = check_key(kind, _PERTURBATIONS, "perturbation kind")
     epsilon = check_real(epsilon, "epsilon", 0.0)
-
-    def build(draws: list) -> np.ndarray:
-        base, noises = map(np.array, zip(*draws))
-        return states(base, noises, epsilon)
-
-    return _run_indexed((_Kind(kind, lambda rng: (rng.random(), noise(rng)), build),), n, seed)
+    return _run_indexed((_Kind(kind, draw, lambda draws: states(draws, epsilon)),), n, seed)
 
 
 def _product_mix_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     terms = int(rng.integers(1, 4))
-    # the Haar blocks of u_1, v_1, u_2, ...: the stream of 2 * terms haar_draw(2) calls
-    return families.flat_dirichlet(rng, terms), rng.standard_normal((2 * terms, 2, 2))
+    # flat_dirichlet's exponentials, then the Haar blocks of u_1, v_1, u_2, ...:
+    # the stream of 2 * terms haar_draw(2) calls
+    return rng.standard_exponential(terms), rng.standard_normal((2 * terms, 2, 2))
 
 
 def _product_mixes(draws: list) -> np.ndarray:
-    """sum_t w_t |u_t><u_t| (x) |v_t><v_t| of each (weights, Haar blocks) draw,
-    one stack per term count, adding the terms in order."""
+    """sum_t w_t |u_t><u_t| (x) |v_t><v_t| of each (exponentials, Haar blocks)
+    draw, w the flat Dirichlet weights of the exponentials, one stack per term
+    count, adding the terms in order."""
     rho = np.zeros((len(draws), 4, 4), dtype=complex)
-    counts = np.array([len(weights) for weights, _ in draws])
+    counts = np.array([len(e) for e, _ in draws])
     for terms in np.unique(counts):
         rows = np.flatnonzero(counts == terms)
-        weights = np.array([draws[row][0] for row in rows])
+        weights = families.flat_dirichlet_stack(np.array([draws[row][0] for row in rows]))
         projectors = projector_stack(haar_amplitudes(np.array([draws[row][1] for row in rows])))
         # np.kron of two 2x2 matrices is this broadcast product, reshaped
         u, v = projectors[:, 0::2, :, None, :, None], projectors[:, 1::2, None, :, None, :]
@@ -313,24 +327,41 @@ def _product_mixes(draws: list) -> np.ndarray:
     return rho
 
 
+def _cq_state_draw(rng: np.random.Generator) -> tuple:
+    """The draws of ``sample_params("cq_state", rng)``: p, then a Bloch vector's
+    ``standard_normal(3)`` and ``random()`` for a, then for b."""
+    return rng.random(), rng.standard_normal(3), rng.random(), rng.standard_normal(3), rng.random()
+
+
+def _cq_states(draws: list) -> np.ndarray:
+    p, va, ua, vb, ub = map(np.array, zip(*draws))
+    a, b = families.random_bloch_stack(va, ua), families.random_bloch_stack(vb, ub)
+    return families.state_stack("cq_state", p=p, a=a, b=b)
+
+
 def _bell_diagonal_separable_draw(rng: np.random.Generator) -> np.ndarray:
+    """Four unit exponentials whose flat Dirichlet weights are at most 1/2:
+    ``flat_dirichlet(rng, 4)`` until its largest weight is, on Python floats."""
     while True:
-        p = families.flat_dirichlet(rng, 4)
-        if max(p.tolist()) <= 0.5:
-            return p
+        e = rng.standard_exponential(4)
+        x0, x1, x2, x3 = e.tolist()
+        # rounding is monotone, so the largest weight is the largest exponential's
+        if max(x0, x1, x2, x3) * (1.0 / (x0 + x1 + x2 + x3)) <= 0.5:
+            return e
+
+
+def _bell_diagonal_separables(draws: list) -> np.ndarray:
+    weights = np.transpose(families.flat_dirichlet_stack(np.array(draws)))
+    return families.state_stack("bell_diagonal", **dict(zip(("p1", "p2", "p3", "p4"), weights)))
 
 
 #: The separable campaign's kinds, cycled in this order.
 _SEPARABLE = (
     _Kind("product_mix", _product_mix_draw, _product_mixes),
-    _Kind("cq_state", lambda rng: families.sample_params("cq_state", rng),
-          lambda draws: families.state_stack(
-              "cq_state", **{key: np.array([d[key] for d in draws]) for key in ("p", "a", "b")})),
+    _Kind("cq_state", _cq_state_draw, _cq_states),
     _Kind("werner_separable", lambda rng: (1.0 / 3.0) * rng.random(),
           lambda ps: families.state_stack("werner", p=np.array(ps))),
-    _Kind("bell_diagonal_separable", _bell_diagonal_separable_draw,
-          lambda ps: families.state_stack(
-              "bell_diagonal", **dict(zip(("p1", "p2", "p3", "p4"), np.transpose(ps))))),
+    _Kind("bell_diagonal_separable", _bell_diagonal_separable_draw, _bell_diagonal_separables),
 )
 
 
@@ -370,6 +401,16 @@ _TAU_REGIONS = ("rc_tau_identity", "m3ts_max_tau")
 REGION_TAGS = tuple(_REGIONS)
 
 
+def region_tolerance(region: str, tol: Optional[float] = None) -> float:
+    """The tolerance :func:`verify` checks ``region`` at: ``tol`` (a real number,
+    negative too) or, for None, the region's standard; a ``DomainError`` names
+    an unknown region or a ``tol`` that is no finite real number."""
+    check_key(region, _REGIONS, "region")
+    if tol is None:
+        tol = IDENTITY_TOL if region in _TAU_REGIONS else VIOLATION_TOL
+    return check_real(tol, "tol")
+
+
 def verify(
     records: Iterable[MeasureRecord],
     region: str,
@@ -377,15 +418,13 @@ def verify(
 ) -> ViolationReport:
     """Count records outside an analytic region beyond tolerance.
 
-    ``records`` is a :class:`Records` value or an iterable of rows; ``tol``
-    (a real number, negative too) defaults to the region's standard. The
-    report lists up to ``MAX_OFFENDERS`` (index, margin) pairs of the worst
-    offenders, NaN margins first (see :class:`ViolationReport`).
+    ``records`` is a :class:`Records` value or an iterable of rows, checked at
+    :func:`region_tolerance`. The report lists up to ``MAX_OFFENDERS`` (index,
+    margin) pairs of the worst offenders, NaN margins first (see
+    :class:`ViolationReport`).
     """
-    margin_fn, needs_tau = check_key(region, _REGIONS, "region"), region in _TAU_REGIONS
-    if tol is None:
-        tol = IDENTITY_TOL if needs_tau else VIOLATION_TOL
-    tol = check_real(tol, "tol")
+    tol = region_tolerance(region, tol)
+    margin_fn, needs_tau = _REGIONS[region], region in _TAU_REGIONS
     _, c12s, n12s, r12s, taus, _ = Records.of(records).columns
     worst = -math.inf
     total = 0

@@ -371,19 +371,21 @@ def _closed_cq_state(p: float, bloch: np.ndarray) -> dict:
 
 
 def flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k weights uniform on the simplex: ``rng.dirichlet(np.ones(k))``, written out.
+    """k weights uniform on the simplex: ``rng.dirichlet(np.ones(k))``, written out
+    as the :func:`flat_dirichlet_stack` weights of ``rng.standard_exponential(k)``."""
+    return flat_dirichlet_stack(rng.standard_exponential(k))
 
-    k unit exponentials scaled by the reciprocal of their left-to-right sum,
-    which is what numpy's Dirichlet computes while it draws a gamma(1)
-    variate as its standard exponential, for a fraction of its cost. The
-    numpy version that the digest manifest records pins that, and
-    ``tests/test_families.py`` checks it bit for bit.
+
+def flat_dirichlet_stack(e: np.ndarray) -> np.ndarray:
+    """Each row of a ``(..., k)`` stack of unit exponentials scaled by the reciprocal
+    of its left-to-right sum (the last column of a cumulative sum, an accumulation).
+
+    That is what numpy's Dirichlet computes while it draws a gamma(1) variate
+    as its standard exponential, for a fraction of its cost. The numpy version
+    that the digest manifest records pins that, and ``tests/test_families.py``
+    checks it bit for bit.
     """
-    e = rng.standard_exponential(k)
-    acc = 0.0
-    for x in e.tolist():
-        acc += x
-    return e * (1.0 / acc)
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
 def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]:
@@ -391,11 +393,18 @@ def _uniform(key: str, hi: float = 1.0) -> Callable[[np.random.Generator], dict]
 
 
 def _random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
-    """A Bloch vector drawn uniformly from the unit ball."""
+    """A Bloch vector drawn uniformly from the unit ball: :func:`random_bloch_stack`
+    of ``rng.standard_normal(3)`` and then ``rng.random()``."""
     v = rng.standard_normal(3)
-    norm, scale = math.sqrt(v.dot(v)), rng.random() ** (1.0 / 3.0)  # norm: np.linalg.norm's formula
-    x, y, z = v.tolist()
-    return x / norm * scale, y / norm * scale, z / norm * scale
+    return tuple(random_bloch_stack(v, rng.random()).tolist())
+
+
+def random_bloch_stack(v: np.ndarray, u) -> np.ndarray:
+    """v / |v| * u^(1/3) for each direction of a ``(..., 3)`` stack of standard
+    normals and its U[0, 1) draw in ``u`` (shape ``...``): uniform in the unit
+    ball. The norm has ``np.linalg.norm``'s bits, as ``np.vecdot`` rows equal
+    ``v.dot(v)``, and ``np.float_power`` the bits of ``**``."""
+    return v / np.sqrt(np.vecdot(v, v, keepdims=True)) * np.float_power(u, 1.0 / 3.0)[..., None]
 
 
 def _sample_x_state(rng: np.random.Generator) -> dict:

@@ -365,16 +365,19 @@ def random_fixed_eigvecs(
 
 
 def fixed_eigvecs_weights(rng: np.random.Generator) -> np.ndarray:
-    """Draws theta ~ U[0, pi] then phi ~ U[0, 2*pi]; returns the weights
-    cos^2(theta), sin^2(theta)cos^2(phi) and sin^2(theta)sin^2(phi).
+    """Draws theta ~ U[0, pi] then phi ~ U[0, 2*pi], as two ``rng.random()``
+    calls, and returns their :func:`fixed_eigvecs_weights_stack` weights."""
+    return fixed_eigvecs_weights_stack(np.array([rng.random(), rng.random()]))
 
-    The angles stay scalars: numpy's vectorized sin and cos can round
-    differently from the scalar calls.
-    """
-    theta = np.pi * rng.random()
-    phi = 2.0 * np.pi * rng.random()
-    st, ct = np.sin(theta), np.cos(theta)
-    return np.array([ct**2, st**2 * np.cos(phi) ** 2, st**2 * np.sin(phi) ** 2])
+
+def fixed_eigvecs_weights_stack(u: np.ndarray) -> np.ndarray:
+    """The weights cos^2(theta), sin^2(theta)cos^2(phi) and sin^2(theta)sin^2(phi)
+    at theta = pi*u0 and phi = 2*pi*u1, for each row (u0, u1) of a ``(..., 2)``
+    stack of U[0, 1) draws; ``np.float_power`` squares with the bits of ``**``."""
+    theta, phi = np.pi * u[..., 0], 2.0 * np.pi * u[..., 1]
+    st2 = np.float_power(np.sin(theta), 2.0)
+    return np.stack([np.float_power(np.cos(theta), 2.0), st2 * np.float_power(np.cos(phi), 2.0),
+                     st2 * np.float_power(np.sin(phi), 2.0)], axis=-1)
 
 
 def fixed_eigvecs_stack(eigvecs: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -295,6 +295,19 @@ class TestVerifyCommand:
         code, _, _ = _run(capsys, "verify", "--region", "cr_rank2", "--input", "/no/such.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["empty", "missing"])
+    @pytest.mark.parametrize("tol", [" 1e-9", "nan", "1_0"])
+    def test_tolerance_is_checked_before_the_input_is_read(self, capsys, tmp_path, source, tol):
+        """A bad --tol is named even when the input is empty or missing."""
+        path = tmp_path / "empty.csv"
+        if source == "empty":
+            path.write_text("")
+        code, out, err = _run(
+            capsys, "verify", "--region", "cr_rank2", "--input", str(path), "--tol", tol)
+        assert code == 2 and out == ""
+        assert err.startswith("error: tol must be a finite real number"), err
+        assert repr(float(tol) if tol == "nan" else tol) in err, err
+
     @pytest.mark.parametrize("region, row", [
         ("cr_rank2", "0,2,-2,0.1,0.5,,x"),  # sqrt(c12) of a negative c12
         ("cr_rank2_lower", "0,2,-2,0.1,0.5,,x"),

@@ -23,16 +23,19 @@ from permutangle import (
     mix,
     perturb_pure,
     perturbation_campaign,
+    random_fixed_eigvecs,
     read_records_csv,
     records_csv_bytes,
     records_from_json,
     records_to_json,
+    sample_params,
     scatter,
     separable_campaign,
+    substream,
     verify,
     write_records_csv,
 )
-from permutangle import families
+from permutangle import experiments, families
 from permutangle.cli import run
 from permutangle.experiments import FIGURE_IDS
 from permutangle.families import (
@@ -164,6 +167,61 @@ class TestCampaigns:
             "bell_diagonal_separable",
         }
         assert all(r.c12 <= 1e-12 for r in recs)
+
+
+def _ansatz1_reference(rng):
+    base = make_state("ansatz1", p=rng.random())
+    noise = random_fixed_eigvecs(_ANSATZ1_EIGVECS, rng, dims=(2, 2))
+    return mix(base, noise, experiments.EPSILON).matrix
+
+
+def _product_mix_reference(rng):
+    """The draws of the scalar product mixture, and no state: the campaign sums
+    its terms in another order (``tests/test_kernel.py`` pins its records)."""
+    terms = int(rng.integers(1, 4))
+    rng.dirichlet(np.ones(terms))
+    for _ in range(2 * terms):
+        haar_random_pure((2,), rng)
+
+
+def _bell_diagonal_separable_reference(rng):
+    while True:
+        p = rng.dirichlet(np.ones(4))
+        if p.max() <= 0.5:
+            return make_state("bell_diagonal", **dict(zip(("p1", "p2", "p3", "p4"), p))).matrix
+
+
+_ANSATZ1_EIGVECS = np.column_stack(
+    [families.BELL_PSI_PLUS, families.BELL_PSI_MINUS, families.BELL_PHI_PLUS])
+_ANSATZ1_DRAW, _ANSATZ1_STATES = experiments._PERTURBATIONS["ansatz1_fig4"]
+_SEPARABLE_KINDS = {kind.tag: kind for kind in experiments._SEPARABLE}
+#: kind -> (its draw, its build, the state the scalar functions make from a generator)
+_DRAWN_KINDS = {
+    "ansatz1_fig4": (_ANSATZ1_DRAW, lambda draws: _ANSATZ1_STATES(draws, experiments.EPSILON),
+                     _ansatz1_reference),
+    "product_mix": (*_SEPARABLE_KINDS["product_mix"][1:], _product_mix_reference),
+    "cq_state": (*_SEPARABLE_KINDS["cq_state"][1:],
+                 lambda rng: make_state("cq_state", **sample_params("cq_state", rng)).matrix),
+    "bell_diagonal_separable": (*_SEPARABLE_KINDS["bell_diagonal_separable"][1:],
+                                _bell_diagonal_separable_reference),
+}
+
+
+class TestDraws:
+    """A kind's draw makes the generator calls of the scalar functions, and its
+    build gives each row the state those functions make."""
+
+    @pytest.mark.parametrize("tag", _DRAWN_KINDS)
+    def test_draws_use_the_stream_as_the_scalar_functions_do(self, tag):
+        draw, build, reference = _DRAWN_KINDS[tag]
+        draws, want = [], []
+        for i in range(2_000):
+            ours, ref = substream(26, i), substream(26, i)
+            draws.append(draw(ours))
+            want.append(reference(ref))
+            assert ours.random() == ref.random(), i
+        if want[0] is not None:
+            assert build(draws).tobytes() == np.array(want).tobytes()
 
 
 class TestRecords:

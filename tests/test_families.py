@@ -30,6 +30,8 @@ from permutangle.families import (
     BELL_PHI_PLUS,
     _random_bloch,
     flat_dirichlet,
+    flat_dirichlet_stack,
+    random_bloch_stack,
     state_stack,
     cr_rank3_r_bound,
     nr_rank2_n_lower,
@@ -339,6 +341,21 @@ class TestSamplers:
             v /= math.sqrt(v.dot(v))
             want = tuple(v * ref.random() ** (1.0 / 3.0))
             assert _random_bloch(ours) == want
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_flat_dirichlet_stack_rows_equal_flat_dirichlet(self, k):
+        ours, ref = substream(16, k), substream(16, k)
+        rows = np.array([flat_dirichlet(ours, k) for _ in range(10_000)])
+        stack = flat_dirichlet_stack(ref.standard_exponential((10_000, k)))
+        assert rows.tobytes() == stack.tobytes()
+        assert ours.random() == ref.random()
+
+    def test_random_bloch_stack_rows_equal_random_bloch(self):
+        ours, ref = substream(17, 0), substream(17, 0)
+        rows = [_random_bloch(ours) for _ in range(10_000)]
+        v, u = zip(*[(ref.standard_normal(3), ref.random()) for _ in range(10_000)])
+        assert random_bloch_stack(np.array(v), np.array(u)).tolist() == [list(r) for r in rows]
         assert ours.random() == ref.random()
 
 

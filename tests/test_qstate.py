@@ -24,7 +24,8 @@ from permutangle import (
     substream,
     three_tangle,
 )
-from permutangle.qstate import haar_amplitudes, haar_draw, reduce_pure_stack, substreams
+from permutangle.qstate import (fixed_eigvecs_weights, fixed_eigvecs_weights_stack,
+                                haar_amplitudes, haar_draw, reduce_pure_stack, substreams)
 from permutangle.families import (
     BELL_PHI_MINUS,
     BELL_PHI_PLUS,
@@ -441,6 +442,53 @@ class TestFixedEigvecMixtures:
         assert rho.dims == ((2, 2) if dims is None else dims)
         default = random_fixed_eigvecs(self.EIGVECS, substream(4, 4))
         assert rho.matrix.tobytes() == default.matrix.tobytes()
+
+    def test_weights_stack_rows_equal_the_scalar_formula(self):
+        """Each row has the bits of the scalar sin, cos and ``**`` of its angles."""
+        u = substream(12, 0).random((20_000, 2))
+        for row, (a, b) in zip(fixed_eigvecs_weights_stack(u), u.tolist()):
+            theta, phi = np.pi * a, 2.0 * np.pi * b
+            st, ct = np.sin(theta), np.cos(theta)
+            want = np.array([ct**2, st**2 * np.cos(phi) ** 2, st**2 * np.sin(phi) ** 2])
+            assert row.tobytes() == want.tobytes(), (a, b)
+
+    def test_scalar_weights_are_a_stack_of_one(self):
+        """Two ``random()`` calls per draw: rows of one ``random((k, 2))`` draw."""
+        ours, ref = substream(12, 1), substream(12, 1)
+        rows = np.array([fixed_eigvecs_weights(ours) for _ in range(10_000)])
+        assert rows.tobytes() == fixed_eigvecs_weights_stack(ref.random((10_000, 2))).tobytes()
+        assert ours.random() == ref.random()
+
+
+class TestArrayBits:
+    """The array operations that campaign builds use in place of scalar ones
+    give the scalar bits, on this numpy and BLAS (see ``experiments._Kind``)."""
+
+    N = 200_000
+
+    def test_float_power_is_python_pow(self):
+        rng = substream(31, 0)
+        u = rng.random(self.N)
+        for values, exponent in ((u, 2.0), (np.sin(np.pi * u), 2.0), (np.cos(np.pi * u), 2.0),
+                                 (u, 1.0 / 3.0)):
+            got = np.float_power(values, exponent).tolist()
+            assert got == [x**exponent for x in values.tolist()], exponent
+
+    def test_vectorized_sin_and_cos_are_the_scalar_calls(self):
+        u = substream(31, 1).random(self.N)
+        for angles in (np.pi * u, 2.0 * np.pi * u):
+            for fn in (np.sin, np.cos):
+                assert fn(angles).tolist() == [fn(x) for x in angles.tolist()], fn
+
+    def test_vecdot_rows_are_dot(self):
+        v = substream(31, 2).standard_normal((self.N, 3))
+        assert np.vecdot(v, v, keepdims=True)[:, 0].tolist() == [row.dot(row) for row in v]
+
+    def test_random_k_is_k_random_calls(self):
+        ours, ref = substream(31, 3), substream(31, 3)
+        got = ours.random((self.N // 3, 3)).tolist()
+        assert got == [[ref.random(), ref.random(), ref.random()] for _ in range(self.N // 3)]
+        assert ours.random() == ref.random()
 
 
 @settings(max_examples=30, deadline=None)
